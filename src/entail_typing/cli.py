@@ -249,9 +249,12 @@ def cmd_train(config: dict, out_dir: Path) -> list[str]:
         template=_template(config),
         seed=int(config["seed"]),
     )
-    best_tag, log = train(
-        train_set, dev_set, vocab, scorer, training_config, _prediction_config(config)
-    )
+    try:
+        best_tag, log = train(
+            train_set, dev_set, vocab, scorer, training_config, _prediction_config(config)
+        )
+    finally:
+        scorer.close()
     atomic_write_jsonl(out_dir / "train_log.jsonl", log)
     checkpoint = {"best_checkpoint": best_tag, "evals": len(log)}
     atomic_write_text(
@@ -272,9 +275,12 @@ def cmd_predict(config: dict, out_dir: Path) -> list[str]:
     def collect(label, exc):
         render_errors.append({"label": label.raw, "error": str(exc)})
 
-    preds = predict_dataset(
-        dataset, vocab, scorer, _prediction_config(config), on_render_error=collect
-    )
+    try:
+        preds = predict_dataset(
+            dataset, vocab, scorer, _prediction_config(config), on_render_error=collect
+        )
+    finally:
+        scorer.close()
     topk = int(config["topk"])
     atomic_write_jsonl(
         out_dir / "predictions.jsonl", [prediction_to_record(p, topk) for p in preds]
@@ -324,7 +330,10 @@ def cmd_tune(config: dict, out_dir: Path) -> list[str]:
     template = _template(config)
     fallback = FallbackPolicy.parse(config["fallback"])
     grid = [float(g) for g in config["grid"]]
-    threshold = tune_threshold(dev_set, vocab, scorer, template, grid, fallback=fallback)
+    try:
+        threshold = tune_threshold(dev_set, vocab, scorer, template, grid, fallback=fallback)
+    finally:
+        scorer.close()
     doc = {
         "threshold": threshold,
         "grid": grid,

@@ -41,6 +41,10 @@ class ProtocolError(EntailTypingError):
     """An external scorer endpoint violated the wire protocol."""
 
 
+class CacheError(EntailTypingError):
+    """A score-cache file holds a corrupt record (message names path:line)."""
+
+
 class EvaluationError(EntailTypingError):
     """Predictions and gold annotations cannot be aligned."""
 

@@ -11,6 +11,7 @@ and tests run against deterministic stand-ins.
 import abc
 import copy
 import json
+import os
 import shlex
 import string
 import subprocess
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._util import fnv1a_64
-from .errors import ConfigError, ProtocolError, TransportError, ValidationError
+from .errors import CacheError, ConfigError, ProtocolError, TransportError, ValidationError
 from .templates import PremiseHypothesisPair
 
 # Fixed template words that carry no type information; ignored when the
@@ -41,6 +42,9 @@ class EntailmentScorer(abc.ABC):
     def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> list[float]:
         """Order-preserving batch scoring; semantically identical to a score loop."""
         return [self.score(p) for p in pairs]
+
+    def close(self) -> None:
+        """Release held resources (processes, files); in-process scorers hold none."""
 
 
 class TrainableScorer(EntailmentScorer):
@@ -86,6 +90,13 @@ def _content_tokens(text: str) -> set[str]:
     return tokens
 
 
+def _overlap_ratio(hypothesis: str, premise_tokens: set[str]) -> float:
+    hyp_tokens = _content_tokens(hypothesis) - SCAFFOLD_TOKENS
+    if not hyp_tokens:
+        return 0.0
+    return len(hyp_tokens & premise_tokens) / len(hyp_tokens)
+
+
 def overlap_score(pair: PremiseHypothesisPair) -> float:
     """Fraction of the hypothesis's content tokens present in the premise.
 
@@ -93,11 +104,7 @@ def overlap_score(pair: PremiseHypothesisPair) -> float:
     ratio reflects the mention and label words only. An empty effective
     hypothesis set scores 0.
     """
-    hyp_tokens = _content_tokens(pair.hypothesis) - SCAFFOLD_TOKENS
-    if not hyp_tokens:
-        return 0.0
-    premise_tokens = _content_tokens(pair.premise)
-    return len(hyp_tokens & premise_tokens) / len(hyp_tokens)
+    return _overlap_ratio(pair.hypothesis, _content_tokens(pair.premise))
 
 
 class OverlapScorer(EntailmentScorer):
@@ -110,6 +117,17 @@ class OverlapScorer(EntailmentScorer):
 
     def score(self, pair: PremiseHypothesisPair) -> float:
         return overlap_score(pair)
+
+    def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> list[float]:
+        """``overlap_score`` per pair, tokenizing each distinct premise once."""
+        premise_tokens: dict[str, set[str]] = {}
+        scores = []
+        for pair in pairs:
+            tokens = premise_tokens.get(pair.premise)
+            if tokens is None:
+                tokens = premise_tokens[pair.premise] = _content_tokens(pair.premise)
+            scores.append(_overlap_ratio(pair.hypothesis, tokens))
+        return scores
 
 
 class TableScorer(EntailmentScorer):
@@ -294,10 +312,13 @@ class ExternalEndpoint:
         return responses
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            if self._proc.stdin is not None:
-                self._proc.stdin.close()
-            self._proc.wait(timeout=10)
+        if self._proc is not None:
+            if self._proc.poll() is None:
+                if self._proc.stdin is not None:
+                    self._proc.stdin.close()
+                self._proc.wait(timeout=10)
+            if self._proc.stdout is not None:
+                self._proc.stdout.close()
         self._proc = None
 
 
@@ -405,6 +426,9 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
         self._control({"op": "restore", "tag": tag})
 
 
+CacheKey = tuple[str, int, int]
+
+
 class ScoreCache:
     """Append-only persistent cache of pair scores, keyed by scorer version.
 
@@ -413,36 +437,82 @@ class ScoreCache:
     text, so the file stays portable across implementations without storing
     full sentences. Entries written under an older version tag are simply
     never hit once the scorer updates.
+
+    ``insert`` appends a batch's new records with one flush, so a crash
+    loses at most the batch in flight and may leave a torn final line. On
+    load an unparseable final line without a newline is cut off the file;
+    any other bad line raises ``CacheError`` naming ``path:line``.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._entries: dict[tuple[str, int, int], float] = {}
-        if self.path.exists():
-            with open(self.path, encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    key = (str(record["v"]), int(record["p"]), int(record["h"]))
-                    self._entries[key] = float(record["s"])
+        self._entries: dict[CacheKey, float] = {}
+        last_line = self._load() if self.path.exists() else b""
         self._handle = open(self.path, "a", encoding="utf-8")
+        if last_line and not last_line.endswith(b"\n"):
+            self._handle.write("\n")
+            self._handle.flush()
 
-    def _key(self, version_tag: str, premise: str, hypothesis: str) -> tuple[str, int, int]:
+    def _load(self) -> bytes:
+        """Read every record, cutting off a torn tail; return the last line kept."""
+        offset, last_line, torn = 0, b"", False
+        with open(self.path, "rb") as f:
+            for lineno, raw in enumerate(f, start=1):
+                if raw.strip():
+                    try:
+                        record = json.loads(raw)
+                    except ValueError as exc:
+                        if not raw.endswith(b"\n"):
+                            torn = True  # an append cut short by a crash
+                            break
+                        raise CacheError(f"{self.path}:{lineno}: invalid JSON: {exc}") from None
+                    try:
+                        key = (str(record["v"]), int(record["p"]), int(record["h"]))
+                        self._entries[key] = float(record["s"])
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise CacheError(
+                            f"{self.path}:{lineno}: bad cache record: {exc!r}"
+                        ) from None
+                offset += len(raw)
+                last_line = raw
+        if torn:
+            os.truncate(self.path, offset)
+        return last_line
+
+    def lookup(
+        self, version_tag: str, pairs: Sequence[PremiseHypothesisPair]
+    ) -> tuple[list[CacheKey], list[float | None]]:
+        """Key every pair, hashing each distinct premise once; return keys and hits."""
+        premise_hashes: dict[str, int] = {}
+        keys = []
+        for pair in pairs:
+            premise_hash = premise_hashes.get(pair.premise)
+            if premise_hash is None:
+                premise_hash = premise_hashes[pair.premise] = fnv1a_64(pair.premise)
+            keys.append((version_tag, premise_hash, fnv1a_64(pair.hypothesis)))
+        return keys, [self._entries.get(key) for key in keys]
+
+    def insert(self, keys: Sequence[CacheKey], scores: Sequence[float]) -> None:
+        """Record the keys not yet cached, appending their lines with one flush."""
+        lines = []
+        for key, score in zip(keys, scores):
+            if key in self._entries:
+                continue
+            self._entries[key] = score
+            record = {"v": key[0], "p": key[1], "h": key[2], "s": score}
+            lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+        if lines:
+            self._handle.write("".join(lines))
+            self._handle.flush()
+
+    def _key(self, version_tag: str, premise: str, hypothesis: str) -> CacheKey:
         return (version_tag, fnv1a_64(premise), fnv1a_64(hypothesis))
 
     def get(self, version_tag: str, premise: str, hypothesis: str) -> float | None:
         return self._entries.get(self._key(version_tag, premise, hypothesis))
 
     def put(self, version_tag: str, premise: str, hypothesis: str, score: float) -> None:
-        key = self._key(version_tag, premise, hypothesis)
-        if key in self._entries:
-            return
-        self._entries[key] = score
-        record = {"v": key[0], "p": key[1], "h": key[2], "s": score}
-        self._handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-        self._handle.flush()
+        self.insert([self._key(version_tag, premise, hypothesis)], [score])
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -473,21 +543,19 @@ class CachedScorer(EntailmentScorer):
         return self.score_batch([pair])[0]
 
     def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> list[float]:
-        version = self.inner.version_tag
-        scores = [0.0] * len(pairs)
-        misses = []
-        for i, pair in enumerate(pairs):
-            hit = self.cache.get(version, pair.premise, pair.hypothesis)
-            if hit is None:
-                misses.append(i)
-            else:
-                scores[i] = hit
+        keys, scores = self.cache.lookup(self.inner.version_tag, pairs)
+        misses = [i for i, hit in enumerate(scores) if hit is None]
         if misses:
             fresh = self.inner.score_batch([pairs[i] for i in misses])
             for i, value in zip(misses, fresh):
                 scores[i] = value
-                self.cache.put(version, pairs[i].premise, pairs[i].hypothesis, value)
+            self.cache.insert([keys[i] for i in misses], fresh)
         return scores
+
+    def close(self) -> None:
+        """Close the cache file and the wrapped scorer."""
+        self.cache.close()
+        self.inner.close()
 
 
 def scorer_from_spec(spec: str, base_dir: str | Path | None = None) -> EntailmentScorer:

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand against small on-disk fixtures."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -280,6 +281,41 @@ class TestCache:
         first = (workdir / "a" / "predictions.jsonl").read_bytes()
         assert run(workdir, *args, out=str(workdir / "b")) == 0
         assert (workdir / "b" / "predictions.jsonl").read_bytes() == first
+
+
+STUB = Path(__file__).parent / "external_stub.py"
+
+
+class TestClosesScorers:
+    @pytest.mark.parametrize(
+        "command, kind, extra",
+        [
+            ("predict", "external", ['cache_path="scores.jsonl"']),
+            ("tune", "external", ['cache_path="scores.jsonl"']),
+            ("train", "external-trainable", ["max_epochs=2", "eval_every=1"]),
+        ],
+    )
+    def test_no_endpoint_process_left_behind(self, workdir, monkeypatch, command, kind, extra):
+        started = []
+        real_popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            proc = real_popen(*args, **kwargs)
+            started.append(proc)
+            return proc
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        mode = "trainable" if kind == "external-trainable" else "ok"
+        spec = f"{kind}:{shlex.quote(sys.executable)} {shlex.quote(str(STUB))} {mode}"
+        try:
+            assert run(workdir, command, "scorer=" + json.dumps(spec), *extra) == 0
+            assert started
+            assert all(p.poll() is not None for p in started)
+        finally:
+            for proc in started:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
 
 
 class TestProcessEntry:

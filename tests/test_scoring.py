@@ -1,12 +1,15 @@
 """Scorer implementations, the external wire protocol, and the score cache."""
 
+import json
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
+import entail_typing.scoring as scoring
 from entail_typing import (
+    CacheError,
     CachedScorer,
     ConfigError,
     ExternalScorer,
@@ -67,6 +70,16 @@ class TestOverlap:
         scorer = OverlapScorer()
         pairs = [mk_pair(f"word{i} here", f"word{i} is a thing.") for i in range(10)]
         assert scorer.score_batch(pairs) == [scorer.score(p) for p in pairs]
+
+    def test_batch_equals_loop_on_interleaved_and_repeated_premises(self):
+        premises = ["Jay, a famous producer", "the sky is BLUE.", "Jay is a producer"]
+        hypotheses = ["Jay is a producer.", "is a . in this", "sky is blue,", "Jay is a thing."]
+        pairs = [
+            mk_pair(premises[i % 3], hypotheses[(i * 7) % 4]) for i in range(24)
+        ] + [mk_pair(premises[0], "this is a context referring to .")]
+        batch = OverlapScorer().score_batch(pairs)
+        assert batch == [overlap_score(p) for p in pairs]
+        assert 0.0 in batch and 1.0 in batch
 
 
 class TestTableScorer:
@@ -277,6 +290,116 @@ class TestScoreCache:
             assert path.stat().st_size > size_one
             cache.put("v0", "a", "b", 0.5)  # duplicate: no growth
             assert len(path.read_text().splitlines()) == 2
+
+
+def _write_per_pair(path, version, triples):
+    with ScoreCache(path) as cache:
+        for premise, hypothesis, score in triples:
+            cache.put(version, premise, hypothesis, score)
+
+
+class TestBatchedCache:
+    def test_mixed_hits_and_misses(self, tmp_path):
+        pairs = [mk_pair("p", h) for h in ("a", "b", "c")]
+        inner = TableScorer({("p", "a"): 0.25, ("p", "b"): 0.5, ("p", "c"): 0.75})
+        with ScoreCache(tmp_path / "cache.jsonl") as cache:
+            cache.put("v0", "p", "b", 0.125)
+            scores = CachedScorer(inner, cache).score_batch(pairs)
+            assert scores == [0.25, 0.125, 0.75]
+            assert len(cache) == 3
+        assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 3
+
+    def test_pair_repeated_in_one_batch_writes_one_record(self, tmp_path):
+        inner = TableScorer({("p", "a"): 0.25, ("p", "b"): 0.5})
+        pairs = [mk_pair("p", "a"), mk_pair("p", "b"), mk_pair("p", "a")]
+        with ScoreCache(tmp_path / "cache.jsonl") as cache:
+            assert CachedScorer(inner, cache).score_batch(pairs) == [0.25, 0.5, 0.25]
+            assert len(cache) == 2
+        assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 2
+
+    def test_file_bytes_match_per_pair_puts(self, tmp_path):
+        pairs = [
+            mk_pair(f"premise {i % 3} with words", f"Ünïcode label {i} is a thing.")
+            for i in range(12)
+        ]
+        inner = OverlapScorer()
+        batched = tmp_path / "batched.jsonl"
+        with ScoreCache(batched) as cache:
+            CachedScorer(inner, cache).score_batch(pairs)
+        per_pair = tmp_path / "per_pair.jsonl"
+        _write_per_pair(per_pair, "v0", [(p.premise, p.hypothesis, inner.score(p)) for p in pairs])
+        assert batched.read_bytes() == per_pair.read_bytes()
+
+    def test_seed_format_file_loads(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        premise, hypothesis = "Jay produced films", "Jay is a producer."
+        record = {
+            "v": "v0", "p": scoring.fnv1a_64(premise), "h": scoring.fnv1a_64(hypothesis), "s": 0.75
+        }
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with ScoreCache(path) as cache:
+            assert CachedScorer(OverlapScorer(), cache).score(mk_pair(premise, hypothesis)) == 0.75
+
+    def test_cold_batch_hashes_premise_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_hash(text):
+            calls.append(text)
+            return hash(text) & 0xFFFFFFFFFFFFFFFF
+
+        monkeypatch.setattr(scoring, "fnv1a_64", counting_hash)
+        n = 50
+        pairs = [mk_pair("one shared premise", f"label{i} is a thing.") for i in range(n)]
+        with ScoreCache(tmp_path / "cache.jsonl") as cache:
+            CachedScorer(OverlapScorer(), cache).score_batch(pairs)
+            assert len(cache) == n
+        assert len(calls) == n + 1
+
+
+class TestCacheCorruption:
+    RECORD = '{"v": "v0", "p": 1, "h": 2, "s": 0.5}\n'
+
+    def test_torn_tail_is_dropped_and_next_append_starts_fresh(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.RECORD + '{"v": "v0", "p": 3, "h"', encoding="utf-8")
+        with ScoreCache(path) as cache:
+            assert len(cache) == 1
+            cache.put("v0", "p", "h", 0.25)
+        with ScoreCache(path) as cache:
+            assert len(cache) == 2
+            assert cache.get("v0", "p", "h") == 0.25
+
+    def test_torn_multibyte_tail_is_dropped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(self.RECORD.encode() + '{"v": "vé'.encode()[:-1])
+        with ScoreCache(path) as cache:
+            assert len(cache) == 1
+        assert path.read_text(encoding="utf-8") == self.RECORD
+
+    def test_complete_final_line_without_newline_is_kept(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.RECORD.rstrip("\n"), encoding="utf-8")
+        with ScoreCache(path) as cache:
+            assert len(cache) == 1
+            cache.put("v0", "p", "h", 0.25)
+        with ScoreCache(path) as cache:
+            assert len(cache) == 2
+
+    @pytest.mark.parametrize(
+        "bad", ["not json", '{"v": "v0", "p": 1, "s": 0.5}', '["v0", 1, 2, 0.5]']
+    )
+    def test_bad_inner_line_names_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.RECORD + bad + "\n" + self.RECORD, encoding="utf-8")
+        with pytest.raises(CacheError, match=r"cache\.jsonl:2: "):
+            ScoreCache(path)
+
+    def test_parseable_final_record_with_missing_key_raises(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.RECORD + '{"v": "v0", "p": 1, "s": 0.5}', encoding="utf-8")
+        with pytest.raises(CacheError, match=r"cache\.jsonl:2: "):
+            ScoreCache(path)
+        assert path.read_text(encoding="utf-8").count("\n") == 1
 
 
 class TestScorerSpec:
