@@ -58,6 +58,7 @@ def main():
         for p, score in zip(pairs, scorer.score_batch(pairs)):
             print(f"{score:.2f}  {p.hypothesis}")
         print()
+        scorer.close()  # stops the endpoint process
 
         cache = ScoreCache(Path(td) / "scores.jsonl")
         cached = CachedScorer(ExternalScorer([sys.executable, str(server)]), cache)
@@ -67,6 +68,7 @@ def main():
         hits_after = len(list(Path(td, "scores.jsonl").read_text().splitlines()))
         print(f"cache entries after first batch:  {hits_before}")
         print(f"cache entries after second batch: {hits_after} (all hits, nothing new)")
+        cached.close()  # closes the cache file and the endpoint behind it
 
 
 if __name__ == "__main__":

@@ -265,6 +265,9 @@ class ExternalEndpoint:
     requests (training only) carry an "op" key instead of an id.
     """
 
+    # Seconds a closing endpoint gets to exit on its own before it is killed.
+    CLOSE_WAIT_S = 10.0
+
     def __init__(self, command: Sequence[str]):
         if not command:
             raise ConfigError("external scorer command is empty")
@@ -272,7 +275,9 @@ class ExternalEndpoint:
         self._proc: subprocess.Popen | None = None
 
     def _ensure_started(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
+        if self._proc is not None and self._proc.poll() is not None:
+            self.close()
+        if self._proc is None:
             try:
                 self._proc = subprocess.Popen(
                     self.command,
@@ -312,14 +317,28 @@ class ExternalEndpoint:
         return responses
 
     def close(self) -> None:
-        if self._proc is not None:
-            if self._proc.poll() is None:
-                if self._proc.stdin is not None:
-                    self._proc.stdin.close()
-                self._proc.wait(timeout=10)
-            if self._proc.stdout is not None:
-                self._proc.stdout.close()
-        self._proc = None
+        """Close both pipes and reap the process, whether or not it already exited.
+
+        Closing stdin asks a live endpoint to exit; one still running after
+        ``CLOSE_WAIT_S`` is killed.
+        """
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            if proc.stdin is not None:
+                try:
+                    proc.stdin.close()
+                except OSError:
+                    pass  # an exited endpoint cannot take the unsent bytes
+            try:
+                proc.wait(timeout=self.CLOSE_WAIT_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        finally:
+            if proc.stdout is not None:
+                proc.stdout.close()
 
 
 def external_score_batch(

@@ -9,6 +9,7 @@ candidate ranking at inference time.
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 from .corpus import MentionInstance, mention_span_in_premise, render_premise
 from .errors import RenderingError, UnsupportedTemplateError, ValidationError
@@ -50,45 +51,85 @@ class PremiseHypothesisPair:
             raise ValidationError(f"empty hypothesis for instance {self.instance_id!r}")
 
 
+def description_renderer(
+    template: TemplateKind, instance: MentionInstance
+) -> Callable[[TypeLabel], str]:
+    """Return a function rendering this instance's description for any label.
+
+    The mention is checked, and for substitution the premise rendered and
+    the mention located, once here; the returned function only checks the
+    label's surface and formats the text. Its errors, and which of them
+    wins, are those of :func:`render_description`.
+    """
+    empty_mention = unlocated = None
+    capitalize = False
+    if not instance.mention:
+        empty_mention = f"instance {instance.id!r} has an empty mention; no description possible"
+    if template is TemplateKind.TAXONOMIC:
+        head, tail = f"{instance.mention} is a ", "."
+    elif template is TemplateKind.CONTEXTUAL:
+        head, tail = f"In this context, {instance.mention} is referring to ", "."
+    else:
+        premise = render_premise(instance)
+        start, end = mention_span_in_premise(instance)
+        if premise[start:end] != instance.mention:
+            unlocated = (
+                f"mention {instance.mention!r} cannot be located in the premise of "
+                f"instance {instance.id!r}"
+            )
+        head, tail, capitalize = premise[:start], premise[end:], start == 0
+
+    def render(label: TypeLabel) -> str:
+        if empty_mention:
+            raise RenderingError(empty_mention)
+        surface = label.surface
+        if not surface:
+            raise RenderingError(f"label {label.raw!r} has an empty surface form")
+        if unlocated:
+            raise RenderingError(unlocated)
+        if capitalize:
+            surface = surface[0].upper() + surface[1:]
+        return head + surface + tail
+
+    return render
+
+
 def render_description(
     template: TemplateKind, instance: MentionInstance, label: TypeLabel
 ) -> str:
     """Render the hypothesis asserting that the mention has the given type."""
-    if not instance.mention:
-        raise RenderingError(
-            f"instance {instance.id!r} has an empty mention; no description possible"
-        )
-    if not label.surface:
-        raise RenderingError(f"label {label.raw!r} has an empty surface form")
-    if template is TemplateKind.TAXONOMIC:
-        return f"{instance.mention} is a {label.surface}."
-    if template is TemplateKind.CONTEXTUAL:
-        return f"In this context, {instance.mention} is referring to {label.surface}."
+    return description_renderer(template, instance)(label)
+
+
+def type_pair_renderer(
+    instance: MentionInstance, template: TemplateKind
+) -> Callable[[TypeLabel], PremiseHypothesisPair]:
+    """Return a function pairing this instance's sentence with any label's description.
+
+    The premise is rendered once, so ranking a whole vocabulary formats
+    only the per-label hypothesis text.
+    """
     premise = render_premise(instance)
-    start, end = mention_span_in_premise(instance)
-    if premise[start:end] != instance.mention:
-        raise RenderingError(
-            f"mention {instance.mention!r} cannot be located in the premise of "
-            f"instance {instance.id!r}"
+    describe = description_renderer(template, instance)
+
+    def render(label: TypeLabel) -> PremiseHypothesisPair:
+        return PremiseHypothesisPair(
+            premise=premise,
+            hypothesis=describe(label),
+            kind=PairKind.TYPE,
+            instance_id=instance.id,
+            label_raw=label.raw,
+            template=template,
         )
-    surface = label.surface
-    if start == 0:
-        surface = surface[0].upper() + surface[1:]
-    return premise[:start] + surface + premise[end:]
+
+    return render
 
 
 def build_type_pair(
     instance: MentionInstance, label: TypeLabel, template: TemplateKind
 ) -> PremiseHypothesisPair:
     """Pair the instance's sentence with one candidate type description."""
-    return PremiseHypothesisPair(
-        premise=render_premise(instance),
-        hypothesis=render_description(template, instance, label),
-        kind=PairKind.TYPE,
-        instance_id=instance.id,
-        label_raw=label.raw,
-        template=template,
-    )
+    return type_pair_renderer(instance, template)(label)
 
 
 def build_dependency_pair(

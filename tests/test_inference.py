@@ -10,10 +10,15 @@ from entail_typing import (
     Dataset,
     EntailmentScorer,
     FallbackPolicy,
+    LabelVocabulary,
     PredictionConfig,
+    Ranking,
     ScoredLabel,
     TemplateKind,
+    Tier,
+    TypeLabel,
     ValidationError,
+    build_type_pair,
     loose_macro,
     parse_label,
     predict,
@@ -23,6 +28,7 @@ from entail_typing import (
     tune_threshold,
 )
 
+import entail_typing.templates as templates
 from conftest import mk_instance
 from oracles import oracle_predict, oracle_rank, oracle_tune
 
@@ -46,6 +52,22 @@ class PremiseLabelScorer(EntailmentScorer):
 
     def score(self, pair):
         return self._scores[(pair.premise, pair.label_raw)]
+
+
+class RecordingScorer(EntailmentScorer):
+    """Scores by raw label like RawLabelScorer, keeping every pair it is sent."""
+
+    def __init__(self, scores):
+        self._scores = dict(scores)
+        self.pairs = []
+
+    def score(self, pair):
+        self.pairs.append(pair)
+        return self._scores.get(pair.label_raw, 0.0)
+
+
+def _fallback(kind):
+    return FallbackPolicy.other("entity") if kind == "other" else FallbackPolicy.parse(kind)
 
 
 def _ranking(scores):
@@ -129,6 +151,26 @@ class TestPredict:
         with pytest.raises(ValidationError):
             predict([], PredictionConfig(threshold=0.5))
 
+    def test_unordered_list_is_put_best_first(self):
+        rng = random.Random(17)
+        scores = {f"l{i}": rng.choice((0.1, 0.4, 0.4, 0.7, 0.9)) for i in range(12)}
+        entries = _ranking(scores)
+        rng.shuffle(entries)
+        for threshold in (0.0, 0.4, 0.7, 0.95):
+            config = PredictionConfig(threshold=threshold, fallback=FallbackPolicy.empty())
+            pred = predict(entries, config)
+            assert pred.chosen == frozenset(oracle_predict(scores, threshold, "empty"))
+            got = [s.score for s in pred.ranking]
+            assert got == sorted(got, reverse=True)
+
+    def test_prediction_shares_the_ranking(self, flat_vocab):
+        inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
+        ranking = rank_all_candidates(
+            inst, flat_vocab, RawLabelScorer({"person": 0.8}), TemplateKind.TAXONOMIC
+        )
+        assert isinstance(ranking, Ranking)
+        assert predict(ranking, PredictionConfig(threshold=0.5)).ranking is ranking
+
     def test_matches_oracle_sweep(self):
         rng = random.Random(808)
         raws = [f"l{i}" for i in range(10)]
@@ -190,9 +232,87 @@ class TestRanking:
         assert sorted(seen) == sorted(flat_vocab.sorted_raws)
         assert [s.label.raw for s in ranking] == sorted(flat_vocab.sorted_raws)
 
-    def test_empty_vocab_rejected(self):
-        from entail_typing import LabelVocabulary
+    def test_out_of_range_score_names_first_bad_label(self, flat_vocab):
+        inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
+        cases = [
+            ({"event": 1.5, "person": -0.2}, "event"),
+            ({"location": 0.3, "person": -0.01}, "person"),
+            ({"athlete": float("nan")}, "athlete"),
+        ]
+        for scores, first_bad in cases:
+            with pytest.raises(ValidationError, match=f"for label '{first_bad}'"):
+                rank_all_candidates(
+                    inst, flat_vocab, RawLabelScorer(scores), TemplateKind.TAXONOMIC
+                )
 
+    def test_scorer_returning_too_few_scores_rejected(self, flat_vocab):
+        class ShortScorer(RawLabelScorer):
+            def score_batch(self, pairs):
+                return super().score_batch(pairs)[1:]
+
+        inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
+        with pytest.raises(ValidationError, match="4 scores for 5 pairs"):
+            rank_all_candidates(inst, flat_vocab, ShortScorer({}), TemplateKind.TAXONOMIC)
+
+    def test_sends_the_text_of_build_type_pair(self):
+        # "ggg" and "zzz" have no surface, so their hypotheses cannot render.
+        blank = [TypeLabel(raw=raw, segments=(raw,), tier=Tier.UNSPECIFIED, surface="")
+                 for raw in ("ggg", "zzz")]
+        vocab = LabelVocabulary(
+            [parse_label(raw) for raw in ("boxer", "head of state", "person", "/x/sports_team")]
+            + blank
+        )
+        scores = {"boxer": 0.5, "head of state": 0.0, "person": 0.5, "/x/sports_team": 0.0}
+        instances = [
+            mk_instance(id="at-0", mention="champion", right=("won", ".")),
+            mk_instance(id="inner", left=("The", "young"), mention="champion", right=("won",)),
+        ]
+        for inst in instances:
+            for template in TemplateKind:
+                scorer = RecordingScorer(scores)
+                failed = []
+                ranking = rank_all_candidates(
+                    inst, vocab, scorer, template,
+                    on_render_error=lambda label, exc: failed.append(label.raw),
+                )
+                expected = [
+                    build_type_pair(inst, label, template)
+                    for label in vocab if label.surface
+                ]
+                assert scorer.pairs == expected
+                assert failed == ["ggg", "zzz"]
+                assert [s.label.raw for s in ranking] == [
+                    "boxer", "person", "/x/sports_team", "ggg", "head of state", "zzz"
+                ]
+        for inst, raw, hypothesis in [
+            (instances[0], "head of state", "Head of state won ."),
+            (instances[0], "/x/sports_team", "Sports team won ."),
+            (instances[1], "head of state", "The young head of state won"),
+        ]:
+            scorer = RecordingScorer(scores)
+            rank_all_candidates(inst, vocab, scorer, TemplateKind.SUBSTITUTION)
+            assert {p.label_raw: p.hypothesis for p in scorer.pairs}[raw] == hypothesis
+
+    def test_premise_rendered_once_per_mention(self, flat_vocab, monkeypatch):
+        calls = []
+        render_premise = templates.render_premise
+
+        def counting(instance):
+            calls.append(instance.id)
+            return render_premise(instance)
+
+        monkeypatch.setattr(templates, "render_premise", counting)
+        inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
+        one_label = LabelVocabulary.from_raws(["person"])
+        for template in TemplateKind:
+            per_vocab = []
+            for vocab in (one_label, flat_vocab):
+                calls.clear()
+                rank_all_candidates(inst, vocab, RawLabelScorer({}), template)
+                per_vocab.append(len(calls))
+            assert per_vocab[0] == per_vocab[1] <= 2
+
+    def test_empty_vocab_rejected(self):
         inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
         with pytest.raises(ValidationError):
             rank_all_candidates(
@@ -212,6 +332,64 @@ class TestRanking:
             inst, flat_vocab, RawLabelScorer(squashed), TemplateKind.TAXONOMIC
         )
         assert [s.label.raw for s in base] == [s.label.raw for s in other]
+
+
+class TestOracleAgreement:
+    RAWS = [f"t{i:02d}" for i in range(24)]
+    LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
+    EDGES = (-0.5, 0.0, 1.0, 1.5)
+
+    def _scores(self, rng):
+        # Coarse levels give ties; fine values give distinct scores.
+        return {
+            raw: rng.choice(self.LEVELS) if rng.random() < 0.6 else round(rng.random(), 2)
+            for raw in self.RAWS
+        }
+
+    def test_rank_then_predict(self):
+        rng = random.Random(3031)
+        vocab = LabelVocabulary.from_raws(self.RAWS)
+        inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
+        for trial in range(150):
+            scores = self._scores(rng)
+            ranking = rank_all_candidates(
+                inst, vocab, RawLabelScorer(scores), TemplateKind.CONTEXTUAL
+            )
+            assert [s.label.raw for s in ranking] == oracle_rank(scores)
+            thresholds = [*self.EDGES, rng.choice(list(scores.values())), rng.random()]
+            for threshold in thresholds:
+                for kind in ("top1", "empty", "other"):
+                    config = PredictionConfig(threshold=threshold, fallback=_fallback(kind))
+                    expected = oracle_predict(scores, threshold, kind, other_label="entity")
+                    assert predict(ranking, config).chosen == frozenset(expected)
+
+    def test_tune(self):
+        rng = random.Random(3032)
+        vocab = LabelVocabulary.from_raws(self.RAWS)
+        for trial in range(40):
+            instances, table, score_maps, gold_sets = [], {}, [], []
+            for i in range(3):
+                inst = mk_instance(
+                    id=f"dev-{i}", mention=f"M{trial}x{i}", right=("ran", "."),
+                    gold=rng.sample(self.RAWS, rng.randint(1, 3)),
+                )
+                scores = self._scores(rng)
+                for raw, value in scores.items():
+                    table[(f"M{trial}x{i} ran .", raw)] = value
+                instances.append(inst)
+                score_maps.append(scores)
+                gold_sets.append(set(inst.gold_labels))
+            dev = Dataset(name="dev", split="dev", instances=tuple(instances))
+            candidates = {*self.EDGES, *self.LEVELS, round(rng.random(), 2)}
+            grid = sorted(rng.sample(sorted(candidates), rng.randint(2, len(candidates))))
+            for kind in ("top1", "empty", "other"):
+                got = tune_threshold(
+                    dev, vocab, PremiseLabelScorer(table), TemplateKind.TAXONOMIC,
+                    grid=grid, fallback=_fallback(kind),
+                )
+                assert got == oracle_tune(
+                    score_maps, gold_sets, grid, fallback=kind, other_label="entity"
+                )
 
 
 class TestMonotonicity:

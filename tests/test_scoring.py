@@ -198,6 +198,38 @@ class TestExternalProtocol:
         finally:
             scorer.close()
 
+    def test_close_after_endpoint_exit_closes_pipes(self):
+        scorer = ExternalScorer(stub_command("short"))
+        with pytest.raises(ProtocolError):
+            scorer.score_batch([mk_pair("p", f"h{i}") for i in range(3)])
+        proc = scorer.endpoint._proc
+        proc.wait(timeout=10)
+        scorer.close()
+        assert proc.stdin.closed and proc.stdout.closed
+
+    def test_restart_closes_the_exited_endpoint(self):
+        scorer = ExternalScorer(stub_command("short"))
+        try:
+            with pytest.raises(ProtocolError):
+                scorer.score_batch([mk_pair("p", f"h{i}") for i in range(3)])
+            first = scorer.endpoint._proc
+            first.wait(timeout=10)
+            assert len(scorer.score_batch([mk_pair("p", "h")])) == 1
+            assert scorer.endpoint._proc is not first
+            assert first.stdin.closed and first.stdout.closed
+        finally:
+            scorer.close()
+
+    def test_close_kills_an_endpoint_that_ignores_eof(self, monkeypatch):
+        monkeypatch.setattr(scoring.ExternalEndpoint, "CLOSE_WAIT_S", 0.2)
+        endpoint = scoring.ExternalEndpoint(
+            [sys.executable, "-c", "import time; time.sleep(60)"]
+        )
+        proc = endpoint._ensure_started()
+        endpoint.close()
+        assert proc.returncode is not None and proc.returncode < 0
+        assert proc.stdin.closed and proc.stdout.closed
+
     def test_id_mismatch_raises(self):
         scorer = ExternalScorer(stub_command("bad-id"))
         try:
