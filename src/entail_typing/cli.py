@@ -36,10 +36,10 @@ from .inference import (
     predict_dataset,
     tune_threshold,
 )
-from .labelspace import LabelVocabulary, induce_dependency_pairs, load_vocabulary, positive_label_set
+from .labelspace import LabelVocabulary, load_vocabulary
 from .scoring import CachedScorer, ScoreCache, TrainableScorer, scorer_from_spec
 from .templates import TemplateKind, build_dependency_pair, build_type_pair, pair_to_record
-from .training import TrainingConfig, train
+from .training import TrainingConfig, instance_positives, train
 
 _DEFAULTS = {
     "train_path": None,
@@ -125,9 +125,7 @@ def _resolve(config: dict, key: str) -> Path:
     value = config.get(key)
     if not value:
         raise ConfigError(f"config key {key!r} is required for this command")
-    path = Path(value)
-    if not path.is_absolute():
-        path = Path(config["_base_dir"]) / path
+    path = Path(config["_base_dir"]) / value
     if not path.exists():
         raise ConfigError(f"{key} does not exist: {path}")
     return path
@@ -157,16 +155,25 @@ def _scorer(config: dict):
 
 def _maybe_cached(scorer, config: dict):
     if config.get("cache_path"):
-        cache_path = Path(config["cache_path"])
-        if not cache_path.is_absolute():
-            cache_path = Path(config["_base_dir"]) / cache_path
+        cache_path = Path(config["_base_dir"]) / config["cache_path"]
         return CachedScorer(scorer, ScoreCache(cache_path))
     return scorer
 
 
+def _number(config: dict, key: str, convert=float):
+    """``convert(config[key])`` of a JSON number or list, else a ConfigError naming it."""
+    value = config[key]
+    try:
+        if isinstance(value, str):
+            raise ValueError(value)
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"invalid value for config key {key!r}: {value!r}") from None
+
+
 def _prediction_config(config: dict) -> PredictionConfig:
     return PredictionConfig(
-        threshold=float(config["threshold"]),
+        threshold=_number(config, "threshold"),
         fallback=FallbackPolicy.parse(config["fallback"]),
         template=_template(config),
     )
@@ -182,9 +189,10 @@ def _split_name(config: dict, command: str) -> str:
 def cmd_render(config: dict, out_dir: Path) -> list[str]:
     """Dump premise-hypothesis pairs for every positive label of a split.
 
-    Type pairs cover the gold labels plus induced ancestors; dependency
-    pairs follow each instance's type pairs. Per-label rendering failures
-    become inline records carrying an "error" key, and the run continues.
+    The positives are those training ranks (``instance_positives``): each
+    instance's type pairs, then its dependency pairs; instances without gold
+    labels have none. Per-label rendering failures become inline records
+    carrying an "error" key, and the run continues.
     """
     split = _split_name(config, "render")
     dataset = _load_split(config, split)
@@ -192,38 +200,18 @@ def cmd_render(config: dict, out_dir: Path) -> list[str]:
     template = _template(config)
     records = []
     for instance in dataset:
-        gold = {vocab.resolve(raw) for raw in instance.gold_labels}
-        if not gold:
-            continue
-        for label in sorted(positive_label_set(gold, vocab), key=lambda l: l.raw):
+        _, labels, deps = instance_positives(instance, vocab, template)
+        targets = [(build_type_pair, label, label.raw) for label in labels]
+        targets += [(build_dependency_pair, dep, dep.descendant.raw) for dep in deps]
+        for build, target, raw in targets:
             try:
-                records.append(pair_to_record(build_type_pair(instance, label, template)))
+                records.append(pair_to_record(build(instance, target, template)))
             except EntailTypingError as exc:
                 records.append(
                     {
                         "error": str(exc),
                         "instance_id": instance.id,
-                        "label": label.raw,
-                        "template": template.value,
-                    }
-                )
-        if template is TemplateKind.SUBSTITUTION:
-            continue
-        deps = sorted(
-            induce_dependency_pairs(gold, vocab),
-            key=lambda d: (d.descendant.raw, d.ancestor.raw),
-        )
-        for dep in deps:
-            try:
-                records.append(
-                    pair_to_record(build_dependency_pair(instance, dep, template))
-                )
-            except EntailTypingError as exc:
-                records.append(
-                    {
-                        "error": str(exc),
-                        "instance_id": instance.id,
-                        "label": dep.descendant.raw,
+                        "label": raw,
                         "template": template.value,
                     }
                 )
@@ -240,14 +228,14 @@ def cmd_train(config: dict, out_dir: Path) -> list[str]:
     dev_set = _load_split(config, "dev")
     vocab = _load_vocab(config)
     training_config = TrainingConfig(
-        margin=float(config["margin"]),
-        dependency_weight=float(config["dependency_weight"]),
-        negatives_per_positive=int(config["negatives_per_positive"]),
-        batch_size=int(config["batch_size"]),
-        max_epochs=int(config["max_epochs"]),
-        eval_every=int(config["eval_every"]),
+        margin=_number(config, "margin"),
+        dependency_weight=_number(config, "dependency_weight"),
+        negatives_per_positive=_number(config, "negatives_per_positive", int),
+        batch_size=_number(config, "batch_size", int),
+        max_epochs=_number(config, "max_epochs", int),
+        eval_every=_number(config, "eval_every", int),
         template=_template(config),
-        seed=int(config["seed"]),
+        seed=_number(config, "seed", int),
     )
     try:
         best_tag, log = train(
@@ -266,6 +254,9 @@ def cmd_train(config: dict, out_dir: Path) -> list[str]:
 
 def cmd_predict(config: dict, out_dir: Path) -> list[str]:
     """Rank and threshold a split; write the prediction dump."""
+    topk = _number(config, "topk", int)
+    if topk < 0:
+        raise ConfigError(f"topk must be nonnegative, got {topk}")
     split = _split_name(config, "predict")
     dataset = _load_split(config, split)
     vocab = _load_vocab(config)
@@ -281,7 +272,6 @@ def cmd_predict(config: dict, out_dir: Path) -> list[str]:
         )
     finally:
         scorer.close()
-    topk = int(config["topk"])
     atomic_write_jsonl(
         out_dir / "predictions.jsonl", [prediction_to_record(p, topk) for p in preds]
     )
@@ -312,7 +302,8 @@ def cmd_eval(config: dict, out_dir: Path) -> list[str]:
     buckets = None
     if config.get("bucket_edges"):
         train_set = _load_split(config, "train")
-        buckets = frequency_buckets(train_set, dataset, tuple(config["bucket_edges"]))
+        edges = _number(config, "bucket_edges", tuple)
+        buckets = frequency_buckets(train_set, dataset, edges)
     report = evaluate(preds, golds, buckets)
     atomic_write_text(
         out_dir / "report.json",
@@ -329,7 +320,7 @@ def cmd_tune(config: dict, out_dir: Path) -> list[str]:
     scorer = _maybe_cached(_scorer(config), config)
     template = _template(config)
     fallback = FallbackPolicy.parse(config["fallback"])
-    grid = [float(g) for g in config["grid"]]
+    grid = _number(config, "grid", lambda g: [float(v) for v in g])
     try:
         threshold = tune_threshold(dev_set, vocab, scorer, template, grid, fallback=fallback)
     finally:
@@ -352,8 +343,8 @@ def cmd_split_fewshot(config: dict, out_dir: Path) -> list[str]:
     train_set = _load_split(config, "train")
     test_set = _load_split(config, "test")
     spec = FewShotSplitSpec(
-        target_unseen_fraction=float(config["target_unseen_fraction"]),
-        seed=int(config["seed"]),
+        target_unseen_fraction=_number(config, "target_unseen_fraction"),
+        seed=_number(config, "seed", int),
     )
     filtered, heldout = make_fewshot_split(train_set, test_set, spec)
     atomic_write_jsonl(
@@ -406,16 +397,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_run_config(args.config, args.set, args.out)
-        out_dir = Path(config["out_dir"])
-        if not out_dir.is_absolute():
-            out_dir = Path(config["_base_dir"]) / out_dir
+        out_dir = Path(config["_base_dir"]) / config["out_dir"]
         out_dir.mkdir(parents=True, exist_ok=True)
+        seed = _number(config, "seed", int)
         started = datetime.now(timezone.utc).isoformat()
         artifacts = _COMMANDS[args.command](config, out_dir)
         manifest = {
             "command": args.command,
             "config_hash": _config_hash(config),
-            "seed": int(config["seed"]),
+            "seed": seed,
             "started_at": started,
             "finished_at": datetime.now(timezone.utc).isoformat(),
             "artifacts": artifacts,

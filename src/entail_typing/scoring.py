@@ -176,13 +176,13 @@ class TableScorer(EntailmentScorer):
                     if key not in record:
                         raise ValidationError(f"{path}:{lineno}: missing key {key!r}")
                 table[(record["premise"], record["hypothesis"])] = float(record["score"])
-        return cls(table, default)
+        return cls(table, default=default)
 
     def score(self, pair: PremiseHypothesisPair) -> float:
         return self._table.get((pair.premise, pair.hypothesis), self.default)
 
 
-class TrainableTableScorer(TrainableScorer):
+class TrainableTableScorer(TableScorer, TrainableScorer):
     """Table scorer with additive margin updates; a deterministic trainer stub.
 
     When a positive fails to beat a negative by the margin, the pending
@@ -198,10 +198,7 @@ class TrainableTableScorer(TrainableScorer):
         default: float = 0.5,
         lr: float = 0.1,
     ):
-        if not 0.0 <= default <= 1.0:
-            raise ValidationError(f"table default {default} outside [0, 1]")
-        self._table: dict[tuple[str, str], float] = dict(table or {})
-        self.default = default
+        super().__init__(table or {}, default)
         self.lr = lr
         self._pending: dict[tuple[str, str], float] = {}
         self._version = 0
@@ -213,9 +210,6 @@ class TrainableTableScorer(TrainableScorer):
 
     def _key(self, pair: PremiseHypothesisPair) -> tuple[str, str]:
         return (pair.premise, pair.hypothesis)
-
-    def score(self, pair: PremiseHypothesisPair) -> float:
-        return self._table.get(self._key(pair), self.default)
 
     def accumulate_ranking_loss(
         self,
@@ -590,6 +584,8 @@ def scorer_from_spec(spec: str, base_dir: str | Path | None = None) -> Entailmen
         path = Path(path_text)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
+        if not path.is_file():
+            raise ConfigError(f"scorer table file not found: {path}")
         return path
 
     if spec == "overlap":
@@ -599,8 +595,7 @@ def scorer_from_spec(spec: str, base_dir: str | Path | None = None) -> Entailmen
     if spec == "trainable-table":
         return TrainableTableScorer()
     if spec.startswith("trainable-table:"):
-        fixed = TableScorer.from_jsonl(resolve(spec[len("trainable-table:"):]))
-        return TrainableTableScorer(fixed._table, default=fixed.default)
+        return TrainableTableScorer.from_jsonl(resolve(spec[len("trainable-table:"):]))
     if spec.startswith("external-trainable:"):
         return ExternalTrainableScorer(shlex.split(spec[len("external-trainable:"):]))
     if spec.startswith("external:"):

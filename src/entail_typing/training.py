@@ -4,11 +4,13 @@ Each training instance yields one ranked example per positive label (gold
 labels plus induced ancestors) and one per label-dependency pair, each
 positive contrasted against k sampled negatives. The joint objective per
 instance is the mean type-example loss plus a weighted mean
-dependency-example loss; the loop shuffles examples into fixed-size
-batches, accumulates losses on a trainable scorer, and keeps the
-checkpoint with the best dev F1.
+dependency-example loss; the loop shuffles the order of instances, keeps
+each instance's examples together, cuts the sequence into fixed-size
+batches of examples, accumulates losses on a trainable scorer, and keeps
+the checkpoint with the best dev F1.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +22,7 @@ from .inference import PredictionConfig, predict_dataset
 from .labelspace import (
     DependencyPair,
     LabelVocabulary,
+    TypeLabel,
     ancestors,
     induce_dependency_pairs,
     positive_label_set,
@@ -106,10 +109,6 @@ def margin_ranking_loss(pos_score: float, neg_score: float, margin: float) -> fl
     return max(neg_score - pos_score + margin, 0.0)
 
 
-def _gold_labels(instance: MentionInstance, vocab: LabelVocabulary):
-    return {vocab.resolve(raw) for raw in instance.gold_labels}
-
-
 def _true_ancestor_raws(
     dep: DependencyPair, gold: set, vocab: LabelVocabulary
 ) -> set[str]:
@@ -125,6 +124,27 @@ def _true_ancestor_raws(
     }
 
 
+def instance_positives(
+    instance: MentionInstance, vocab: LabelVocabulary, template: TemplateKind
+) -> tuple[set[TypeLabel], list[TypeLabel], list[DependencyPair]]:
+    """The statements an instance ranks above sampled negatives.
+
+    Returns the resolved gold labels, their closure under implicit
+    ancestors sorted by raw label, and the induced dependency pairs sorted
+    by (descendant, ancestor) raw label. The substitution template cannot
+    render dependency pairs, so there are none under it.
+    """
+    gold = {vocab.resolve(raw) for raw in instance.gold_labels}
+    labels = sorted(positive_label_set(gold, vocab), key=lambda l: l.raw)
+    if not gold or template is TemplateKind.SUBSTITUTION:
+        return gold, labels, []
+    deps = sorted(
+        induce_dependency_pairs(gold, vocab),
+        key=lambda d: (d.descendant.raw, d.ancestor.raw),
+    )
+    return gold, labels, deps
+
+
 def build_examples_for_instance(
     instance: MentionInstance,
     vocab: LabelVocabulary,
@@ -133,18 +153,16 @@ def build_examples_for_instance(
 ) -> list[RankedExample]:
     """Build the instance's ranked examples: type examples, then dependency.
 
-    Positives are the gold labels closed under implicit ancestors. Under
-    the substitution template dependency examples are skipped entirely
-    (their rendering is undefined there).
+    The positives are those of :func:`instance_positives`; each is
+    contrasted against ``negatives_per_positive`` sampled negatives.
     """
     if not instance.gold_labels:
         raise ValidationError(f"instance {instance.id!r} has no gold labels")
-    gold = _gold_labels(instance, vocab)
-    positives = positive_label_set(gold, vocab)
-    positive_raws = {l.raw for l in positives}
+    gold, labels, deps = instance_positives(instance, vocab, config.template)
+    positive_raws = {l.raw for l in labels}
     k = config.negatives_per_positive
     examples = []
-    for label in sorted(positives, key=lambda l: l.raw):
+    for label in labels:
         pos_pair = build_type_pair(instance, label, config.template)
         negs = tuple(
             build_type_pair(
@@ -153,12 +171,6 @@ def build_examples_for_instance(
             for _ in range(k)
         )
         examples.append(RankedExample(positive=pos_pair, negatives=negs, kind=PairKind.TYPE))
-    if config.template is TemplateKind.SUBSTITUTION:
-        return examples
-    deps = sorted(
-        induce_dependency_pairs(gold, vocab),
-        key=lambda d: (d.descendant.raw, d.ancestor.raw),
-    )
     for dep in deps:
         pos_pair = build_dependency_pair(instance, dep, config.template)
         excluded = _true_ancestor_raws(dep, gold, vocab)
@@ -202,20 +214,17 @@ def instance_loss(
     values = scorer.score_batch([unique_pairs[k] for k in keys])
     scores = dict(zip(keys, values))
 
-    sums = {PairKind.TYPE: 0.0, PairKind.DEPENDENCY: 0.0}
-    counts = {PairKind.TYPE: 0, PairKind.DEPENDENCY: 0}
+    sums = dict.fromkeys(PairKind, 0.0)
     for example in examples:
         sums[example.kind] += _example_loss(example, scores, config.margin)
-        counts[example.kind] += 1
-    type_loss = sums[PairKind.TYPE] / counts[PairKind.TYPE] if counts[PairKind.TYPE] else 0.0
-    dep_count = counts[PairKind.DEPENDENCY]
-    dependency_loss = sums[PairKind.DEPENDENCY] / dep_count if dep_count else 0.0
+    counts = Counter(e.kind for e in examples)
+    means = {kind: sums[kind] / counts[kind] if counts[kind] else 0.0 for kind in PairKind}
     return LossReport(
-        type_loss=type_loss,
-        dependency_loss=dependency_loss,
-        joint=type_loss + config.dependency_weight * dependency_loss,
+        type_loss=means[PairKind.TYPE],
+        dependency_loss=means[PairKind.DEPENDENCY],
+        joint=means[PairKind.TYPE] + config.dependency_weight * means[PairKind.DEPENDENCY],
         n_type=counts[PairKind.TYPE],
-        n_dependency=dep_count,
+        n_dependency=counts[PairKind.DEPENDENCY],
     )
 
 
@@ -271,9 +280,10 @@ def train(
 ) -> tuple[str, list[dict]]:
     """Run the epoch loop; return the best dev checkpoint tag and the log.
 
-    Negatives are resampled fresh each epoch. Examples are shuffled across
-    instances and batched; each batch accumulates weighted losses and
-    applies one update. Every ``eval_every`` epochs the dev split is
+    Negatives are resampled fresh each epoch. The order of instances is
+    shuffled, each instance's examples stay together, and the examples are
+    cut into batches of ``batch_size``; each batch accumulates weighted
+    losses and applies one update. Every ``eval_every`` epochs the dev split is
     predicted and scored, and the scorer is snapshotted when the loose
     macro F1 improves.
     """
@@ -285,6 +295,7 @@ def train(
     best_f1 = float("-inf")
     log: list[dict] = []
     instances = list(train_set)
+    kind_weight = {PairKind.TYPE: 1.0, PairKind.DEPENDENCY: config.dependency_weight}
 
     for epoch in range(1, config.max_epochs + 1):
         shuffle_rng = substream(config.seed, "shuffle", str(epoch))
@@ -299,17 +310,11 @@ def train(
             instance = instances[idx]
             sample_rng = substream(config.seed, "sampling", str(epoch), instance.id)
             examples = build_examples_for_instance(instance, vocab, config, sample_rng)
-            n_type = sum(1 for e in examples if e.kind is PairKind.TYPE)
-            n_dep = sum(1 for e in examples if e.kind is PairKind.DEPENDENCY)
-            for example in examples:
-                if example.kind is PairKind.TYPE:
-                    weight = 1.0 / n_type
-                else:
-                    weight = config.dependency_weight / n_dep
-                weighted.append((example, weight, idx))
+            counts = Counter(e.kind for e in examples)
+            weighted += [(e, kind_weight[e.kind] / counts[e.kind], idx) for e in examples]
 
-        per_instance_sums: dict[int, dict[PairKind, float]] = {}
-        per_instance_counts: dict[int, dict[PairKind, int]] = {}
+        # (instance index, kind) -> [loss sum, example count]
+        totals: dict[tuple[int, PairKind], list] = {}
         for start in range(0, len(weighted), config.batch_size):
             batch = weighted[start : start + config.batch_size]
             batch_instances = len({idx for _, _, idx in batch})
@@ -320,14 +325,9 @@ def train(
                     config.margin,
                     weight=weight / batch_instances,
                 )
-                sums = per_instance_sums.setdefault(
-                    idx, {PairKind.TYPE: 0.0, PairKind.DEPENDENCY: 0.0}
-                )
-                counts = per_instance_counts.setdefault(
-                    idx, {PairKind.TYPE: 0, PairKind.DEPENDENCY: 0}
-                )
-                sums[example.kind] += loss
-                counts[example.kind] += 1
+                total = totals.setdefault((idx, example.kind), [0.0, 0])
+                total[0] += loss
+                total[1] += 1
             try:
                 scorer.apply_update()
             except Exception as exc:
@@ -339,16 +339,11 @@ def train(
                     f"scorer update failed in epoch {epoch}: {exc}", best_tag=best_tag
                 ) from exc
 
-        type_means = []
-        dep_means = []
-        for idx, counts in per_instance_counts.items():
-            sums = per_instance_sums[idx]
-            if counts[PairKind.TYPE]:
-                type_means.append(sums[PairKind.TYPE] / counts[PairKind.TYPE])
-            if counts[PairKind.DEPENDENCY]:
-                dep_means.append(sums[PairKind.DEPENDENCY] / counts[PairKind.DEPENDENCY])
-        epoch_type_loss = sum(type_means) / len(type_means) if type_means else 0.0
-        epoch_dep_loss = sum(dep_means) / len(dep_means) if dep_means else 0.0
+        # per kind: the mean over instances of each instance's mean loss
+        epoch_loss = {}
+        for kind in PairKind:
+            means = [s / n for (_, k), (s, n) in totals.items() if k is kind]
+            epoch_loss[kind] = sum(means) / len(means) if means else 0.0
 
         if epoch % config.eval_every == 0:
             preds = predict_dataset(dev_set, vocab, scorer, predict_config)
@@ -358,8 +353,8 @@ def train(
                 "dev_p": dev_p,
                 "dev_r": dev_r,
                 "dev_f1": dev_f1,
-                "type_loss": epoch_type_loss,
-                "dep_loss": epoch_dep_loss,
+                "type_loss": epoch_loss[PairKind.TYPE],
+                "dep_loss": epoch_loss[PairKind.DEPENDENCY],
             }
             if dev_f1 > best_f1:
                 best_f1 = dev_f1

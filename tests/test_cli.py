@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand against small on-disk fixtures."""
 
 import json
+import random
 import shlex
 import subprocess
 import sys
@@ -8,6 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from entail_typing import (
+    TemplateKind,
+    TrainingConfig,
+    build_examples_for_instance,
+    load_ufet_jsonl,
+    load_vocabulary,
+)
 from entail_typing.cli import load_run_config, main
 from entail_typing._util import read_jsonl
 
@@ -102,6 +110,65 @@ class TestRender:
         assert run(workdir, "render", 'template="substitution"') == 0
         records = list(read_jsonl(workdir / "out" / "pairs.jsonl"))
         assert all(r.get("kind") != "dependency" for r in records)
+
+    def test_instance_without_gold_labels_skipped(self, workdir):
+        rows = [TEST_ROWS[0], _record(["then"], "Lee", ["left", "."], []), TEST_ROWS[1]]
+        _write_jsonl(workdir / "test.jsonl", rows)
+        assert run(workdir, "render", 'split="test"') == 0
+        records = list(read_jsonl(workdir / "out" / "pairs.jsonl"))
+        assert {r["instance_id"] for r in records} == {"test-000000", "test-000002"}
+
+    @pytest.mark.parametrize("template", ["taxonomic", "contextual", "substitution"])
+    @pytest.mark.parametrize("structure", ["tiered", "ontology"])
+    def test_pairs_are_the_training_positives(self, workdir, template, structure):
+        if structure == "tiered":
+            vocab = ["person", "organization", "sportsman", "artist", "boxer", "guitarist"]
+            tiers = {"person": "general", "organization": "general", "sportsman": "fine",
+                     "artist": "fine", "boxer": "ultrafine", "guitarist": "ultrafine"}
+            (workdir / "tiers.tsv").write_text(
+                "".join(f"{raw}\t{tier}\n" for raw, tier in tiers.items()), encoding="utf-8"
+            )
+            golds = [["boxer", "sportsman", "person"], ["artist", "guitarist"], ["organization"]]
+            extra = ['tier_path="tiers.tsv"']
+        else:
+            vocab = ["/person", "/person/athlete/boxer", "/person/coach", "/person/artist/singer",
+                     "/organization"]
+            golds = [
+                ["/person/athlete/boxer", "/person/coach"],
+                ["/person/artist/singer", "/organization"],
+                ["/person"],
+            ]
+            extra = []
+        (workdir / "vocab.txt").write_text("".join(l + "\n" for l in vocab), encoding="utf-8")
+        rows = [
+            _record(["the"], "Ali", ["fought", "."], golds[0]),
+            _record([], "Mae", ["played", "on", "."], golds[1]),
+            _record(["a"], "firm", ["grew", "."], golds[2]),
+        ]
+        _write_jsonl(workdir / "train.jsonl", rows)
+        assert run(workdir, "render", f'template="{template}"', *extra) == 0
+        rendered = [
+            (r["instance_id"], r["kind"], r["label"], r["premise"], r["hypothesis"])
+            for r in read_jsonl(workdir / "out" / "pairs.jsonl")
+        ]
+
+        config = TrainingConfig(template=TemplateKind(template))
+        vocabulary = load_vocabulary(
+            workdir / "vocab.txt", workdir / "tiers.tsv" if extra else None
+        )
+        positives = []
+        for instance in load_ufet_jsonl(workdir / "train.jsonl", "train"):
+            for example in build_examples_for_instance(
+                instance, vocabulary, config, random.Random(0)
+            ):
+                pair = example.positive
+                positives.append(
+                    (pair.instance_id, pair.kind.value, pair.label_raw, pair.premise,
+                     pair.hypothesis)
+                )
+        assert rendered == positives
+        kinds = {kind for _, kind, *_ in rendered}
+        assert kinds == ({"type"} if template == "substitution" else {"type", "dependency"})
 
 
 class TestTrain:
@@ -224,6 +291,42 @@ class TestConfigHandling:
     def test_missing_required_path(self, workdir, capsys):
         assert run(workdir, "predict", "test_path=null") == 1
         assert "test_path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, settings",
+        [
+            ("predict", ["threshold=abc"]),
+            ("predict", ["topk=many"]),
+            ("predict", ["seed=x"]),
+            ("tune", ['grid=["low"]']),
+            ("tune", ["grid=0.5"]),
+            ("tune", ['grid="05"']),
+            ("train", ['scorer="trainable-table"', "margin=wide"]),
+            ("train", ['scorer="trainable-table"', "max_epochs=all"]),
+            ("split-fewshot", ["target_unseen_fraction=most"]),
+        ],
+    )
+    def test_non_numeric_value_names_key(self, workdir, capsys, command, settings):
+        assert run(workdir, command, *settings) == 1
+        key = settings[-1].partition("=")[0]
+        assert capsys.readouterr().err.startswith(f"error: invalid value for config key '{key}'")
+
+    @pytest.mark.parametrize("edges", ["5", '[0, "a"]'])
+    def test_non_numeric_bucket_edges(self, workdir, capsys, edges):
+        assert run(workdir, "predict") == 0
+        assert run(workdir, "eval", f"bucket_edges={edges}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bucket_edges" in err
+
+    def test_negative_topk_rejected(self, workdir, capsys):
+        assert run(workdir, "predict", "topk=-1") == 1
+        assert "topk must be nonnegative" in capsys.readouterr().err
+        assert not (workdir / "out" / "predictions.jsonl").exists()
+
+    @pytest.mark.parametrize("command, kind", [("predict", "table"), ("train", "trainable-table")])
+    def test_missing_scorer_file(self, workdir, capsys, command, kind):
+        assert run(workdir, command, f'scorer="{kind}:missing.jsonl"') == 1
+        assert f"not found: {workdir / 'missing.jsonl'}" in capsys.readouterr().err
 
     def test_set_overrides_apply(self, workdir):
         # a threshold above 1 forces the fallback for every instance

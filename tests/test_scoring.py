@@ -172,6 +172,12 @@ class TestTrainableTableScorer:
         with pytest.raises(ValidationError):
             TrainableTableScorer().restore("nope")
 
+    def test_range_validated(self):
+        with pytest.raises(ValidationError, match="outside"):
+            TrainableTableScorer({("p", "h"): 1.5})
+        with pytest.raises(ValidationError):
+            TrainableTableScorer(default=-0.2)
+
 
 class TestExternalProtocol:
     def test_scores_in_order(self):
@@ -445,12 +451,22 @@ class TestScorerSpec:
         assert isinstance(scorer, TableScorer)
 
     def test_trainable_table(self, tmp_path):
-        assert isinstance(scorer_from_spec("trainable-table"), TrainableTableScorer)
+        bare = scorer_from_spec("trainable-table")
+        assert isinstance(bare, TrainableTableScorer)
+        assert bare.score(mk_pair("p", "h")) == 0.5
         path = tmp_path / "t.jsonl"
         path.write_text('{"premise": "p", "hypothesis": "h", "score": 0.5}\n')
         scorer = scorer_from_spec(f"trainable-table:{path}")
         assert isinstance(scorer, TrainableTableScorer)
         assert scorer.score(mk_pair("p", "h")) == 0.5
+        assert scorer.score(mk_pair("p", "x")) == 0.0
+        path.write_text('{"default": 0.25}\n')
+        assert scorer_from_spec(f"trainable-table:{path}").score(mk_pair("p", "x")) == 0.25
+
+    @pytest.mark.parametrize("prefix", ["table", "trainable-table"])
+    def test_missing_table_file(self, tmp_path, prefix):
+        with pytest.raises(ConfigError, match="missing.jsonl"):
+            scorer_from_spec(f"{prefix}:missing.jsonl", base_dir=tmp_path)
 
     def test_external(self):
         scorer = scorer_from_spec("external:cat -")
