@@ -160,14 +160,26 @@ def _maybe_cached(scorer, config: dict):
     return scorer
 
 
-def _number(config: dict, key: str, convert=float):
-    """``convert(config[key])`` of a JSON number or list, else a ConfigError naming it."""
+def _real(value) -> float:
+    """A JSON number as a float; strings and booleans are not numbers."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(value)
+    return float(value)
+
+
+def _whole(value) -> int:
+    """A JSON number with a whole, finite value, as an int."""
+    if not _real(value).is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+def _number(config: dict, key: str, convert=_real):
+    """``convert(config[key])``, else a ConfigError naming the key."""
     value = config[key]
     try:
-        if isinstance(value, str):
-            raise ValueError(value)
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"invalid value for config key {key!r}: {value!r}") from None
 
 
@@ -200,7 +212,7 @@ def cmd_render(config: dict, out_dir: Path) -> list[str]:
     template = _template(config)
     records = []
     for instance in dataset:
-        _, labels, deps = instance_positives(instance, vocab, template)
+        labels, deps = instance_positives(instance, vocab, template)
         targets = [(build_type_pair, label, label.raw) for label in labels]
         targets += [(build_dependency_pair, dep, dep.descendant.raw) for dep in deps]
         for build, target, raw in targets:
@@ -230,12 +242,12 @@ def cmd_train(config: dict, out_dir: Path) -> list[str]:
     training_config = TrainingConfig(
         margin=_number(config, "margin"),
         dependency_weight=_number(config, "dependency_weight"),
-        negatives_per_positive=_number(config, "negatives_per_positive", int),
-        batch_size=_number(config, "batch_size", int),
-        max_epochs=_number(config, "max_epochs", int),
-        eval_every=_number(config, "eval_every", int),
+        negatives_per_positive=_number(config, "negatives_per_positive", _whole),
+        batch_size=_number(config, "batch_size", _whole),
+        max_epochs=_number(config, "max_epochs", _whole),
+        eval_every=_number(config, "eval_every", _whole),
         template=_template(config),
-        seed=_number(config, "seed", int),
+        seed=_number(config, "seed", _whole),
     )
     try:
         best_tag, log = train(
@@ -254,7 +266,7 @@ def cmd_train(config: dict, out_dir: Path) -> list[str]:
 
 def cmd_predict(config: dict, out_dir: Path) -> list[str]:
     """Rank and threshold a split; write the prediction dump."""
-    topk = _number(config, "topk", int)
+    topk = _number(config, "topk", _whole)
     if topk < 0:
         raise ConfigError(f"topk must be nonnegative, got {topk}")
     split = _split_name(config, "predict")
@@ -320,7 +332,7 @@ def cmd_tune(config: dict, out_dir: Path) -> list[str]:
     scorer = _maybe_cached(_scorer(config), config)
     template = _template(config)
     fallback = FallbackPolicy.parse(config["fallback"])
-    grid = _number(config, "grid", lambda g: [float(v) for v in g])
+    grid = _number(config, "grid", lambda g: [_real(v) for v in g])
     try:
         threshold = tune_threshold(dev_set, vocab, scorer, template, grid, fallback=fallback)
     finally:
@@ -344,7 +356,7 @@ def cmd_split_fewshot(config: dict, out_dir: Path) -> list[str]:
     test_set = _load_split(config, "test")
     spec = FewShotSplitSpec(
         target_unseen_fraction=_number(config, "target_unseen_fraction"),
-        seed=_number(config, "seed", int),
+        seed=_number(config, "seed", _whole),
     )
     filtered, heldout = make_fewshot_split(train_set, test_set, spec)
     atomic_write_jsonl(
@@ -399,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
         config = load_run_config(args.config, args.set, args.out)
         out_dir = Path(config["_base_dir"]) / config["out_dir"]
         out_dir.mkdir(parents=True, exist_ok=True)
-        seed = _number(config, "seed", int)
+        seed = _number(config, "seed", _whole)
         started = datetime.now(timezone.utc).isoformat()
         artifacts = _COMMANDS[args.command](config, out_dir)
         manifest = {

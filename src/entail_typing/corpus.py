@@ -249,11 +249,11 @@ def frequency_buckets(
     [0, 1, 5] produce buckets [0, 1), [1, 5), [5, inf). The [0, 1) bucket is
     the zero-shot bucket. Every test label lands in exactly one bucket.
     """
-    if not all(isinstance(edge, (int, float)) for edge in bucket_edges):
+    if any(isinstance(e, bool) or not isinstance(e, (int, float)) for e in bucket_edges):
         raise ValidationError(f"bucket_edges must be numbers, got {list(bucket_edges)}")
     if not bucket_edges or bucket_edges[0] != 0:
         raise ValidationError("bucket_edges must start at 0")
-    if any(b >= a for b, a in zip(bucket_edges, bucket_edges[1:])):
+    if not all(a < b for a, b in zip(bucket_edges, bucket_edges[1:])):
         raise ValidationError("bucket_edges must be strictly increasing")
     counts = train_label_counts(train)
     buckets: dict[Bucket, set[str]] = {}

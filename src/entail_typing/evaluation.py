@@ -134,7 +134,7 @@ def evaluate(
     golds: Mapping[str, set[str]],
     buckets: Mapping[Bucket, set[str]] | None = None,
 ) -> EvaluationReport:
-    """Compute every metric in one pass over an aligned prediction run."""
+    """Compute every metric of one prediction run (each metric aligns it anew)."""
     per_bucket: dict[Bucket, tuple[float, float, float, int]] = {}
     if buckets:
         for bucket, (p, r, f1) in bucket_report(preds, golds, buckets).items():

@@ -12,6 +12,7 @@ found by bisection, which is what makes re-thresholding during tuning
 cheap.
 """
 
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterator, Mapping, Sequence
@@ -78,12 +79,16 @@ class PredictionConfig:
 
     Thresholds outside [0, 1] are accepted and behave as the obvious
     extremes: at or below 0 everything is chosen, above 1 only the
-    fallback fires.
+    fallback fires. A NaN threshold, which no score clears, is rejected.
     """
 
     threshold: float
     fallback: FallbackPolicy = field(default_factory=FallbackPolicy.top1)
     template: TemplateKind = TemplateKind.TAXONOMIC
+
+    def __post_init__(self):
+        if math.isnan(self.threshold):
+            raise ConfigError(f"threshold must be a number, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -278,7 +283,7 @@ def tune_threshold(
     if not grid:
         raise ValidationError("threshold grid is empty")
     for a, b in zip(grid, grid[1:]):
-        if b <= a:
+        if not a < b:
             raise ValidationError("threshold grid must be strictly increasing")
     if objective is None:
         objective = lambda preds, golds: loose_macro(preds, golds)[2]

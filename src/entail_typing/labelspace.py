@@ -207,25 +207,21 @@ def induce_dependency_pairs(
 ) -> set[DependencyPair]:
     """Derive (descendant, ancestor) pairs from gold labels.
 
-    With an ontology, the gold set is first closed under implicit ancestors
-    and every strict path-prefix pair within the closure is emitted. Without
-    an ontology but with a tier partition, every cross-tier pair of gold
-    labels with the descendant strictly finer is emitted. Otherwise no pairs
-    exist.
+    With an ontology, each label of the gold set's closure under implicit
+    ancestors (:func:`positive_label_set`) is paired with every ancestor.
+    Without an ontology but with a tier partition, every cross-tier pair of
+    gold labels with the descendant strictly finer is emitted. Otherwise no
+    pairs exist.
     """
     if not gold:
         raise ValidationError("induce_dependency_pairs requires a nonempty gold set")
-    pairs: set[DependencyPair] = set()
     if vocab.has_ontology:
-        closure = set(gold)
-        for label in gold:
-            closure.update(ancestors(label, vocab))
-        by_raw = {l.raw: l for l in closure}
-        for label in closure:
-            for anc in ancestors(label, vocab):
-                if anc.raw in by_raw and anc.raw != label.raw:
-                    pairs.add(DependencyPair(descendant=label, ancestor=by_raw[anc.raw]))
-        return pairs
+        return {
+            DependencyPair(descendant=label, ancestor=anc)
+            for label in positive_label_set(gold, vocab)
+            for anc in ancestors(label, vocab)
+        }
+    pairs: set[DependencyPair] = set()
     if vocab.tier_partition:
         comparable = [l for l in gold if l.tier.comparable]
         for fine_label in comparable:

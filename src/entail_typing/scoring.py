@@ -397,11 +397,17 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
     {"op": "accumulate", margin, weight, positive, negatives} -> {"loss": x},
     {"op": "update"} -> {"ok": true}, {"op": "snapshot"} -> {"tag": t}, and
     {"op": "restore", "tag": t} -> {"ok": true}. Plain score requests are
-    unchanged.
+    unchanged. A reply without its key, or with ``ok`` other than true,
+    raises ``ProtocolError``.
     """
 
-    def _control(self, request: dict) -> dict:
-        return self.endpoint.round_trip([request])[0]
+    def _control(self, request: dict, key: str):
+        """Send one control op and return its reply's ``key`` value."""
+        response = self.endpoint.round_trip([request])[0]
+        value = response.get(key) if isinstance(response, dict) else None
+        if value is None or (key == "ok" and value is not True):
+            raise ProtocolError(f"{request['op']} reply has no valid {key!r}: {response!r}")
+        return value
 
     def accumulate_ranking_loss(
         self,
@@ -410,33 +416,24 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
         margin: float,
         weight: float = 1.0,
     ) -> float:
-        response = self._control(
-            {
-                "op": "accumulate",
-                "margin": margin,
-                "weight": weight,
-                "positive": {"premise": pos_pair.premise, "hypothesis": pos_pair.hypothesis},
-                "negatives": [
-                    {"premise": n.premise, "hypothesis": n.hypothesis} for n in neg_pairs
-                ],
-            }
-        )
-        if "loss" not in response:
-            raise ProtocolError("accumulate response lacks a loss value")
-        return float(response["loss"])
+        request = {
+            "op": "accumulate",
+            "margin": margin,
+            "weight": weight,
+            "positive": {"premise": pos_pair.premise, "hypothesis": pos_pair.hypothesis},
+            "negatives": [{"premise": n.premise, "hypothesis": n.hypothesis} for n in neg_pairs],
+        }
+        return float(self._control(request, "loss"))
 
     def apply_update(self) -> None:
-        self._control({"op": "update"})
+        self._control({"op": "update"}, "ok")
         self._version += 1
 
     def snapshot(self) -> str:
-        response = self._control({"op": "snapshot"})
-        if "tag" not in response:
-            raise ProtocolError("snapshot response lacks a tag")
-        return str(response["tag"])
+        return str(self._control({"op": "snapshot"}, "tag"))
 
     def restore(self, tag: str) -> None:
-        self._control({"op": "restore", "tag": tag})
+        self._control({"op": "restore", "tag": tag}, "ok")
 
 
 CacheKey = tuple[str, int, int]

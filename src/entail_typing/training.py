@@ -23,7 +23,6 @@ from .labelspace import (
     DependencyPair,
     LabelVocabulary,
     TypeLabel,
-    ancestors,
     induce_dependency_pairs,
     positive_label_set,
     sample_negative_ancestor,
@@ -53,9 +52,9 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.margin < 0:
+        if not self.margin >= 0:
             raise ConfigError(f"margin must be nonnegative, got {self.margin}")
-        if self.dependency_weight < 0:
+        if not self.dependency_weight >= 0:
             raise ConfigError(
                 f"dependency_weight must be nonnegative, got {self.dependency_weight}"
             )
@@ -109,40 +108,25 @@ def margin_ranking_loss(pos_score: float, neg_score: float, margin: float) -> fl
     return max(neg_score - pos_score + margin, 0.0)
 
 
-def _true_ancestor_raws(
-    dep: DependencyPair, gold: set, vocab: LabelVocabulary
-) -> set[str]:
-    """Labels that must never be sampled as a false ancestor for this pair."""
-    if vocab.has_ontology:
-        return {a.raw for a in ancestors(dep.descendant, vocab)}
-    return {
-        g.raw
-        for g in gold
-        if g.tier.comparable
-        and dep.descendant.tier.comparable
-        and dep.descendant.tier.fineness < g.tier.fineness
-    }
-
-
 def instance_positives(
     instance: MentionInstance, vocab: LabelVocabulary, template: TemplateKind
-) -> tuple[set[TypeLabel], list[TypeLabel], list[DependencyPair]]:
+) -> tuple[list[TypeLabel], list[DependencyPair]]:
     """The statements an instance ranks above sampled negatives.
 
-    Returns the resolved gold labels, their closure under implicit
-    ancestors sorted by raw label, and the induced dependency pairs sorted
-    by (descendant, ancestor) raw label. The substitution template cannot
-    render dependency pairs, so there are none under it.
+    Returns the gold labels' closure under implicit ancestors sorted by raw
+    label, and the induced dependency pairs sorted by (descendant, ancestor)
+    raw label. The substitution template cannot render dependency pairs, so
+    there are none under it.
     """
     gold = {vocab.resolve(raw) for raw in instance.gold_labels}
     labels = sorted(positive_label_set(gold, vocab), key=lambda l: l.raw)
     if not gold or template is TemplateKind.SUBSTITUTION:
-        return gold, labels, []
+        return labels, []
     deps = sorted(
         induce_dependency_pairs(gold, vocab),
         key=lambda d: (d.descendant.raw, d.ancestor.raw),
     )
-    return gold, labels, deps
+    return labels, deps
 
 
 def build_examples_for_instance(
@@ -154,12 +138,17 @@ def build_examples_for_instance(
     """Build the instance's ranked examples: type examples, then dependency.
 
     The positives are those of :func:`instance_positives`; each is
-    contrasted against ``negatives_per_positive`` sampled negatives.
+    contrasted against ``negatives_per_positive`` sampled negatives. A
+    dependency pair's false ancestors exclude every ancestor induced for its
+    descendant.
     """
     if not instance.gold_labels:
         raise ValidationError(f"instance {instance.id!r} has no gold labels")
-    gold, labels, deps = instance_positives(instance, vocab, config.template)
+    labels, deps = instance_positives(instance, vocab, config.template)
     positive_raws = {l.raw for l in labels}
+    true_ancestors: dict[str, set[str]] = {}
+    for dep in deps:
+        true_ancestors.setdefault(dep.descendant.raw, set()).add(dep.ancestor.raw)
     k = config.negatives_per_positive
     examples = []
     for label in labels:
@@ -173,7 +162,7 @@ def build_examples_for_instance(
         examples.append(RankedExample(positive=pos_pair, negatives=negs, kind=PairKind.TYPE))
     for dep in deps:
         pos_pair = build_dependency_pair(instance, dep, config.template)
-        excluded = _true_ancestor_raws(dep, gold, vocab)
+        excluded = true_ancestors[dep.descendant.raw]
         negs = tuple(
             build_dependency_pair(
                 instance,

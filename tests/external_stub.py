@@ -11,6 +11,7 @@ model. The first argv selects a behavior:
   range       returns an entailment score above 1
   non-numeric returns a string where the score should be
   trainable   honest endpoint plus accumulate/update/snapshot/restore ops
+  bad-update  trainable, but every update is answered with an error
 """
 
 import hashlib
@@ -62,6 +63,8 @@ def handle_control(request):
                 pending[neg_key] = pending.get(neg_key, 0.0) - LR * weight
         n = len(request["negatives"])
         respond({"loss": total / n if n else 0.0})
+    elif op == "update" and MODE == "bad-update":
+        respond({"error": "update rejected"})
     elif op == "update":
         for key, delta in pending.items():
             adjustments[key] = adjustments.get(key, 0.0) + delta

@@ -304,6 +304,21 @@ class TestConfigHandling:
             ("train", ['scorer="trainable-table"', "margin=wide"]),
             ("train", ['scorer="trainable-table"', "max_epochs=all"]),
             ("split-fewshot", ["target_unseen_fraction=most"]),
+            ("predict", ["topk=2.5"]),
+            ("predict", ["topk=true"]),
+            ("predict", ["topk=Infinity"]),
+            ("predict", ["topk=1e400"]),
+            ("predict", ["topk=NaN"]),
+            ("predict", ["threshold=false"]),
+            ("predict", ["seed=1.5"]),
+            ("predict", ["seed=true"]),
+            ("tune", ["grid=[0.5, true]"]),
+            ("train", ['scorer="trainable-table"', "margin=true"]),
+            ("train", ['scorer="trainable-table"', "negatives_per_positive=1.5"]),
+            ("train", ['scorer="trainable-table"', "batch_size=true"]),
+            ("train", ['scorer="trainable-table"', "max_epochs=-Infinity"]),
+            ("train", ['scorer="trainable-table"', "eval_every=2.5"]),
+            ("split-fewshot", ["target_unseen_fraction=true"]),
         ],
     )
     def test_non_numeric_value_names_key(self, workdir, capsys, command, settings):
@@ -311,12 +326,31 @@ class TestConfigHandling:
         key = settings[-1].partition("=")[0]
         assert capsys.readouterr().err.startswith(f"error: invalid value for config key '{key}'")
 
-    @pytest.mark.parametrize("edges", ["5", '[0, "a"]'])
+    @pytest.mark.parametrize("edges", ["5", '[0, "a"]', "[0, true]", "[0, NaN]"])
     def test_non_numeric_bucket_edges(self, workdir, capsys, edges):
         assert run(workdir, "predict") == 0
         assert run(workdir, "eval", f"bucket_edges={edges}") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bucket_edges" in err
+
+    def test_whole_float_is_an_integer(self, workdir):
+        assert run(workdir, "predict", "topk=2.0") == 0
+        records = list(read_jsonl(workdir / "out" / "predictions.jsonl"))
+        assert {len(r["topk"]) for r in records} == {2}
+
+    @pytest.mark.parametrize(
+        "command, settings",
+        [
+            ("predict", ["threshold=NaN"]),
+            ("tune", ["grid=[0.1, NaN, 0.5]"]),
+            ("train", ['scorer="trainable-table"', "margin=NaN"]),
+            ("train", ['scorer="trainable-table"', "dependency_weight=NaN"]),
+        ],
+    )
+    def test_nan_rejected(self, workdir, capsys, command, settings):
+        assert run(workdir, command, *settings) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and settings[-1].partition("=")[0] in err
 
     def test_negative_topk_rejected(self, workdir, capsys):
         assert run(workdir, "predict", "topk=-1") == 1

@@ -253,6 +253,10 @@ class TestFrequencyBuckets:
             frequency_buckets(train, test, (1, 5))
         with pytest.raises(ValidationError):
             frequency_buckets(train, test, (0, 5, 5))
+        with pytest.raises(ValidationError):
+            frequency_buckets(train, test, (0, True))
+        with pytest.raises(ValidationError):
+            frequency_buckets(train, test, (0, float("nan")))
 
     def test_format(self):
         assert format_bucket((0, 1)) == "[0,1)"

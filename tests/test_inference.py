@@ -151,6 +151,10 @@ class TestPredict:
         with pytest.raises(ValidationError):
             predict([], PredictionConfig(threshold=0.5))
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ConfigError, match="nan"):
+            PredictionConfig(threshold=float("nan"))
+
     def test_unordered_list_is_put_best_first(self):
         rng = random.Random(17)
         scores = {f"l{i}": rng.choice((0.1, 0.4, 0.4, 0.7, 0.9)) for i in range(12)}
@@ -485,6 +489,9 @@ class TestTuneThreshold:
             tune_threshold(
                 dev, flat_vocab, scorer, TemplateKind.TAXONOMIC, grid=[0.6, 0.4]
             )
+        for grid in ([0.2, float("nan"), 0.6], [float("nan"), 0.4]):
+            with pytest.raises(ValidationError):
+                tune_threshold(dev, flat_vocab, scorer, TemplateKind.TAXONOMIC, grid=grid)
 
     def test_matches_oracle_sweep(self, flat_vocab):
         rng = random.Random(97)

@@ -284,6 +284,17 @@ class TestExternalProtocol:
         finally:
             scorer.close()
 
+    def test_rejected_update_raises(self):
+        scorer = ExternalTrainableScorer(stub_command("bad-update"))
+        try:
+            pos, neg = mk_pair("p", "pos"), mk_pair("p", "neg")
+            scorer.accumulate_ranking_loss(pos, [neg], margin=1.0)
+            with pytest.raises(ProtocolError, match="update reply has no valid .ok."):
+                scorer.apply_update()
+            assert scorer.version_tag == "v0"
+        finally:
+            scorer.close()
+
 
 class TestScoreCache:
     def test_warm_run_matches_cold_run(self, tmp_path):

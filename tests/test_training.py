@@ -1,12 +1,15 @@
 """Loss arithmetic, example construction, and the epoch loop."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from entail_typing import (
     ConfigError,
     Dataset,
+    ExternalTrainableScorer,
     FallbackPolicy,
     FrozenScorerAdapter,
     LabelVocabulary,
@@ -86,6 +89,10 @@ class TestConfig:
             TrainingConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainingConfig(eval_every=0)
+        with pytest.raises(ConfigError, match="margin"):
+            TrainingConfig(margin=float("nan"))
+        with pytest.raises(ConfigError, match="dependency_weight"):
+            TrainingConfig(dependency_weight=float("nan"))
 
 
 class TestBuildExamples:
@@ -171,26 +178,43 @@ class TestBuildExamples:
                         assert neg.hypothesis not in positive_hyps
         assert satisfiable > 100
 
-    def test_dependency_negatives_never_true_ancestors(self, tier_vocab):
-        from entail_typing import ancestors as _ancestors
+    @staticmethod
+    def _assert_dependency_negatives_avoid(vocab, gold, true_ancestors):
+        inst = mk_instance(id="t-0", mention="Mike Tyson", right=("won", "."), gold=gold)
 
-        inst = mk_instance(
-            id="t-0", mention="Mike Tyson", right=("won", "."),
-            gold=("person", "sportsman", "boxer"),
-        )
+        def hyp(raw):
+            return render_description(TemplateKind.TAXONOMIC, inst, vocab.resolve(raw))
+
         for seed in range(50):
             examples = build_examples_for_instance(
-                inst, tier_vocab, TrainingConfig(negatives_per_positive=2),
+                inst, vocab, TrainingConfig(negatives_per_positive=2),
                 substream(seed, "sampling"),
             )
-            true_hyps = {
-                render_description(TemplateKind.TAXONOMIC, inst, tier_vocab.get(raw))
-                for raw in ("person", "sportsman", "boxer")
-            }
-            for example in examples:
-                if example.kind is PairKind.DEPENDENCY:
-                    for neg in example.negatives:
-                        assert neg.hypothesis not in true_hyps
+            deps = [e for e in examples if e.kind is PairKind.DEPENDENCY]
+            assert {e.positive.label_raw for e in deps} == set(true_ancestors)
+            for example in deps:
+                descendant = example.positive.label_raw
+                forbidden = {hyp(descendant)} | {hyp(a) for a in true_ancestors[descendant]}
+                for neg in example.negatives:
+                    assert neg.hypothesis not in forbidden
+
+    def test_dependency_negatives_never_true_ancestors(self, tier_vocab):
+        self._assert_dependency_negatives_avoid(
+            tier_vocab,
+            ("person", "sportsman", "boxer"),
+            {"boxer": ("sportsman", "person"), "sportsman": ("person",)},
+        )
+
+    def test_dependency_negatives_never_implicit_ancestors(self, onto_vocab):
+        # the middle ancestor is implicit: it is not in the vocabulary
+        self._assert_dependency_negatives_avoid(
+            onto_vocab,
+            ("/location/transit/bridge",),
+            {
+                "/location/transit/bridge": ("/location/transit", "/location"),
+                "/location/transit": ("/location",),
+            },
+        )
 
 
 class TestInstanceLoss:
@@ -373,6 +397,26 @@ class TestTrainLoop:
         with pytest.raises(TrainingError) as err:
             train(train_set, dev_set, vocab, scorer, config, _predict_config())
         assert err.value.best_tag == "ckpt-0000"
+
+    def test_rejected_external_update_restores_best_tag(self):
+        restored = []
+
+        class Recording(ExternalTrainableScorer):
+            def restore(self, tag):
+                super().restore(tag)
+                restored.append(tag)
+
+        stub = str(Path(__file__).parent / "external_stub.py")
+        vocab, train_set, dev_set = _toy_world()
+        scorer = Recording([sys.executable, stub, "bad-update"])
+        config = TrainingConfig(max_epochs=2, eval_every=1, seed=3, batch_size=2)
+        try:
+            with pytest.raises(TrainingError, match="update failed") as err:
+                train(train_set, dev_set, vocab, scorer, config, _predict_config())
+        finally:
+            scorer.close()
+        assert err.value.best_tag == "s0"
+        assert restored == ["s0"]
 
     def test_empty_sets_rejected(self):
         vocab, train_set, dev_set = _toy_world()
