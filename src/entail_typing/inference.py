@@ -23,7 +23,7 @@ from .evaluation import loose_macro
 from .labelspace import LabelVocabulary, TypeLabel
 from .scoring import EntailmentScorer
 # build_type_pair stays importable from here: bench/tracer.py wraps it by name.
-from .templates import TemplateKind, build_type_pair, type_pair_renderer  # noqa: F401
+from .templates import TemplateKind, build_type_pair, type_candidates  # noqa: F401
 
 # Tuning grid used when none is supplied: 0.05 through 0.95 in steps of 0.05.
 DEFAULT_GRID = tuple(i / 20 for i in range(1, 20))
@@ -183,37 +183,33 @@ def rank_all_candidates(
 ) -> Ranking:
     """Score every vocabulary label's hypothesis for this instance.
 
-    The premise is rendered once; each label adds one hypothesis. Labels
-    whose hypothesis cannot be rendered score 0 and are reported through
-    ``on_render_error`` when a handler is given. A score outside [0, 1]
-    raises :class:`ValidationError` naming the first such label in
-    vocabulary order. The result is best-first: descending score, ties
-    broken by ascending raw label.
+    The premise and the template frame are rendered once
+    (:func:`type_candidates`) and handed to the scorer's per-mention entry
+    point, :meth:`EntailmentScorer.score_candidates`. Labels whose
+    hypothesis cannot be rendered score 0 and are reported through
+    ``on_render_error`` in vocabulary order when a handler is given. A
+    scorer returning the wrong number of scores, or a score outside
+    [0, 1], raises :class:`ValidationError`, the latter naming the first
+    such label in vocabulary order. The result is best-first: descending
+    score, ties broken by ascending raw label.
     """
-    labels = tuple(vocab)
+    labels = vocab.labels
     if not labels:
         raise ValidationError("cannot rank against an empty vocabulary")
-    render = type_pair_renderer(instance, template)
-    pairs = []
-    failed = []
-    for i, label in enumerate(labels):
-        try:
-            pairs.append(render(label))
-        except RenderingError as exc:
-            failed.append(i)
-            if on_render_error is not None:
-                on_render_error(label, exc)
-    scores = list(scorer.score_batch(pairs))
-    if len(scores) != len(pairs):
-        raise ValidationError(f"scorer returned {len(scores)} scores for {len(pairs)} pairs")
-    # Ascending slots: each insert leaves the slots before it in place.
-    for i in failed:
-        scores.insert(i, 0.0)
+    candidates = type_candidates(instance, labels, template, on_render_error)
+    scores = list(scorer.score_candidates(candidates))
+    if len(scores) != len(candidates.labels):
+        raise ValidationError(
+            f"scorer returned {len(scores)} scores for {len(candidates.labels)} pairs"
+        )
     bad = next((i for i, s in enumerate(scores) if not 0.0 <= s <= 1.0), None)
     if bad is not None:
         raise ValidationError(
-            f"score {scores[bad]} outside [0, 1] for label {labels[bad].raw!r}"
+            f"score {scores[bad]} outside [0, 1] for label {candidates.labels[bad].raw!r}"
         )
+    # Ascending slots: each insert leaves the slots before it in place.
+    for i in candidates.failed:
+        scores.insert(i, 0.0)
     # Vocabulary order is ascending raw label, and a reversed sort is still
     # stable, so ties keep that order.
     order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)

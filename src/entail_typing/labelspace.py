@@ -9,6 +9,7 @@ specificity tiers (general / fine / ultra-fine).
 import enum
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import SamplingError, ValidationError
@@ -123,8 +124,12 @@ class LabelVocabulary:
         return raw in self._by_raw
 
     def __iter__(self):
-        for raw in self._sorted_raws:
-            yield self._by_raw[raw]
+        return iter(self.labels)
+
+    @cached_property
+    def labels(self) -> tuple[TypeLabel, ...]:
+        """Every label in vocabulary order (ascending raw), built on first use."""
+        return tuple(map(self._by_raw.__getitem__, self._sorted_raws))
 
     @property
     def sorted_raws(self) -> tuple[str, ...]:

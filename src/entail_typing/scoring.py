@@ -6,11 +6,18 @@ mass a 3-way NLI head puts on its entailment class, for real models).
 Everything downstream (training, ranking, thresholding) depends only on
 this contract, so real pretrained models stay behind a process boundary
 and tests run against deterministic stand-ins.
+
+A scorer implements ``score``. Ranking scores one mention's premise
+against every label's hypothesis through ``score_candidates``, which by
+default builds the pairs and calls ``score_batch``; a scorer that can reuse
+the shared premise and template frame across labels overrides it, as
+:class:`OverlapScorer` does.
 """
 
 import abc
 import copy
 import json
+import math
 import os
 import shlex
 import string
@@ -20,7 +27,7 @@ from typing import Sequence
 
 from ._util import fnv1a_64
 from .errors import CacheError, ConfigError, ProtocolError, TransportError, ValidationError
-from .templates import PremiseHypothesisPair
+from .templates import PremiseHypothesisPair, TypeCandidates
 
 # Fixed template words that carry no type information; ignored when the
 # overlap scorer compares hypothesis tokens against the premise.
@@ -42,6 +49,10 @@ class EntailmentScorer(abc.ABC):
     def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> list[float]:
         """Order-preserving batch scoring; semantically identical to a score loop."""
         return [self.score(p) for p in pairs]
+
+    def score_candidates(self, candidates: TypeCandidates) -> list[float]:
+        """Score one mention's type hypotheses: one score per ``candidates.pairs()``."""
+        return self.score_batch(candidates.pairs())
 
     def close(self) -> None:
         """Release held resources (processes, files); in-process scorers hold none."""
@@ -115,6 +126,10 @@ class OverlapScorer(EntailmentScorer):
     usable zero-shot toy scorer.
     """
 
+    def __init__(self):
+        # surface -> its content tokens, scaffold words dropped
+        self._surface_tokens: dict[str, tuple[str, ...]] = {}
+
     def score(self, pair: PremiseHypothesisPair) -> float:
         return overlap_score(pair)
 
@@ -127,6 +142,40 @@ class OverlapScorer(EntailmentScorer):
             if tokens is None:
                 tokens = premise_tokens[pair.premise] = _content_tokens(pair.premise)
             scores.append(_overlap_ratio(pair.hypothesis, tokens))
+        return scores
+
+    def score_candidates(self, candidates: TypeCandidates) -> list[float]:
+        """``overlap_score`` of every candidate pair, without building the pairs.
+
+        A hypothesis is ``head + surface + tail``, and each boundary is
+        whitespace or a punctuation-only tail, so its content tokens are
+        the frame's (head and tail) plus the surface's. The premise and the
+        frame are tokenized once per call, each distinct surface once per
+        scorer; a label then adds only its surface tokens not in the frame.
+        """
+        premise = _content_tokens(candidates.premise)
+        frame = (
+            _content_tokens(candidates.head) | _content_tokens(candidates.tail)
+        ) - SCAFFOLD_TOKENS
+        frame_hits, frame_size = len(frame & premise), len(frame)
+        memo = self._surface_tokens
+        # one float per distinct (hits, size), shared by every label with it
+        ratios: dict[tuple[int, int], float] = {}
+        scores = []
+        for surface in candidates.surfaces:
+            tokens = memo.get(surface)
+            if tokens is None:
+                tokens = memo[surface] = tuple(_content_tokens(surface) - SCAFFOLD_TOKENS)
+            hits, size = frame_hits, frame_size
+            for tok in tokens:
+                if tok not in frame:
+                    size += 1
+                    hits += tok in premise
+            key = (hits, size)
+            score = ratios.get(key)
+            if score is None:
+                score = ratios[key] = hits / size if size else 0.0
+            scores.append(score)
         return scores
 
 
@@ -306,7 +355,7 @@ class ExternalEndpoint:
                 )
             try:
                 responses.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer too long to convert
                 raise ProtocolError(f"invalid JSON from endpoint: {exc}") from None
         return responses
 
@@ -335,6 +384,19 @@ class ExternalEndpoint:
                 proc.stdout.close()
 
 
+def _reply_number(value, what: str) -> float:
+    """An endpoint's JSON number as a float; a boolean, a string or a non-finite value raises."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ProtocolError(f"non-numeric {what} {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ProtocolError(f"non-finite {what} {value!r}")
+    return number
+
+
 def external_score_batch(
     pairs: Sequence[PremiseHypothesisPair], endpoint: ExternalEndpoint
 ) -> list[float]:
@@ -359,10 +421,7 @@ def external_score_batch(
             )
         if "entailment" not in response:
             raise ProtocolError(f"response for {request['id']!r} lacks an entailment score")
-        value = response["entailment"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ProtocolError(f"non-numeric entailment score {value!r}")
-        value = float(value)
+        value = _reply_number(response["entailment"], "entailment score")
         if not 0.0 <= value <= 1.0:
             raise ProtocolError(f"entailment score {value} outside [0, 1]")
         scores.append(value)
@@ -397,8 +456,8 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
     {"op": "accumulate", margin, weight, positive, negatives} -> {"loss": x},
     {"op": "update"} -> {"ok": true}, {"op": "snapshot"} -> {"tag": t}, and
     {"op": "restore", "tag": t} -> {"ok": true}. Plain score requests are
-    unchanged. A reply without its key, or with ``ok`` other than true,
-    raises ``ProtocolError``.
+    unchanged. A reply without its key, with ``ok`` other than true, or
+    with a ``loss`` that is not a finite number raises ``ProtocolError``.
     """
 
     def _control(self, request: dict, key: str):
@@ -423,7 +482,7 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
             "positive": {"premise": pos_pair.premise, "hypothesis": pos_pair.hypothesis},
             "negatives": [{"premise": n.premise, "hypothesis": n.hypothesis} for n in neg_pairs],
         }
-        return float(self._control(request, "loss"))
+        return _reply_number(self._control(request, "loss"), "accumulate loss")
 
     def apply_update(self) -> None:
         self._control({"op": "update"}, "ok")

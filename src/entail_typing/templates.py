@@ -4,12 +4,13 @@ Three template families are supported. Two wrap the mention and label
 surface in a fixed frame ("X is a Y.", "In this context, X is referring to
 Y.") and one substitutes the label surface into the original sentence at
 the mention's position. The same family is used for training pairs and for
-candidate ranking at inference time.
+candidate ranking at inference time. For ranking, :func:`type_candidates`
+renders one mention's premise and frame once for a whole label sequence.
 """
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .corpus import MentionInstance, mention_span_in_premise, render_premise
 from .errors import RenderingError, UnsupportedTemplateError, ValidationError
@@ -51,85 +52,154 @@ class PremiseHypothesisPair:
             raise ValidationError(f"empty hypothesis for instance {self.instance_id!r}")
 
 
-def description_renderer(
-    template: TemplateKind, instance: MentionInstance
-) -> Callable[[TypeLabel], str]:
-    """Return a function rendering this instance's description for any label.
+class _Frame:
+    """One instance's hypothesis frame: a description is ``head + surface + tail``.
 
     The mention is checked, and for substitution the premise rendered and
-    the mention located, once here; the returned function only checks the
-    label's surface and formats the text. Its errors, and which of them
-    wins, are those of :func:`render_description`.
+    the mention located, once here. :meth:`surface` checks a label and
+    returns the text that fills the frame; its errors, in order of
+    precedence, are an empty mention, an empty surface, and a mention that
+    cannot be located in the premise.
     """
-    empty_mention = unlocated = None
-    capitalize = False
-    if not instance.mention:
-        empty_mention = f"instance {instance.id!r} has an empty mention; no description possible"
-    if template is TemplateKind.TAXONOMIC:
-        head, tail = f"{instance.mention} is a ", "."
-    elif template is TemplateKind.CONTEXTUAL:
-        head, tail = f"In this context, {instance.mention} is referring to ", "."
-    else:
-        premise = render_premise(instance)
-        start, end = mention_span_in_premise(instance)
-        if premise[start:end] != instance.mention:
-            unlocated = (
-                f"mention {instance.mention!r} cannot be located in the premise of "
-                f"instance {instance.id!r}"
-            )
-        head, tail, capitalize = premise[:start], premise[end:], start == 0
 
-    def render(label: TypeLabel) -> str:
-        if empty_mention:
-            raise RenderingError(empty_mention)
+    __slots__ = ("premise", "head", "tail", "capitalize", "_empty_mention", "_unlocated")
+
+    def __init__(self, template: TemplateKind, instance: MentionInstance):
+        self.premise = render_premise(instance)
+        self._empty_mention = self._unlocated = None
+        self.capitalize = False
+        if not instance.mention:
+            self._empty_mention = (
+                f"instance {instance.id!r} has an empty mention; no description possible"
+            )
+        if template is TemplateKind.TAXONOMIC:
+            self.head, self.tail = f"{instance.mention} is a ", "."
+        elif template is TemplateKind.CONTEXTUAL:
+            self.head, self.tail = f"In this context, {instance.mention} is referring to ", "."
+        else:
+            start, end = mention_span_in_premise(instance)
+            if self.premise[start:end] != instance.mention:
+                self._unlocated = (
+                    f"mention {instance.mention!r} cannot be located in the premise of "
+                    f"instance {instance.id!r}"
+                )
+            self.head, self.tail = self.premise[:start], self.premise[end:]
+            self.capitalize = start == 0
+
+    @property
+    def plain(self) -> bool:
+        """True when every label with a nonempty surface fills the frame as is."""
+        return not (self._empty_mention or self._unlocated or self.capitalize)
+
+    def surface(self, label: TypeLabel) -> str:
+        if self._empty_mention:
+            raise RenderingError(self._empty_mention)
         surface = label.surface
         if not surface:
             raise RenderingError(f"label {label.raw!r} has an empty surface form")
-        if unlocated:
-            raise RenderingError(unlocated)
-        if capitalize:
+        if self._unlocated:
+            raise RenderingError(self._unlocated)
+        if self.capitalize:
             surface = surface[0].upper() + surface[1:]
-        return head + surface + tail
+        return surface
 
-    return render
+    def describe(self, label: TypeLabel) -> str:
+        return self.head + self.surface(label) + self.tail
 
 
 def render_description(
     template: TemplateKind, instance: MentionInstance, label: TypeLabel
 ) -> str:
     """Render the hypothesis asserting that the mention has the given type."""
-    return description_renderer(template, instance)(label)
+    return _Frame(template, instance).describe(label)
 
 
-def type_pair_renderer(
-    instance: MentionInstance, template: TemplateKind
-) -> Callable[[TypeLabel], PremiseHypothesisPair]:
-    """Return a function pairing this instance's sentence with any label's description.
+@dataclass(frozen=True)
+class TypeCandidates:
+    """One mention's type hypotheses: one premise, one frame, many labels.
 
-    The premise is rendered once, so ranking a whole vocabulary formats
-    only the per-label hypothesis text.
+    Hypothesis ``i`` is ``head + surfaces[i] + tail``. ``labels`` and
+    ``surfaces`` are parallel and keep the order the labels were given in,
+    leaving out those that cannot be rendered; ``failed`` holds the
+    positions of those in that order.
     """
-    premise = render_premise(instance)
-    describe = description_renderer(template, instance)
 
-    def render(label: TypeLabel) -> PremiseHypothesisPair:
-        return PremiseHypothesisPair(
-            premise=premise,
-            hypothesis=describe(label),
-            kind=PairKind.TYPE,
-            instance_id=instance.id,
-            label_raw=label.raw,
-            template=template,
-        )
+    instance_id: str
+    template: TemplateKind
+    premise: str
+    head: str
+    tail: str
+    labels: Sequence[TypeLabel]
+    surfaces: Sequence[str]
+    failed: tuple[int, ...]
 
-    return render
+    def pairs(self) -> list[PremiseHypothesisPair]:
+        """The type pairs, one per label, exactly as :func:`build_type_pair` builds them."""
+        return [
+            PremiseHypothesisPair(
+                premise=self.premise,
+                hypothesis=self.head + surface + self.tail,
+                kind=PairKind.TYPE,
+                instance_id=self.instance_id,
+                label_raw=label.raw,
+                template=self.template,
+            )
+            for label, surface in zip(self.labels, self.surfaces)
+        ]
+
+
+def type_candidates(
+    instance: MentionInstance,
+    labels: Sequence[TypeLabel],
+    template: TemplateKind,
+    on_render_error: Callable[[TypeLabel, RenderingError], None] | None = None,
+) -> TypeCandidates:
+    """Render the instance's premise and frame once, and each label's surface.
+
+    A label that cannot be rendered is left out and, when a handler is
+    given, reported through ``on_render_error``, in the given order.
+    """
+    frame = _Frame(template, instance)
+    surfaces = [label.surface for label in labels]
+    # A plain frame fails a label only for an empty surface.
+    if frame.plain and all(surfaces):
+        kept, failed = labels, []
+    else:
+        kept, surfaces, failed = [], [], []
+        for i, label in enumerate(labels):
+            try:
+                surfaces.append(frame.surface(label))
+            except RenderingError as exc:
+                failed.append(i)
+                if on_render_error is not None:
+                    on_render_error(label, exc)
+            else:
+                kept.append(label)
+    return TypeCandidates(
+        instance_id=instance.id,
+        template=template,
+        premise=frame.premise,
+        head=frame.head,
+        tail=frame.tail,
+        labels=kept,
+        surfaces=surfaces,
+        failed=tuple(failed),
+    )
 
 
 def build_type_pair(
     instance: MentionInstance, label: TypeLabel, template: TemplateKind
 ) -> PremiseHypothesisPair:
     """Pair the instance's sentence with one candidate type description."""
-    return type_pair_renderer(instance, template)(label)
+    frame = _Frame(template, instance)
+    return PremiseHypothesisPair(
+        premise=frame.premise,
+        hypothesis=frame.describe(label),
+        kind=PairKind.TYPE,
+        instance_id=instance.id,
+        label_raw=label.raw,
+        template=template,
+    )
 
 
 def build_dependency_pair(
@@ -145,9 +215,10 @@ def build_dependency_pair(
         raise UnsupportedTemplateError(
             "dependency pairs cannot be rendered with the substitution template"
         )
+    frame = _Frame(template, instance)
     return PremiseHypothesisPair(
-        premise=render_description(template, instance, dep.descendant),
-        hypothesis=render_description(template, instance, dep.ancestor),
+        premise=frame.describe(dep.descendant),
+        hypothesis=frame.describe(dep.ancestor),
         kind=PairKind.DEPENDENCY,
         instance_id=instance.id,
         label_raw=dep.descendant.raw,

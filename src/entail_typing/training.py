@@ -33,6 +33,7 @@ from .templates import (
     PairKind,
     PremiseHypothesisPair,
     TemplateKind,
+    TypeCandidates,
     build_dependency_pair,
     build_type_pair,
 )
@@ -236,6 +237,9 @@ class FrozenScorerAdapter(TrainableScorer):
 
     def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> list[float]:
         return self.inner.score_batch(pairs)
+
+    def score_candidates(self, candidates: TypeCandidates) -> list[float]:
+        return self.inner.score_candidates(candidates)
 
     def accumulate_ranking_loss(
         self,

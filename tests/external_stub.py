@@ -12,6 +12,8 @@ model. The first argv selects a behavior:
   non-numeric returns a string where the score should be
   trainable   honest endpoint plus accumulate/update/snapshot/restore ops
   bad-update  trainable, but every update is answered with an error
+  bad-loss    trainable, but accumulate answers with a loss that is not a
+              finite number, cycling through BAD_LOSSES
 """
 
 import hashlib
@@ -20,12 +22,14 @@ import sys
 
 MODE = sys.argv[1] if len(sys.argv) > 1 else "ok"
 LR = 0.1
+BAD_LOSSES = ("high", True, float("nan"), float("inf"), 10**400)
 
 adjustments = {}
 pending = {}
 snapshots = {}
 version = 0
 answered = 0
+accumulated = 0
 
 
 def base_score(premise, hypothesis):
@@ -45,7 +49,7 @@ def respond(obj):
 
 
 def handle_control(request):
-    global version
+    global version, accumulated
     op = request["op"]
     if op == "accumulate":
         margin = request["margin"]
@@ -62,7 +66,11 @@ def handle_control(request):
                 pending[pos_key] = pending.get(pos_key, 0.0) + LR * weight
                 pending[neg_key] = pending.get(neg_key, 0.0) - LR * weight
         n = len(request["negatives"])
-        respond({"loss": total / n if n else 0.0})
+        loss = total / n if n else 0.0
+        if MODE == "bad-loss":
+            loss = BAD_LOSSES[accumulated % len(BAD_LOSSES)]
+            accumulated += 1
+        respond({"loss": loss})
     elif op == "update" and MODE == "bad-update":
         respond({"error": "update rejected"})
     elif op == "update":

@@ -11,6 +11,7 @@ from entail_typing import (
     EntailmentScorer,
     FallbackPolicy,
     LabelVocabulary,
+    OverlapScorer,
     PredictionConfig,
     Ranking,
     ScoredLabel,
@@ -257,6 +258,26 @@ class TestRanking:
         inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
         with pytest.raises(ValidationError, match="4 scores for 5 pairs"):
             rank_all_candidates(inst, flat_vocab, ShortScorer({}), TemplateKind.TAXONOMIC)
+
+    def test_wrong_number_of_candidate_scores_rejected(self, flat_vocab):
+        class ShortOverlap(OverlapScorer):
+            def score_candidates(self, candidates):
+                return super().score_candidates(candidates)[1:]
+
+        inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
+        with pytest.raises(ValidationError, match="4 scores for 5 pairs"):
+            rank_all_candidates(inst, flat_vocab, ShortOverlap(), TemplateKind.TAXONOMIC)
+
+    def test_overlap_ranking_builds_no_pairs(self, flat_vocab, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            templates.PremiseHypothesisPair, "__post_init__", lambda pair: built.append(pair)
+        )
+        inst = mk_instance(id="t-0", mention="Sam", right=("the", "athlete", "ran", "."))
+        for template in TemplateKind:
+            ranking = rank_all_candidates(inst, flat_vocab, OverlapScorer(), template)
+            assert ranking[0].label.raw == "athlete"
+        assert built == []
 
     def test_sends_the_text_of_build_type_pair(self):
         # "ggg" and "zzz" have no surface, so their hypotheses cannot render.

@@ -170,6 +170,16 @@ class TestVocabulary:
     def test_sorted_iteration(self, flat_vocab):
         assert [l.raw for l in flat_vocab] == sorted(flat_vocab.sorted_raws)
 
+    def test_labels_tuple_built_once_on_first_use(self):
+        vocab = LabelVocabulary.from_raws(["person", "/x/sports_team", "boxer", "head of state"])
+        assert "labels" not in vars(vocab)
+        labels = vocab.labels
+        assert [l.raw for l in labels] == ["/x/sports_team", "boxer", "head of state", "person"]
+        assert labels == tuple(vocab.get(raw) for raw in vocab.sorted_raws)
+        assert tuple(vocab) == labels
+        assert all(a is b for a, b in zip(vocab, labels))
+        assert vocab.labels is labels
+
     def test_file_loading(self, tmp_path):
         vocab_file = tmp_path / "vocab.txt"
         vocab_file.write_text("person\nboxer\n\nsportsman\n", encoding="utf-8")

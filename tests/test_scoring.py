@@ -14,18 +14,23 @@ from entail_typing import (
     ConfigError,
     ExternalScorer,
     ExternalTrainableScorer,
+    LabelVocabulary,
     OverlapScorer,
     ProtocolError,
     ScoreCache,
     TableScorer,
+    TemplateKind,
+    Tier,
     TrainableTableScorer,
     TransportError,
+    TypeLabel,
     ValidationError,
     overlap_score,
+    type_candidates,
 )
 from entail_typing.scoring import scorer_from_spec
 
-from conftest import mk_pair
+from conftest import mk_instance, mk_pair
 from oracles import oracle_overlap
 
 STUB = str(Path(__file__).parent / "external_stub.py")
@@ -80,6 +85,99 @@ class TestOverlap:
         batch = OverlapScorer().score_batch(pairs)
         assert batch == [overlap_score(p) for p in pairs]
         assert 0.0 in batch and 1.0 in batch
+
+
+# Words for mentions, contexts and label surfaces: scaffold words, words
+# shared between contexts and labels, edge punctuation, punctuation-only
+# tokens, and letters whose case mapping changes length or depends on
+# context (final sigma).
+_FUZZ_WORDS = [
+    "Jay", "jay", "producer", "boxer", "head", "of", "state", "context", "is", "a",
+    "In", "this", "referring", "to", ".", ",", "--", "(boxer)", "tyson.", "ß", "SS",
+    "ss", "İ", "i̇", "ΑΣ", "ας", "σ", "Σ.", "ßoxer",
+]
+
+
+def _fuzz_surface(rng):
+    kind = rng.random()
+    if kind < 0.1:
+        return rng.choice(["...", "--", "!?", "."])
+    surface = " ".join(rng.choice(_FUZZ_WORDS) for _ in range(rng.randint(1, 3)))
+    if kind > 0.9:
+        surface = rng.choice([" ", ""]) + surface + rng.choice([" ", "."])
+    return surface
+
+
+def _fuzz_instance(rng):
+    words = lambda lo, hi: tuple(rng.choice(_FUZZ_WORDS) for _ in range(rng.randint(lo, hi)))
+    return mk_instance(
+        left=words(0, 4) if rng.random() < 0.6 else (),
+        mention=" ".join(words(1, 2)),
+        right=words(0, 5),
+    )
+
+
+def _fuzz_labels(rng, count, prefix="l"):
+    return [
+        TypeLabel(raw=f"{prefix}{i}", segments=(f"{prefix}{i}",), tier=Tier.UNSPECIFIED,
+                  surface=_fuzz_surface(rng))
+        for i in range(count)
+    ]
+
+
+class TestOverlapCandidates:
+    """``OverlapScorer.score_candidates`` against ``overlap_score`` of each pair."""
+
+    def test_equals_pair_scores_bit_for_bit(self):
+        rng = random.Random(61)
+        scorer = OverlapScorer()
+        for template in TemplateKind:
+            for _ in range(400):
+                candidates = type_candidates(
+                    _fuzz_instance(rng), _fuzz_labels(rng, rng.randint(1, 12)), template
+                )
+                expected = [overlap_score(p) for p in candidates.pairs()]
+                got = scorer.score_candidates(candidates)
+                assert list(map(float.hex, got)) == list(map(float.hex, expected))
+
+    def test_covers_the_split_cases(self):
+        # mention at position 0 (capitalized substitution), words shared by
+        # mention, context and label, scaffold words inside a surface,
+        # punctuation-only and non-ASCII surfaces
+        surfaces = ["ßoxer", "İstanbul", "ΑΣ", "head of state", "context is", "...",
+                    "jay producer", "σ Σ."]
+        labels = [TypeLabel(raw=f"l{i}", segments=(f"l{i}",), tier=Tier.UNSPECIFIED,
+                            surface=surface) for i, surface in enumerate(surfaces)]
+        instances = [
+            mk_instance(mention="Jay", right=("the", "ΑΣ", "producer", "in", "context", ".")),
+            mk_instance(left=("İstanbul", "'s"), mention="ßoxer", right=("head", "of", "state")),
+        ]
+        scorer = OverlapScorer()
+        for instance in instances:
+            for template in TemplateKind:
+                candidates = type_candidates(instance, labels, template)
+                assert scorer.score_candidates(candidates) == [
+                    overlap_score(p) for p in candidates.pairs()
+                ]
+        capitalized = type_candidates(instances[0], labels, TemplateKind.SUBSTITUTION)
+        assert capitalized.surfaces[0] == "SSoxer"
+
+    def test_reused_scorer_matches_fresh_ones(self):
+        rng = random.Random(62)
+        vocabs = [LabelVocabulary(_fuzz_labels(rng, 30, prefix=f"v{n}-")) for n in range(2)]
+        instances = [_fuzz_instance(rng) for _ in range(5)]
+        reused = OverlapScorer()
+        for template in TemplateKind:
+            for vocab in vocabs:
+                for instance in instances:
+                    candidates = type_candidates(instance, vocab.labels, template)
+                    assert reused.score_candidates(candidates) == (
+                        OverlapScorer().score_candidates(candidates)
+                    )
+
+    def test_empty_candidates(self):
+        candidates = type_candidates(mk_instance(), [], TemplateKind.TAXONOMIC)
+        assert OverlapScorer().score_candidates(candidates) == []
 
 
 class TestTableScorer:
@@ -281,6 +379,30 @@ class TestExternalProtocol:
             assert after != before
             scorer.restore(tag)
             assert scorer.score_batch([pos, neg]) == before
+        finally:
+            scorer.close()
+
+    def test_non_numeric_loss_raises(self):
+        scorer = ExternalTrainableScorer(stub_command("bad-loss"))
+        try:
+            pos, neg = mk_pair("p", "pos"), mk_pair("p", "neg")
+            # the stub answers "high", true, NaN, Infinity, then 10**400
+            for _ in range(5):
+                with pytest.raises(ProtocolError, match="accumulate loss"):
+                    scorer.accumulate_ranking_loss(pos, [neg], margin=1.0)
+        finally:
+            scorer.close()
+
+    def test_oversized_integer_reply_raises_protocol_error(self):
+        # the JSON parser rejects an integer of over 4,300 digits with a
+        # plain ValueError, not a JSONDecodeError
+        reply = '{"loss": ' + "1" * 5000 + "}"
+        scorer = ExternalTrainableScorer(
+            [sys.executable, "-c", f"input(); print({reply!r}, flush=True)"]
+        )
+        try:
+            with pytest.raises(ProtocolError, match="invalid JSON"):
+                scorer.accumulate_ranking_loss(mk_pair("p", "pos"), [mk_pair("p", "neg")], 0.1)
         finally:
             scorer.close()
 

@@ -13,8 +13,10 @@ from entail_typing import (
     FallbackPolicy,
     FrozenScorerAdapter,
     LabelVocabulary,
+    OverlapScorer,
     PairKind,
     PredictionConfig,
+    PremiseHypothesisPair,
     RankedExample,
     TableScorer,
     TemplateKind,
@@ -25,6 +27,7 @@ from entail_typing import (
     build_examples_for_instance,
     instance_loss,
     margin_ranking_loss,
+    rank_all_candidates,
     render_description,
     train,
 )
@@ -340,6 +343,21 @@ class TestTrainLoop:
         assert [r["epoch"] for r in log] == [2, 4]
         # a frozen scorer cannot improve after the first eval snapshots it
         assert "checkpoint" in log[0] and "checkpoint" not in log[1]
+
+    def test_frozen_adapter_ranks_like_its_inner_scorer(self, flat_vocab, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            PremiseHypothesisPair, "__post_init__", lambda pair: built.append(pair)
+        )
+        inner = OverlapScorer()
+        adapter = FrozenScorerAdapter(inner)
+        inst = mk_instance(mention="Sam", right=("the", "athlete", "at", "the", "event"))
+        for template in TemplateKind:
+            assert rank_all_candidates(inst, flat_vocab, adapter, template) == (
+                rank_all_candidates(inst, flat_vocab, inner, template)
+            )
+        # the adapter forwards the per-mention call, so no pair is built
+        assert built == []
 
     def test_training_improves_toy_dev_f1(self):
         vocab, train_set, dev_set = _toy_world()
