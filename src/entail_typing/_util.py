@@ -5,23 +5,25 @@ import json
 import os
 import random
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from pathlib import Path
+
+from .errors import DatasetLoadError, SchemaError
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
 
 
-def fnv1a_64(text: str) -> int:
-    """64-bit FNV-1a hash of the UTF-8 encoding of ``text``.
+def fnv1a_64(text: str, h: int = FNV64_OFFSET) -> int:
+    """64-bit FNV-1a hash of the UTF-8 encoding of ``text``, started from state ``h``.
 
     Used for score-cache records so cache files stay portable across
     implementations; the algorithm is fixed, do not swap it for ``hash()``.
+    The hash runs left to right, so ``fnv1a_64(a + b)`` equals
+    ``fnv1a_64(b, fnv1a_64(a))``.
     """
-    h = FNV64_OFFSET
     for byte in text.encode("utf-8"):
-        h ^= byte
-        h = (h * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ byte) * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
 
 
@@ -58,11 +60,22 @@ def atomic_write_jsonl(path: str | os.PathLike, records: Iterable[dict]) -> None
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_jsonl(path: str | os.PathLike) -> list[dict]:
+def read_jsonl(path: str | os.PathLike, required: Sequence[str] = ()) -> list[dict]:
+    """One JSON object per nonblank line; a bad line raises naming ``path:line``."""
     records = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:  # also an integer too long to convert
+                raise DatasetLoadError(f"{path}:{lineno}: malformed JSON ({exc})") from None
+            if not isinstance(record, dict):
+                raise DatasetLoadError(f"{path}:{lineno}: expected a JSON object")
+            for key in required:
+                if key not in record:
+                    raise SchemaError(f"{path}:{lineno}: missing key {key!r}")
+            records.append(record)
     return records

@@ -83,7 +83,7 @@ def _parse_set_value(text: str):
     """Override values are JSON when they parse, plain strings otherwise."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # also an integer too long to convert
         return text
 
 
@@ -100,7 +100,7 @@ def load_run_config(
         base_dir = path.parent
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer too long to convert
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
@@ -308,7 +308,7 @@ def cmd_eval(config: dict, out_dir: Path) -> list[str]:
             raise ConfigError(f"no predictions found at {predictions_path}")
     preds = [
         LoadedPrediction(instance_id=r["instance_id"], chosen=frozenset(r["chosen"]))
-        for r in read_jsonl(predictions_path)
+        for r in read_jsonl(predictions_path, required=("instance_id", "chosen"))
     ]
 
     buckets = None

@@ -90,8 +90,9 @@ def load_ufet_jsonl(path: str | Path, split: str, name: str | None = None) -> Da
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetLoadError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
+            except ValueError as exc:  # also an integer too long to convert
+                msg = getattr(exc, "msg", exc)
+                raise DatasetLoadError(f"{path}:{lineno}: malformed JSON ({msg})") from exc
             if not isinstance(obj, dict):
                 raise DatasetLoadError(f"{path}:{lineno}: expected a JSON object")
             for key in _REQUIRED_KEYS:

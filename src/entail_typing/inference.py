@@ -21,7 +21,7 @@ from .corpus import Dataset, MentionInstance
 from .errors import ConfigError, RenderingError, ValidationError
 from .evaluation import loose_macro
 from .labelspace import LabelVocabulary, TypeLabel
-from .scoring import EntailmentScorer
+from .scoring import EntailmentScorer, check_scores
 # build_type_pair stays importable from here: bench/tracer.py wraps it by name.
 from .templates import TemplateKind, build_type_pair, type_candidates  # noqa: F401
 
@@ -198,15 +198,7 @@ def rank_all_candidates(
         raise ValidationError("cannot rank against an empty vocabulary")
     candidates = type_candidates(instance, labels, template, on_render_error)
     scores = list(scorer.score_candidates(candidates))
-    if len(scores) != len(candidates.labels):
-        raise ValidationError(
-            f"scorer returned {len(scores)} scores for {len(candidates.labels)} pairs"
-        )
-    bad = next((i for i, s in enumerate(scores) if not 0.0 <= s <= 1.0), None)
-    if bad is not None:
-        raise ValidationError(
-            f"score {scores[bad]} outside [0, 1] for label {candidates.labels[bad].raw!r}"
-        )
+    check_scores(scores, len(candidates.labels), lambda i: candidates.labels[i].raw)
     # Ascending slots: each insert leaves the slots before it in place.
     for i in candidates.failed:
         scores.insert(i, 0.0)

@@ -11,11 +11,14 @@ A scorer implements ``score``. Ranking scores one mention's premise
 against every label's hypothesis through ``score_candidates``, which by
 default builds the pairs and calls ``score_batch``; a scorer that can reuse
 the shared premise and template frame across labels overrides it, as
-:class:`OverlapScorer` does.
+:class:`OverlapScorer` does. :class:`CachedScorer` keys a mention's labels
+from the shared frame too and passes only its misses on to the wrapped
+scorer's ``score_candidates``.
 """
 
 import abc
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -23,7 +26,7 @@ import shlex
 import string
 import subprocess
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._util import fnv1a_64
 from .errors import CacheError, ConfigError, ProtocolError, TransportError, ValidationError
@@ -56,6 +59,18 @@ class EntailmentScorer(abc.ABC):
 
     def close(self) -> None:
         """Release held resources (processes, files); in-process scorers hold none."""
+
+
+def check_scores(scores: Sequence[float], expected: int, label_raw: Callable[[int], str]) -> None:
+    """Raise :class:`ValidationError` unless ``scores`` holds ``expected`` scores in [0, 1].
+
+    ``label_raw(i)`` names the label of score ``i``; the first bad one is named.
+    """
+    if len(scores) != expected:
+        raise ValidationError(f"scorer returned {len(scores)} scores for {expected} pairs")
+    bad = next((i for i, s in enumerate(scores) if not 0.0 <= s <= 1.0), None)
+    if bad is not None:
+        raise ValidationError(f"score {scores[bad]} outside [0, 1] for label {label_raw(bad)!r}")
 
 
 class TrainableScorer(EntailmentScorer):
@@ -216,7 +231,7 @@ class TableScorer(EntailmentScorer):
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # also an integer too long to convert
                     raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from None
                 if "premise" not in record and "default" in record:
                     default = float(record["default"])
@@ -505,7 +520,8 @@ class ScoreCache:
     with h64 the FNV-1a 64-bit hash of the exact premise or hypothesis
     text, so the file stays portable across implementations without storing
     full sentences. Entries written under an older version tag are simply
-    never hit once the scorer updates.
+    never hit once the scorer updates. :meth:`lookup_candidates` gives a
+    mention's type hypotheses the keys :meth:`lookup` gives their pairs.
 
     ``insert`` appends a batch's new records with one flush, so a crash
     loses at most the batch in flight and may leave a torn final line. On
@@ -561,15 +577,42 @@ class ScoreCache:
             keys.append((version_tag, premise_hash, fnv1a_64(pair.hypothesis)))
         return keys, [self._entries.get(key) for key in keys]
 
+    def lookup_candidates(
+        self, version_tag: str, candidates: TypeCandidates
+    ) -> tuple[list[CacheKey], list[float | None]]:
+        """Key each candidate as :meth:`lookup` keys its pair; return keys and hits.
+
+        FNV-1a runs left to right, so a label hashes only ``surface + tail``,
+        from the state after the head; the premise and head are hashed once.
+        """
+        premise, head = fnv1a_64(candidates.premise), fnv1a_64(candidates.head)
+        tail = candidates.tail
+        keys = [(version_tag, premise, fnv1a_64(s + tail, head)) for s in candidates.surfaces]
+        return keys, list(map(self._entries.get, keys))
+
     def insert(self, keys: Sequence[CacheKey], scores: Sequence[float]) -> None:
-        """Record the keys not yet cached, appending their lines with one flush."""
+        """Record the keys not yet cached, appending their lines with one flush.
+
+        Each line is formatted from its key, byte for byte as ``json.dumps``
+        of the record with ``ensure_ascii=False`` writes it.
+        """
+        entries = self._entries
+        tags: dict[str, str] = {}
         lines = []
         for key, score in zip(keys, scores):
-            if key in self._entries:
+            if key in entries:
                 continue
-            self._entries[key] = score
-            record = {"v": key[0], "p": key[1], "h": key[2], "s": score}
-            lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+            entries[key] = score
+            tag, premise, hypothesis = key
+            tag_json = tags.get(tag)
+            if tag_json is None:
+                tag_json = tags[tag] = json.dumps(tag, ensure_ascii=False)
+            if isinstance(score, float) and math.isfinite(score):
+                score_json = float.__repr__(score)
+            else:
+                score_json = json.dumps(score)
+            line = f'{{"v": {tag_json}, "p": {premise}, "h": {hypothesis}, "s": {score_json}}}\n'
+            lines.append(line)
         if lines:
             self._handle.write("".join(lines))
             self._handle.flush()
@@ -598,7 +641,13 @@ class ScoreCache:
 
 
 class CachedScorer(EntailmentScorer):
-    """Wrap any scorer with a ScoreCache; misses are scored then recorded."""
+    """Wrap any scorer with a ScoreCache; misses are scored then recorded.
+
+    ``score_candidates`` hands only a mention's missed labels to the wrapped
+    scorer's ``score_candidates`` and writes the records ``score_batch``
+    would. A reply with the wrong number of scores, or a score outside
+    [0, 1], raises :class:`ValidationError` before anything is written.
+    """
 
     def __init__(self, inner: EntailmentScorer, cache: ScoreCache):
         self.inner = inner
@@ -613,9 +662,30 @@ class CachedScorer(EntailmentScorer):
 
     def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> list[float]:
         keys, scores = self.cache.lookup(self.inner.version_tag, pairs)
+
+        def score_misses(misses: list[int]) -> Sequence[float]:
+            return self.inner.score_batch([pairs[i] for i in misses])
+
+        return self._fill(keys, scores, score_misses, lambda i: pairs[i].label_raw)
+
+    def score_candidates(self, candidates: TypeCandidates) -> list[float]:
+        keys, scores = self.cache.lookup_candidates(self.inner.version_tag, candidates)
+
+        def score_misses(misses: list[int]) -> Sequence[float]:
+            if len(misses) == len(scores):
+                return self.inner.score_candidates(candidates)
+            return self.inner.score_candidates(dataclasses.replace(
+                candidates, labels=[candidates.labels[i] for i in misses],
+                surfaces=[candidates.surfaces[i] for i in misses], failed=()))
+
+        return self._fill(keys, scores, score_misses, lambda i: candidates.labels[i].raw)
+
+    def _fill(self, keys, scores, score_misses, label_raw) -> list[float]:
+        """Score the misses (``None`` entries) in one call, check the reply, then record it."""
         misses = [i for i, hit in enumerate(scores) if hit is None]
         if misses:
-            fresh = self.inner.score_batch([pairs[i] for i in misses])
+            fresh = list(score_misses(misses))
+            check_scores(fresh, len(misses), lambda j: label_raw(misses[j]))
             for i, value in zip(misses, fresh):
                 scores[i] = value
             self.cache.insert([keys[i] for i in misses], fresh)

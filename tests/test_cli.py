@@ -243,6 +243,25 @@ class TestPredictAndEval:
         assert run(workdir, "eval", out=str(workdir / "fresh")) == 1
         assert "no predictions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ('{"instance_id": "test-000001", "chosen": [', "malformed JSON"),
+            ('{"instance_id": "test-000001", "chosen": [], "n": ' + "7" * 5000 + "}",
+             "malformed JSON"),
+            ('["test-000001", ["person"]]', "expected a JSON object"),
+            ('{"chosen": ["person"]}', "missing key 'instance_id'"),
+            ('{"instance_id": "test-000001"}', "missing key 'chosen'"),
+        ],
+        ids=["truncated", "oversized-integer", "array", "no-instance-id", "no-chosen"],
+    )
+    def test_bad_prediction_line_names_path_and_line(self, workdir, capsys, bad, message):
+        dump = workdir / "dump.jsonl"
+        good = json.dumps({"instance_id": "test-000000", "chosen": ["producer"]})
+        dump.write_text(good + "\n\n" + bad + "\n", encoding="utf-8")
+        assert run(workdir, "eval", f'predictions_path="{dump}"') == 1
+        assert capsys.readouterr().err.startswith(f"error: {dump}:3: {message}")
+
 
 class TestTune:
     def test_threshold_artifact(self, workdir):
@@ -319,12 +338,20 @@ class TestConfigHandling:
             ("train", ['scorer="trainable-table"', "max_epochs=-Infinity"]),
             ("train", ['scorer="trainable-table"', "eval_every=2.5"]),
             ("split-fewshot", ["target_unseen_fraction=true"]),
+            # too many digits for json.loads: a plain ValueError, read as a string
+            ("predict", ["topk=" + "5" * 5000]),
         ],
     )
     def test_non_numeric_value_names_key(self, workdir, capsys, command, settings):
         assert run(workdir, command, *settings) == 1
         key = settings[-1].partition("=")[0]
         assert capsys.readouterr().err.startswith(f"error: invalid value for config key '{key}'")
+
+    def test_oversized_integer_in_config_file(self, workdir, capsys):
+        path = workdir / "config.json"
+        path.write_text(path.read_text()[:-1] + ', "topk": ' + "5" * 5000 + "}")
+        assert run(workdir, "predict") == 1
+        assert capsys.readouterr().err.startswith(f"error: config file {path} is not valid JSON")
 
     @pytest.mark.parametrize("edges", ["5", '[0, "a"]', "[0, true]", "[0, NaN]"])
     def test_non_numeric_bucket_edges(self, workdir, capsys, edges):

@@ -59,6 +59,15 @@ class TestLoader:
             load_ufet_jsonl(path, "train")
         assert f"{path}:2" in str(err.value)
 
+    def test_oversized_integer_names_position(self, tmp_path):
+        # json.loads raises a plain ValueError, not JSONDecodeError, here
+        path = tmp_path / "train.jsonl"
+        record = '{"left_context_token": [], "mention_span": "m", "right_context_token": [], '
+        path.write_text(record + '"y_str": ["t"], "n": ' + "9" * 5000 + "}\n", encoding="utf-8")
+        with pytest.raises(DatasetLoadError) as err:
+            load_ufet_jsonl(path, "train")
+        assert f"{path}:1: malformed JSON" in str(err.value)
+
     def test_missing_key_names_key(self, tmp_path):
         path = tmp_path / "train.jsonl"
         record = ufet_record([], "m", [], ["t"])

@@ -1,5 +1,6 @@
 """Scorer implementations, the external wire protocol, and the score cache."""
 
+import dataclasses
 import json
 import random
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import entail_typing.scoring as scoring
+import entail_typing.templates as templates
 from entail_typing import (
     CacheError,
     CachedScorer,
@@ -25,7 +27,10 @@ from entail_typing import (
     TransportError,
     TypeLabel,
     ValidationError,
+    load_ufet_jsonl,
+    load_vocabulary,
     overlap_score,
+    rank_all_candidates,
     type_candidates,
 )
 from entail_typing.scoring import scorer_from_spec
@@ -202,6 +207,12 @@ class TestTableScorer:
         scorer = TableScorer.from_jsonl(path)
         assert scorer.score(mk_pair("p", "h")) == 0.9
         assert scorer.score(mk_pair("p", "x")) == 0.25
+
+    def test_jsonl_oversized_integer_names_line(self, tmp_path):
+        path = tmp_path / "table.jsonl"
+        path.write_text('{"default": 0.25}\n{"default": ' + "1" * 5000 + "}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"table\.jsonl:2: invalid JSON"):
+            TableScorer.from_jsonl(path)
 
     def test_monotone_transform_preserves_argsort(self):
         rng = random.Random(8)
@@ -525,6 +536,217 @@ class TestBatchedCache:
             CachedScorer(OverlapScorer(), cache).score_batch(pairs)
             assert len(cache) == n
         assert len(calls) == n + 1
+
+
+def _hex(scores):
+    return [float.hex(float(s)) for s in scores]
+
+
+class RecordingOverlap(OverlapScorer):
+    """Overlap scorer that records the labels of each ``score_candidates`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def score_candidates(self, candidates):
+        self.calls.append(([label.raw for label in candidates.labels], candidates.failed))
+        return super().score_candidates(candidates)
+
+
+def _label(raw, surface):
+    return TypeLabel(raw=raw, segments=(raw,), tier=Tier.UNSPECIFIED, surface=surface)
+
+
+class TestCachedCandidates:
+    """``CachedScorer.score_candidates`` against ``score_batch`` of the same pairs."""
+
+    def _fuzz_round(self, rng, template):
+        instance = _fuzz_instance(rng)
+        if rng.random() < 0.3:  # mention at position 0: capitalized substitution
+            instance = mk_instance(mention=instance.mention, right=instance.right_tokens)
+        labels = _fuzz_labels(rng, rng.randint(1, 12))
+        labels = [_label(label.raw, "" if rng.random() < 0.1 else label.surface)
+                  for label in labels]
+        return type_candidates(instance, labels, template)
+
+    def test_fuzz_equals_pair_path_bit_for_bit(self, tmp_path, monkeypatch):
+        rng = random.Random(71)
+        paths = tmp_path / "candidates.jsonl", tmp_path / "pairs.jsonl"
+        with ScoreCache(paths[0]) as by_candidates, ScoreCache(paths[1]) as by_pairs:
+            fast = CachedScorer(OverlapScorer(), by_candidates)
+            slow = CachedScorer(OverlapScorer(), by_pairs)
+            for round_ in range(600):
+                template = list(TemplateKind)[round_ % 3]
+                if round_ % 50 == 49:  # the mention cannot be located: every label fails
+                    monkeypatch.setattr(templates, "mention_span_in_premise",
+                                        lambda inst: (1, 1 + len(inst.mention)))
+                candidates = self._fuzz_round(rng, template)
+                monkeypatch.undo()
+                # warm a random subset first, so later calls mix hits and misses
+                part = sorted(rng.sample(range(len(candidates.labels)),
+                                         rng.randint(0, len(candidates.labels))))
+                subset = dataclasses.replace(
+                    candidates, labels=[candidates.labels[i] for i in part],
+                    surfaces=[candidates.surfaces[i] for i in part], failed=())
+                for each in (subset, candidates):
+                    expected = slow.score_batch(each.pairs())
+                    assert _hex(fast.score_candidates(each)) == _hex(expected)
+                    assert expected == [overlap_score(p) for p in each.pairs()]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_named_surfaces_equal_pair_path(self, tmp_path):
+        surfaces = ["ß", "İ", "ΑΣ", "İstanbul ßoxer", "is a", "referring to", "context",
+                    "Jay", "this context", "."]
+        labels = [_label(f"l{i}", s) for i, s in enumerate(surfaces)]
+        instances = [
+            mk_instance(mention="ßoxer", right=("is", "a", "ΑΣ", "in", "this", "context", ".")),
+            mk_instance(left=("In", "İ"), mention="Jay", right=("referring", "to", "ß")),
+            mk_instance(mention="İ"),
+        ]
+        paths = tmp_path / "candidates.jsonl", tmp_path / "pairs.jsonl"
+        with ScoreCache(paths[0]) as by_candidates, ScoreCache(paths[1]) as by_pairs:
+            for instance in instances:
+                for template in TemplateKind:
+                    candidates = type_candidates(instance, labels, template)
+                    expected = CachedScorer(OverlapScorer(), by_pairs).score_batch(
+                        candidates.pairs())
+                    got = CachedScorer(OverlapScorer(), by_candidates).score_candidates(
+                        candidates)
+                    assert _hex(got) == _hex(expected)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        capitalized = type_candidates(instances[0], labels, TemplateKind.SUBSTITUTION)
+        assert capitalized.surfaces[:3] == ["SS", "İ", "ΑΣ"]
+
+    def test_inner_scorer_sees_only_the_misses_in_order(self, tmp_path):
+        labels = [_label(f"l{i}", f"word{i}") for i in range(6)]
+        instance = mk_instance(mention="Jay", right=("word1", "word4", "."))
+        candidates = type_candidates(instance, labels, TemplateKind.TAXONOMIC)
+        warm = dataclasses.replace(candidates, labels=[labels[1], labels[4]],
+                                   surfaces=["word1", "word4"])
+        inner = RecordingOverlap()
+        with ScoreCache(tmp_path / "cache.jsonl") as cache:
+            scorer = CachedScorer(inner, cache)
+            scorer.score_candidates(warm)
+            scores = scorer.score_candidates(candidates)
+        assert inner.calls == [(["l1", "l4"], ()), (["l0", "l2", "l3", "l5"], ())]
+        assert scores == OverlapScorer().score_candidates(candidates)
+
+    def test_cold_pass_hands_over_the_whole_candidates(self, tmp_path):
+        labels = [_label("a", "alpha"), _label("b", ""), _label("c", "gamma")]
+        candidates = type_candidates(mk_instance(), labels, TemplateKind.CONTEXTUAL)
+        inner = RecordingOverlap()
+        with ScoreCache(tmp_path / "cache.jsonl") as cache:
+            CachedScorer(inner, cache).score_candidates(candidates)
+        assert inner.calls == [(["a", "c"], (1,))]
+
+    def test_warm_pass_calls_nothing_and_writes_nothing(self, tmp_path):
+        rng = random.Random(72)
+        path = tmp_path / "cache.jsonl"
+        inner = RecordingOverlap()
+        with ScoreCache(path) as cache:
+            scorer = CachedScorer(inner, cache)
+            batch = [type_candidates(_fuzz_instance(rng), _fuzz_labels(rng, 10), template)
+                     for template in TemplateKind]
+            cold = [scorer.score_candidates(c) for c in batch]
+            size, calls = path.stat().st_size, len(inner.calls)
+            assert [scorer.score_candidates(c) for c in batch] == cold
+            assert path.stat().st_size == size and len(inner.calls) == calls == 3
+
+    def test_fnv_resumes_from_a_prefix_state(self):
+        rng = random.Random(73)
+        alphabet = "ab .ßİΑΣσ€😀"
+        for _ in range(200):
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+            b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+            assert scoring.fnv1a_64(a + b) == scoring.fnv1a_64(b, scoring.fnv1a_64(a))
+
+    @pytest.mark.parametrize("tag", ["v0", 'v"1\\', "vé\u2028ΑΣ", "v\n\t"])
+    def test_record_lines_equal_json_dumps(self, tmp_path, tag):
+        scores = [0.0, 1.0, 0.5, 1 / 3, 0.1 + 0.2, 5e-324, 1e-300, -0.0, 1, 0, True,
+                  float("nan"), float("inf"), 10**30]
+        keys = [(tag, 2**64 - 1 - i, i) for i in range(len(scores))]
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            cache.insert(keys, scores)
+        expected = "".join(
+            json.dumps({"v": k[0], "p": k[1], "h": k[2], "s": s}, ensure_ascii=False) + "\n"
+            for k, s in zip(keys, scores)
+        )
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_file_written_by_pairwise_keys_is_fully_hit(self, tmp_path):
+        """``overlap_cache_golden.jsonl`` was written by ``predict`` with ``cache_path``
+        on the golden test split, for all three templates, when every cache key
+        was computed from the full pair."""
+        golden = Path(__file__).parent / "data"
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes((golden / "overlap_cache_golden.jsonl").read_bytes())
+        dataset = load_ufet_jsonl(golden / "golden" / "corpus_test.jsonl", "test")
+        vocab = load_vocabulary(golden / "golden" / "vocab.txt")
+        inner = RecordingOverlap()
+        with ScoreCache(path) as cache:
+            assert len(cache) == 720
+            scorer = CachedScorer(inner, cache)
+            for template in TemplateKind:
+                for instance in dataset:
+                    cached = rank_all_candidates(instance, vocab, scorer, template)
+                    assert cached == rank_all_candidates(instance, vocab, OverlapScorer(),
+                                                         template)
+        assert inner.calls == []
+        assert path.read_bytes() == (golden / "overlap_cache_golden.jsonl").read_bytes()
+
+
+class WrongReply(OverlapScorer):
+    """Overlap scorer whose replies are cut short or carry one bad score."""
+
+    def __init__(self, bad):
+        super().__init__()
+        self.bad = bad
+
+    def _spoil(self, scores):
+        if self.bad == "short":
+            return scores[1:]
+        return [self.bad] + scores[1:]
+
+    def score_batch(self, pairs):
+        return self._spoil(super().score_batch(pairs))
+
+    def score_candidates(self, candidates):
+        return self._spoil(super().score_candidates(candidates))
+
+
+class TestCachedScorerChecksReplies:
+    LABELS = [_label(raw, raw) for raw in ("athlete", "city", "person")]
+
+    @pytest.mark.parametrize("path_kind", ["candidates", "pairs"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("short", "scorer returned 2 scores for 3 pairs"),
+         (1.5, "score 1.5 outside \\[0, 1\\] for label 'athlete'"),
+         (float("nan"), "score nan outside \\[0, 1\\] for label 'athlete'"),
+         (-0.25, "score -0.25 outside \\[0, 1\\] for label 'athlete'")],
+        ids=["short", "above-one", "nan", "negative"],
+    )
+    def test_bad_reply_raises_and_writes_nothing(self, tmp_path, path_kind, bad, message):
+        candidates = type_candidates(mk_instance(), self.LABELS, TemplateKind.TAXONOMIC)
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            scorer = CachedScorer(WrongReply(bad), cache)
+            with pytest.raises(ValidationError, match=message):
+                if path_kind == "candidates":
+                    scorer.score_candidates(candidates)
+                else:
+                    scorer.score_batch(candidates.pairs())
+            assert len(cache) == 0
+        assert path.read_bytes() == b""
+
+    def test_ranking_through_a_bad_reply_raises(self, tmp_path):
+        vocab = LabelVocabulary(self.LABELS)
+        with ScoreCache(tmp_path / "cache.jsonl") as cache:
+            with pytest.raises(ValidationError, match="outside"):
+                rank_all_candidates(mk_instance(), vocab, CachedScorer(WrongReply(1.5), cache),
+                                    TemplateKind.SUBSTITUTION)
 
 
 class TestCacheCorruption:
