@@ -5,10 +5,10 @@ import json
 import os
 import random
 import tempfile
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from pathlib import Path
 
-from .errors import DatasetLoadError, SchemaError
+from .errors import DatasetLoadError
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -60,8 +60,8 @@ def atomic_write_jsonl(path: str | os.PathLike, records: Iterable[dict]) -> None
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def read_jsonl(path: str | os.PathLike, required: Sequence[str] = ()) -> list[dict]:
-    """One JSON object per nonblank line; a bad line raises naming ``path:line``."""
+def numbered_jsonl(path: str | os.PathLike) -> list[tuple[int, dict]]:
+    """(line number, JSON object) per nonblank line; a bad line raises naming ``path:line``."""
     records = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -74,8 +74,10 @@ def read_jsonl(path: str | os.PathLike, required: Sequence[str] = ()) -> list[di
                 raise DatasetLoadError(f"{path}:{lineno}: malformed JSON ({exc})") from None
             if not isinstance(record, dict):
                 raise DatasetLoadError(f"{path}:{lineno}: expected a JSON object")
-            for key in required:
-                if key not in record:
-                    raise SchemaError(f"{path}:{lineno}: missing key {key!r}")
-            records.append(record)
+            records.append((lineno, record))
     return records
+
+
+def read_jsonl(path: str | os.PathLike) -> list[dict]:
+    """One JSON object per nonblank line, as :func:`numbered_jsonl` reads them."""
+    return [record for _, record in numbered_jsonl(path)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from ._util import atomic_write_jsonl, atomic_write_text, read_jsonl
+from ._util import atomic_write_jsonl, atomic_write_text, numbered_jsonl
 from .corpus import (
     Dataset,
     FewShotSplitSpec,
@@ -26,7 +26,7 @@ from .corpus import (
     load_ufet_jsonl,
     make_fewshot_split,
 )
-from .errors import ConfigError, EntailTypingError
+from .errors import ConfigError, EntailTypingError, SchemaError
 from .evaluation import evaluate, report_to_json, report_to_text
 from .inference import (
     DEFAULT_GRID,
@@ -306,10 +306,18 @@ def cmd_eval(config: dict, out_dir: Path) -> list[str]:
         predictions_path = out_dir / "predictions.jsonl"
         if not predictions_path.exists():
             raise ConfigError(f"no predictions found at {predictions_path}")
-    preds = [
-        LoadedPrediction(instance_id=r["instance_id"], chosen=frozenset(r["chosen"]))
-        for r in read_jsonl(predictions_path, required=("instance_id", "chosen"))
-    ]
+    preds = []
+    for lineno, r in numbered_jsonl(predictions_path):
+        where = f"{predictions_path}:{lineno}"
+        for key in ("instance_id", "chosen"):
+            if key not in r:
+                raise SchemaError(f"{where}: missing key {key!r}")
+        instance_id, chosen = r["instance_id"], r["chosen"]
+        if not isinstance(instance_id, str):
+            raise SchemaError(f"{where}: instance_id must be a string")
+        if not isinstance(chosen, list) or not all(isinstance(c, str) for c in chosen):
+            raise SchemaError(f"{where}: chosen must be a list of strings")
+        preds.append(LoadedPrediction(instance_id=instance_id, chosen=frozenset(chosen)))
 
     buckets = None
     if config.get("bucket_edges"):

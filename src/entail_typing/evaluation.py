@@ -58,23 +58,27 @@ def _harmonic(p: float, r: float) -> float:
     return 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
-def _macro_from_sets(pairs: Sequence[tuple[set[str], set[str]]]) -> tuple[float, float, float]:
-    """Loose macro P/R/F1 over (chosen, gold) set pairs.
+def loose_macro_from_counts(counts: Sequence[tuple[int, int, int]]) -> tuple[float, float, float]:
+    """Loose macro P/R/F1 over per-instance (gold hits, chosen size, gold size).
 
     An empty chosen set contributes precision 0 rather than being skipped,
     so fallback-free pipelines are penalized, not flattered.
     """
-    if not pairs:
+    if not counts:
         return (0.0, 0.0, 0.0)
     precisions = []
     recalls = []
-    for chosen, gold in pairs:
-        hits = len(chosen & gold)
-        precisions.append(hits / len(chosen) if chosen else 0.0)
-        recalls.append(hits / len(gold))
+    for hits, n_chosen, n_gold in counts:
+        precisions.append(hits / n_chosen if n_chosen else 0.0)
+        recalls.append(hits / n_gold)
     p = sum(precisions) / len(precisions)
     r = sum(recalls) / len(recalls)
     return (p, r, _harmonic(p, r))
+
+
+def _macro_from_sets(pairs: Sequence[tuple[set[str], set[str]]]) -> tuple[float, float, float]:
+    """Loose macro P/R/F1 over (chosen, gold) set pairs."""
+    return loose_macro_from_counts([(len(c & g), len(c), len(g)) for c, g in pairs])
 
 
 def loose_macro(

@@ -14,12 +14,12 @@ cheap.
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .corpus import Dataset, MentionInstance
-from .errors import ConfigError, RenderingError, ValidationError
-from .evaluation import loose_macro
+from .errors import ConfigError, EvaluationError, RenderingError, ValidationError
+# loose_macro stays importable from here: bench/tracer.py wraps it by name.
+from .evaluation import loose_macro, loose_macro_from_counts  # noqa: F401
 from .labelspace import LabelVocabulary, TypeLabel
 from .scoring import EntailmentScorer, check_scores
 # build_type_pair stays importable from here: bench/tracer.py wraps it by name.
@@ -120,14 +120,13 @@ class Ranking(Sequence[ScoredLabel]):
 
     @classmethod
     def best_first(cls, ranked: Sequence[ScoredLabel]) -> "Ranking":
-        """A Ranking as is; any other sequence sorted by descending score.
-
-        The sort is stable, so a sequence already in best-first order keeps
-        its order, ties included.
+        """A Ranking as is; any other sequence sorted by descending score,
+        ties by ascending raw label, the order :func:`rank_all_candidates`
+        returns.
         """
         if isinstance(ranked, Ranking):
             return ranked
-        ordered = sorted(ranked, key=attrgetter("score"), reverse=True)
+        ordered = sorted(ranked, key=lambda s: (-s.score, s.label.raw))
         return cls([s.label for s in ordered], [s.score for s in ordered])
 
     def __len__(self) -> int:
@@ -259,40 +258,32 @@ def tune_threshold(
     scorer: EntailmentScorer,
     template: TemplateKind,
     grid: Sequence[float] = DEFAULT_GRID,
-    objective: Callable[[Sequence[PredictionSet], Mapping[str, set[str]]], float] | None = None,
-    fallback: FallbackPolicy | None = None,
+    fallback: FallbackPolicy = FallbackPolicy.top1(),
 ) -> float:
-    """Pick the grid threshold maximizing the objective on the dev split.
+    """Pick the grid threshold maximizing loose macro F1 on the dev split.
 
-    Instances are ranked once; each grid value then costs one bisection
-    per instance (:func:`predict`). The default objective is loose macro F1
-    and ties go to the larger threshold.
+    Each instance is ranked once and thresholded at every grid value
+    (:func:`predict`). Only its (gold hits, chosen size, gold size) per grid
+    value is kept, not its ranking. Ties go to the larger threshold.
     """
     if not grid:
         raise ValidationError("threshold grid is empty")
     for a, b in zip(grid, grid[1:]):
         if not a < b:
             raise ValidationError("threshold grid must be strictly increasing")
-    if objective is None:
-        objective = lambda preds, golds: loose_macro(preds, golds)[2]
-    if fallback is None:
-        fallback = FallbackPolicy.top1()
-
-    rankings = [
-        (inst.id, rank_all_candidates(inst, vocab, scorer, template)) for inst in dev
-    ]
-    golds = {inst.id: set(inst.gold_labels) for inst in dev}
-
-    best_threshold = grid[0]
-    best_value = float("-inf")
-    for threshold in grid:
-        config = PredictionConfig(threshold=threshold, fallback=fallback, template=template)
-        preds = [predict(ranking, config, instance_id=iid) for iid, ranking in rankings]
-        value = objective(preds, golds)
-        if value >= best_value:
-            best_value = value
-            best_threshold = threshold
-    return best_threshold
+    configs = [PredictionConfig(threshold, fallback, template) for threshold in grid]
+    counts: list[list[tuple[int, int, int]]] = [[] for _ in grid]
+    for inst in dev:
+        gold = inst.gold_labels
+        if not gold:
+            raise EvaluationError(f"empty gold label set for instance {inst.id!r}")
+        ranking = rank_all_candidates(inst, vocab, scorer, template)
+        for config, column in zip(configs, counts):
+            chosen = predict(ranking, config).chosen
+            column.append((len(chosen & gold), len(chosen), len(gold)))
+        del ranking  # not kept alive while the next instance is ranked
+    # Grid values ascend, so among equal F1s max() takes the larger threshold.
+    return max(zip((loose_macro_from_counts(column)[2] for column in counts), grid))[1]
 
 
 def prediction_to_record(pred: PredictionSet, topk: int = 10) -> dict:

@@ -116,13 +116,6 @@ def _content_tokens(text: str) -> set[str]:
     return tokens
 
 
-def _overlap_ratio(hypothesis: str, premise_tokens: set[str]) -> float:
-    hyp_tokens = _content_tokens(hypothesis) - SCAFFOLD_TOKENS
-    if not hyp_tokens:
-        return 0.0
-    return len(hyp_tokens & premise_tokens) / len(hyp_tokens)
-
-
 def overlap_score(pair: PremiseHypothesisPair) -> float:
     """Fraction of the hypothesis's content tokens present in the premise.
 
@@ -130,7 +123,10 @@ def overlap_score(pair: PremiseHypothesisPair) -> float:
     ratio reflects the mention and label words only. An empty effective
     hypothesis set scores 0.
     """
-    return _overlap_ratio(pair.hypothesis, _content_tokens(pair.premise))
+    hyp_tokens = _content_tokens(pair.hypothesis) - SCAFFOLD_TOKENS
+    if not hyp_tokens:
+        return 0.0
+    return len(hyp_tokens & _content_tokens(pair.premise)) / len(hyp_tokens)
 
 
 class OverlapScorer(EntailmentScorer):
@@ -147,17 +143,6 @@ class OverlapScorer(EntailmentScorer):
 
     def score(self, pair: PremiseHypothesisPair) -> float:
         return overlap_score(pair)
-
-    def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> list[float]:
-        """``overlap_score`` per pair, tokenizing each distinct premise once."""
-        premise_tokens: dict[str, set[str]] = {}
-        scores = []
-        for pair in pairs:
-            tokens = premise_tokens.get(pair.premise)
-            if tokens is None:
-                tokens = premise_tokens[pair.premise] = _content_tokens(pair.premise)
-            scores.append(_overlap_ratio(pair.hypothesis, tokens))
-        return scores
 
     def score_candidates(self, candidates: TypeCandidates) -> list[float]:
         """``overlap_score`` of every candidate pair, without building the pairs.
@@ -325,6 +310,8 @@ class ExternalEndpoint:
 
     # Seconds a closing endpoint gets to exit on its own before it is killed.
     CLOSE_WAIT_S = 10.0
+    # Most requests written before their responses are read.
+    WINDOW = 256
 
     def __init__(self, command: Sequence[str]):
         if not command:
@@ -351,27 +338,34 @@ class ExternalEndpoint:
         return self._proc
 
     def round_trip(self, requests: list[dict]) -> list[dict]:
-        """Send request lines, read exactly one response line per request."""
+        """Send request lines, read exactly one response line per request.
+
+        A window of at most ``WINDOW`` requests is written, then its
+        responses are read, so the pipes cannot both fill; this assumes a
+        window's responses fit in the endpoint's stdout pipe buffer.
+        """
         proc = self._ensure_started()
         assert proc.stdin is not None and proc.stdout is not None
-        try:
-            for request in requests:
-                proc.stdin.write(json.dumps(request, ensure_ascii=False) + "\n")
-            proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise TransportError(f"scorer endpoint not reachable for writes: {exc}") from None
         responses = []
-        for i in range(len(requests)):
-            line = proc.stdout.readline()
-            if not line:
-                raise ProtocolError(
-                    f"response length mismatch: endpoint closed after "
-                    f"{i} of {len(requests)} responses"
-                )
+        for start in range(0, len(requests), self.WINDOW):
+            window = requests[start:start + self.WINDOW]
             try:
-                responses.append(json.loads(line))
-            except ValueError as exc:  # also an integer too long to convert
-                raise ProtocolError(f"invalid JSON from endpoint: {exc}") from None
+                for request in window:
+                    proc.stdin.write(json.dumps(request, ensure_ascii=False) + "\n")
+                proc.stdin.flush()
+            except (BrokenPipeError, OSError) as exc:
+                raise TransportError(f"scorer endpoint not reachable for writes: {exc}") from None
+            for _ in window:
+                line = proc.stdout.readline()
+                if not line:
+                    raise ProtocolError(
+                        f"response length mismatch: endpoint closed after "
+                        f"{len(responses)} of {len(requests)} responses"
+                    )
+                try:
+                    responses.append(json.loads(line))
+                except ValueError as exc:  # also an integer too long to convert
+                    raise ProtocolError(f"invalid JSON from endpoint: {exc}") from None
         return responses
 
     def close(self) -> None:

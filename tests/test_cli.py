@@ -252,8 +252,15 @@ class TestPredictAndEval:
             ('["test-000001", ["person"]]', "expected a JSON object"),
             ('{"chosen": ["person"]}', "missing key 'instance_id'"),
             ('{"instance_id": "test-000001"}', "missing key 'chosen'"),
+            ('{"instance_id": "test-000001", "chosen": "person"}',
+             "chosen must be a list of strings"),
+            ('{"instance_id": "test-000001", "chosen": 5}', "chosen must be a list of strings"),
+            ('{"instance_id": "test-000001", "chosen": ["person", 5]}',
+             "chosen must be a list of strings"),
+            ('{"instance_id": ["test-000001"], "chosen": []}', "instance_id must be a string"),
         ],
-        ids=["truncated", "oversized-integer", "array", "no-instance-id", "no-chosen"],
+        ids=["truncated", "oversized-integer", "array", "no-instance-id", "no-chosen",
+             "chosen-string", "chosen-number", "chosen-mixed", "instance-id-list"],
     )
     def test_bad_prediction_line_names_path_and_line(self, workdir, capsys, bad, message):
         dump = workdir / "dump.jsonl"

@@ -1,5 +1,6 @@
 """Ranking, threshold selection, fallbacks, and grid tuning."""
 
+import gc
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from entail_typing import (
     ConfigError,
     Dataset,
     EntailmentScorer,
+    EvaluationError,
     FallbackPolicy,
     LabelVocabulary,
     OverlapScorer,
@@ -20,7 +22,6 @@ from entail_typing import (
     TypeLabel,
     ValidationError,
     build_type_pair,
-    loose_macro,
     parse_label,
     predict,
     predict_dataset,
@@ -29,6 +30,7 @@ from entail_typing import (
     tune_threshold,
 )
 
+import entail_typing.inference as inference
 import entail_typing.templates as templates
 from conftest import mk_instance
 from oracles import oracle_predict, oracle_rank, oracle_tune
@@ -167,6 +169,33 @@ class TestPredict:
             assert pred.chosen == frozenset(oracle_predict(scores, threshold, "empty"))
             got = [s.score for s in pred.ranking]
             assert got == sorted(got, reverse=True)
+
+    def test_plain_list_ties_go_to_the_smaller_raw_label(self):
+        entries = [
+            ScoredLabel(label=parse_label("zeta"), score=0.3),
+            ScoredLabel(label=parse_label("alpha"), score=0.3),
+        ]
+        pred = predict(entries, PredictionConfig(threshold=0.9))
+        assert pred.chosen == frozenset({"alpha"})
+        assert [s.label.raw for s in pred.ranking] == ["alpha", "zeta"]
+
+    def test_shuffled_ties_match_oracle_sweep(self):
+        rng = random.Random(41)
+        raws = [f"l{i}" for i in range(10)]
+        for trial in range(300):
+            scores = {
+                raw: rng.choice((0.2, 0.3, 0.3))
+                for raw in rng.sample(raws, rng.randint(2, 8))
+            }
+            entries = _ranking(scores)
+            rng.shuffle(entries)
+            threshold = rng.choice((0.25, 0.3, 0.9))
+            for kind in ("top1", "empty", "other"):
+                config = PredictionConfig(threshold=threshold, fallback=_fallback(kind))
+                pred = predict(entries, config)
+                expected = oracle_predict(scores, threshold, kind, other_label="entity")
+                assert pred.chosen == frozenset(expected)
+                assert [s.label.raw for s in pred.ranking] == oracle_rank(scores)
 
     def test_prediction_shares_the_ranking(self, flat_vocab):
         inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
@@ -487,15 +516,36 @@ class TestTuneThreshold:
         )
         assert got == 0.5
 
-    def test_recall_objective_prefers_low_threshold(self, flat_vocab):
-        dev = self._dev([("Sam", ("person", "athlete"))])
-        scorer = RawLabelScorer({"person": 0.9, "athlete": 0.4, "event": 0.2})
+    def test_empty_gold_set_raises(self, flat_vocab):
+        dev = self._dev([("Sam", ("person",)), ("Kim", ())])
+        scorer = RawLabelScorer({"person": 0.9})
+        with pytest.raises(EvaluationError, match="empty gold label set for instance 'dev-1'"):
+            tune_threshold(dev, flat_vocab, scorer, TemplateKind.TAXONOMIC)
+
+    def test_empty_dev_gives_last_grid_value(self, flat_vocab):
+        dev = self._dev([])
+        scorer = RawLabelScorer({"person": 0.9})
         got = tune_threshold(
-            dev, flat_vocab, scorer, TemplateKind.TAXONOMIC,
-            grid=[0.3, 0.5], fallback=FallbackPolicy.empty(),
-            objective=lambda preds, golds: loose_macro(preds, golds)[1],
+            dev, flat_vocab, scorer, TemplateKind.TAXONOMIC, grid=[0.2, 0.5, 0.8]
         )
-        assert got == 0.3
+        assert got == 0.8
+
+    def test_earlier_rankings_are_dropped(self, flat_vocab, monkeypatch):
+        """Each time a mention is ranked, no earlier mention's ranking is alive."""
+        dev = self._dev([(m, ("person",)) for m in ("Sam", "Kim", "Lee", "Bo")])
+        scorer = RawLabelScorer({"person": 0.9, "athlete": 0.4})
+        rank = inference.rank_all_candidates
+        live = []
+
+        def rank_and_count(*args, **kwargs):
+            live.append(sum(isinstance(o, Ranking) for o in gc.get_objects()))
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "rank_all_candidates", rank_and_count)
+        gc.collect()
+        before = sum(isinstance(o, Ranking) for o in gc.get_objects())
+        tune_threshold(dev, flat_vocab, scorer, TemplateKind.TAXONOMIC)
+        assert live == [before] * len(dev)
 
     def test_grid_validation(self, flat_vocab):
         dev = self._dev([("Sam", ("person",))])

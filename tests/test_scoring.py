@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -299,6 +300,22 @@ class TestExternalProtocol:
             # deterministic endpoint: same pairs, same scores
             assert scorer.score_batch(pairs) == scores
         finally:
+            scorer.close()
+
+    def test_large_batch_does_not_deadlock(self):
+        """20,000 pairs overflow both pipes unless requests go out in windows."""
+        scorer = ExternalScorer(stub_command("ok"))
+        # Killing a stuck endpoint turns a deadlock into an error, not a hang.
+        watchdog = threading.Timer(30.0, scorer.endpoint._ensure_started().kill)
+        watchdog.start()
+        try:
+            pairs = [mk_pair(f"premise {i % 7}", f"hypothesis number {i}") for i in range(20_000)]
+            scores = scorer.score_batch(pairs)
+            assert len(scores) == len(pairs)
+            assert scores[::997] == [scorer.score(p) for p in pairs[::997]]
+        finally:
+            watchdog.cancel()
+            watchdog.join()
             scorer.close()
 
     def test_empty_batch_short_circuits(self):
