@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from ._util import atomic_write_jsonl, atomic_write_text, numbered_jsonl
+from ._util import atomic_write_json, atomic_write_jsonl, atomic_write_text, json_number, numbered_jsonl
 from .corpus import (
     Dataset,
     FewShotSplitSpec,
@@ -122,10 +122,9 @@ def load_run_config(
 
 
 def _resolve(config: dict, key: str) -> Path:
-    value = config.get(key)
-    if not value:
+    if not config.get(key):
         raise ConfigError(f"config key {key!r} is required for this command")
-    path = Path(config["_base_dir"]) / value
+    path = Path(config["_base_dir"]) / _value(config, key, _text)
     if not path.exists():
         raise ConfigError(f"{key} does not exist: {path}")
     return path
@@ -136,9 +135,7 @@ def _load_split(config: dict, split: str) -> Dataset:
 
 
 def _load_vocab(config: dict) -> LabelVocabulary:
-    tier_path = None
-    if config.get("tier_path"):
-        tier_path = _resolve(config, "tier_path")
+    tier_path = _resolve(config, "tier_path") if config.get("tier_path") else None
     return load_vocabulary(_resolve(config, "vocab_path"), tier_path)
 
 
@@ -150,31 +147,31 @@ def _template(config: dict) -> TemplateKind:
 
 
 def _scorer(config: dict):
-    return scorer_from_spec(config["scorer"], base_dir=config["_base_dir"])
+    return scorer_from_spec(_value(config, "scorer", _text), base_dir=config["_base_dir"])
 
 
 def _maybe_cached(scorer, config: dict):
     if config.get("cache_path"):
-        cache_path = Path(config["_base_dir"]) / config["cache_path"]
+        cache_path = Path(config["_base_dir"]) / _value(config, "cache_path", _text)
         return CachedScorer(scorer, ScoreCache(cache_path))
     return scorer
 
 
-def _real(value) -> float:
-    """A JSON number as a float; strings and booleans are not numbers."""
-    if isinstance(value, (str, bool)):
+def _text(value) -> str:
+    """A JSON string as is; nothing else is text."""
+    if not isinstance(value, str):
         raise ValueError(value)
-    return float(value)
+    return value
 
 
 def _whole(value) -> int:
     """A JSON number with a whole, finite value, as an int."""
-    if not _real(value).is_integer():
+    if not json_number(value).is_integer():
         raise ValueError(value)
     return int(value)
 
 
-def _number(config: dict, key: str, convert=_real):
+def _value(config: dict, key: str, convert=json_number):
     """``convert(config[key])``, else a ConfigError naming the key."""
     value = config[key]
     try:
@@ -185,8 +182,8 @@ def _number(config: dict, key: str, convert=_real):
 
 def _prediction_config(config: dict) -> PredictionConfig:
     return PredictionConfig(
-        threshold=_number(config, "threshold"),
-        fallback=FallbackPolicy.parse(config["fallback"]),
+        threshold=_value(config, "threshold"),
+        fallback=FallbackPolicy.parse(_value(config, "fallback", _text)),
         template=_template(config),
     )
 
@@ -240,14 +237,14 @@ def cmd_train(config: dict, out_dir: Path) -> list[str]:
     dev_set = _load_split(config, "dev")
     vocab = _load_vocab(config)
     training_config = TrainingConfig(
-        margin=_number(config, "margin"),
-        dependency_weight=_number(config, "dependency_weight"),
-        negatives_per_positive=_number(config, "negatives_per_positive", _whole),
-        batch_size=_number(config, "batch_size", _whole),
-        max_epochs=_number(config, "max_epochs", _whole),
-        eval_every=_number(config, "eval_every", _whole),
+        margin=_value(config, "margin"),
+        dependency_weight=_value(config, "dependency_weight"),
+        negatives_per_positive=_value(config, "negatives_per_positive", _whole),
+        batch_size=_value(config, "batch_size", _whole),
+        max_epochs=_value(config, "max_epochs", _whole),
+        eval_every=_value(config, "eval_every", _whole),
         template=_template(config),
-        seed=_number(config, "seed", _whole),
+        seed=_value(config, "seed", _whole),
     )
     try:
         best_tag, log = train(
@@ -257,16 +254,13 @@ def cmd_train(config: dict, out_dir: Path) -> list[str]:
         scorer.close()
     atomic_write_jsonl(out_dir / "train_log.jsonl", log)
     checkpoint = {"best_checkpoint": best_tag, "evals": len(log)}
-    atomic_write_text(
-        out_dir / "checkpoint.json",
-        json.dumps(checkpoint, ensure_ascii=False, indent=2) + "\n",
-    )
+    atomic_write_json(out_dir / "checkpoint.json", checkpoint)
     return ["train_log.jsonl", "checkpoint.json"]
 
 
 def cmd_predict(config: dict, out_dir: Path) -> list[str]:
     """Rank and threshold a split; write the prediction dump."""
-    topk = _number(config, "topk", _whole)
+    topk = _value(config, "topk", _whole)
     if topk < 0:
         raise ConfigError(f"topk must be nonnegative, got {topk}")
     split = _split_name(config, "predict")
@@ -322,13 +316,10 @@ def cmd_eval(config: dict, out_dir: Path) -> list[str]:
     buckets = None
     if config.get("bucket_edges"):
         train_set = _load_split(config, "train")
-        edges = _number(config, "bucket_edges", tuple)
+        edges = _value(config, "bucket_edges", tuple)
         buckets = frequency_buckets(train_set, dataset, edges)
     report = evaluate(preds, golds, buckets)
-    atomic_write_text(
-        out_dir / "report.json",
-        json.dumps(report_to_json(report), ensure_ascii=False, indent=2) + "\n",
-    )
+    atomic_write_json(out_dir / "report.json", report_to_json(report))
     atomic_write_text(out_dir / "report.txt", report_to_text(report))
     return ["report.json", "report.txt"]
 
@@ -339,8 +330,8 @@ def cmd_tune(config: dict, out_dir: Path) -> list[str]:
     vocab = _load_vocab(config)
     scorer = _maybe_cached(_scorer(config), config)
     template = _template(config)
-    fallback = FallbackPolicy.parse(config["fallback"])
-    grid = _number(config, "grid", lambda g: [_real(v) for v in g])
+    fallback = FallbackPolicy.parse(_value(config, "fallback", _text))
+    grid = _value(config, "grid", lambda g: [json_number(v) for v in g])
     try:
         threshold = tune_threshold(dev_set, vocab, scorer, template, grid, fallback=fallback)
     finally:
@@ -352,9 +343,7 @@ def cmd_tune(config: dict, out_dir: Path) -> list[str]:
         "fallback": fallback.spec(),
         "template": template.value,
     }
-    atomic_write_text(
-        out_dir / "threshold.json", json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
-    )
+    atomic_write_json(out_dir / "threshold.json", doc)
     return ["threshold.json"]
 
 
@@ -363,17 +352,14 @@ def cmd_split_fewshot(config: dict, out_dir: Path) -> list[str]:
     train_set = _load_split(config, "train")
     test_set = _load_split(config, "test")
     spec = FewShotSplitSpec(
-        target_unseen_fraction=_number(config, "target_unseen_fraction"),
-        seed=_number(config, "seed", _whole),
+        target_unseen_fraction=_value(config, "target_unseen_fraction"),
+        seed=_value(config, "seed", _whole),
     )
     filtered, heldout = make_fewshot_split(train_set, test_set, spec)
     atomic_write_jsonl(
         out_dir / "fewshot_train.jsonl", [instance_to_record(i) for i in filtered]
     )
-    atomic_write_text(
-        out_dir / "fewshot.json",
-        json.dumps(fewshot_manifest(heldout, spec), ensure_ascii=False, indent=2) + "\n",
-    )
+    atomic_write_json(out_dir / "fewshot.json", fewshot_manifest(heldout, spec))
     return ["fewshot_train.jsonl", "fewshot.json"]
 
 
@@ -417,9 +403,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_run_config(args.config, args.set, args.out)
-        out_dir = Path(config["_base_dir"]) / config["out_dir"]
+        out_dir = Path(config["_base_dir"]) / _value(config, "out_dir", _text)
         out_dir.mkdir(parents=True, exist_ok=True)
-        seed = _number(config, "seed", _whole)
+        seed = _value(config, "seed", _whole)
         started = datetime.now(timezone.utc).isoformat()
         artifacts = _COMMANDS[args.command](config, out_dir)
         manifest = {
@@ -430,10 +416,7 @@ def main(argv: list[str] | None = None) -> int:
             "finished_at": datetime.now(timezone.utc).isoformat(),
             "artifacts": artifacts,
         }
-        atomic_write_text(
-            out_dir / "manifest.json",
-            json.dumps(manifest, ensure_ascii=False, indent=2) + "\n",
-        )
+        atomic_write_json(out_dir / "manifest.json", manifest)
     except EntailTypingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,13 +6,12 @@ The canonical in-memory schema mirrors the UFET field names
 one downstream pipeline serves every dataset.
 """
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DatasetLoadError, SchemaError, SplitError, ValidationError
-from ._util import substream
+from .errors import SchemaError, SplitError, ValidationError
+from ._util import numbered_jsonl, substream
 
 SPLITS = ("train", "dev", "test")
 
@@ -84,41 +83,31 @@ def load_ufet_jsonl(path: str | Path, split: str, name: str | None = None) -> Da
     if name is None:
         name = path.stem
     instances = []
-    with path.open(encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # also an integer too long to convert
-                msg = getattr(exc, "msg", exc)
-                raise DatasetLoadError(f"{path}:{lineno}: malformed JSON ({msg})") from exc
-            if not isinstance(obj, dict):
-                raise DatasetLoadError(f"{path}:{lineno}: expected a JSON object")
-            for key in _REQUIRED_KEYS:
-                if key not in obj:
-                    raise SchemaError(f"{path}:{lineno}: missing key {key!r}")
-            left, mention, right, labels = (obj[k] for k in _REQUIRED_KEYS)
-            if not isinstance(mention, str):
-                raise SchemaError(f"{path}:{lineno}: mention_span must be a string")
-            for key, value in (("left_context_token", left), ("right_context_token", right), ("y_str", labels)):
-                if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
-                    raise SchemaError(f"{path}:{lineno}: {key} must be a list of strings")
-            if "\n" in mention:
-                raise ValidationError(f"{path}:{lineno}: mention_span contains a newline")
-            if not labels and split in ("train", "dev"):
-                raise ValidationError(f"{path}:{lineno}: empty y_str on a {split} line")
-            extras = {k: v for k, v in obj.items() if k not in _REQUIRED_KEYS}
-            instances.append(
-                MentionInstance(
-                    id=f"{split}-{len(instances):06d}",
-                    left_tokens=tuple(left),
-                    mention=mention,
-                    right_tokens=tuple(right),
-                    gold_labels=frozenset(labels),
-                    extras=extras,
-                )
+    for lineno, obj in numbered_jsonl(path):
+        for key in _REQUIRED_KEYS:
+            if key not in obj:
+                raise SchemaError(f"{path}:{lineno}: missing key {key!r}")
+        left, mention, right, labels = (obj[k] for k in _REQUIRED_KEYS)
+        if not isinstance(mention, str):
+            raise SchemaError(f"{path}:{lineno}: mention_span must be a string")
+        for key, value in (("left_context_token", left), ("right_context_token", right), ("y_str", labels)):
+            if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+                raise SchemaError(f"{path}:{lineno}: {key} must be a list of strings")
+        if "\n" in mention:
+            raise ValidationError(f"{path}:{lineno}: mention_span contains a newline")
+        if not labels and split in ("train", "dev"):
+            raise ValidationError(f"{path}:{lineno}: empty y_str on a {split} line")
+        extras = {k: v for k, v in obj.items() if k not in _REQUIRED_KEYS}
+        instances.append(
+            MentionInstance(
+                id=f"{split}-{len(instances):06d}",
+                left_tokens=tuple(left),
+                mention=mention,
+                right_tokens=tuple(right),
+                gold_labels=frozenset(labels),
+                extras=extras,
             )
+        )
     return Dataset(name=name, split=split, instances=tuple(instances))
 
 

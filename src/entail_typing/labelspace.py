@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from ._util import numbered_lines
 from .errors import SamplingError, ValidationError
 
 
@@ -161,33 +162,18 @@ def load_vocabulary(path: str | Path, tier_path: str | Path | None = None) -> La
     general / fine / ultrafine (``ultra-fine`` and ``ultra_fine`` are
     accepted spellings).
     """
-    raws = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                raws.append(line)
+    raws = [line for _, line in numbered_lines(path)]
     tier_partition = None
     if tier_path is not None:
         by_tier: dict[Tier, set[str]] = {}
-        with open(tier_path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                if "\t" not in line:
-                    raise ValidationError(f"{tier_path}:{lineno}: expected label<TAB>tier")
-                raw, tier_name = line.split("\t", 1)
-                tier_name = tier_name.strip().lower().replace("-", "").replace("_", "")
-                try:
-                    tier = {
-                        "general": Tier.GENERAL,
-                        "fine": Tier.FINE,
-                        "ultrafine": Tier.ULTRAFINE,
-                    }[tier_name]
-                except KeyError:
-                    raise ValidationError(f"{tier_path}:{lineno}: unknown tier {tier_name!r}") from None
-                by_tier.setdefault(tier, set()).add(raw)
+        for lineno, line in numbered_lines(tier_path):
+            if "\t" not in line:
+                raise ValidationError(f"{tier_path}:{lineno}: expected label<TAB>tier")
+            raw, tier_name = line.split("\t", 1)
+            tier_name = tier_name.strip().lower().replace("-", "").replace("_", "")
+            if tier_name not in ("general", "fine", "ultrafine"):
+                raise ValidationError(f"{tier_path}:{lineno}: unknown tier {tier_name!r}")
+            by_tier.setdefault(Tier(tier_name), set()).add(raw)
         tier_partition = {t: frozenset(m) for t, m in by_tier.items()}
     return LabelVocabulary.from_raws(raws, tier_partition)
 

@@ -28,7 +28,7 @@ import subprocess
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ._util import fnv1a_64
+from ._util import fnv1a_64, json_number, numbered_jsonl
 from .errors import CacheError, ConfigError, ProtocolError, TransportError, ValidationError
 from .templates import PremiseHypothesisPair, TypeCandidates
 
@@ -209,26 +209,34 @@ class TableScorer(EntailmentScorer):
         """
         table: dict[tuple[str, str], float] = {}
         default = 0.0
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError as exc:  # also an integer too long to convert
-                    raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-                if "premise" not in record and "default" in record:
-                    default = float(record["default"])
-                    continue
-                for key in ("premise", "hypothesis", "score"):
-                    if key not in record:
-                        raise ValidationError(f"{path}:{lineno}: missing key {key!r}")
-                table[(record["premise"], record["hypothesis"])] = float(record["score"])
+        for lineno, record in numbered_jsonl(path):
+            where = f"{path}:{lineno}"
+            if "premise" not in record and "default" in record:
+                default = _table_number(record, "default", where)
+                continue
+            for key in ("premise", "hypothesis", "score"):
+                if key not in record:
+                    raise ValidationError(f"{where}: missing key {key!r}")
+            premise, hypothesis = record["premise"], record["hypothesis"]
+            if not isinstance(premise, str) or not isinstance(hypothesis, str):
+                raise ValidationError(f"{where}: premise and hypothesis must be strings")
+            table[(premise, hypothesis)] = _table_number(record, "score", where)
         return cls(table, default=default)
 
     def score(self, pair: PremiseHypothesisPair) -> float:
         return self._table.get((pair.premise, pair.hypothesis), self.default)
+
+
+def _table_number(record: dict, key: str, where: str) -> float:
+    """A table record's ``key`` as a float in [0, 1]; anything else raises naming ``where``."""
+    value = record[key]
+    try:
+        number = json_number(value)
+    except ValueError:
+        number = None
+    if number is None or not 0.0 <= number <= 1.0:
+        raise ValidationError(f"{where}: {key} must be a JSON number in [0, 1], got {value!r}")
+    return number
 
 
 class TrainableTableScorer(TableScorer, TrainableScorer):
@@ -342,7 +350,9 @@ class ExternalEndpoint:
 
         A window of at most ``WINDOW`` requests is written, then its
         responses are read, so the pipes cannot both fill; this assumes a
-        window's responses fit in the endpoint's stdout pipe buffer.
+        window's responses fit in the endpoint's stdout pipe buffer. Replies
+        come from a pipe as they are written, not from a file, so this loop
+        reads them itself rather than through the shared line reader.
         """
         proc = self._ensure_started()
         assert proc.stdin is not None and proc.stdout is not None
@@ -356,7 +366,10 @@ class ExternalEndpoint:
             except (BrokenPipeError, OSError) as exc:
                 raise TransportError(f"scorer endpoint not reachable for writes: {exc}") from None
             for _ in window:
-                line = proc.stdout.readline()
+                try:
+                    line = proc.stdout.readline()
+                except UnicodeDecodeError as exc:
+                    raise ProtocolError(f"endpoint reply is not UTF-8: {exc}") from None
                 if not line:
                     raise ProtocolError(
                         f"response length mismatch: endpoint closed after "
@@ -394,13 +407,11 @@ class ExternalEndpoint:
 
 
 def _reply_number(value, what: str) -> float:
-    """An endpoint's JSON number as a float; a boolean, a string or a non-finite value raises."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ProtocolError(f"non-numeric {what} {value!r}")
+    """An endpoint's JSON number as a float; anything else, or a non-finite value, raises."""
     try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
+        number = json_number(value)
+    except ValueError:
+        raise ProtocolError(f"non-numeric {what} {value!r}") from None
     if not math.isfinite(number):
         raise ProtocolError(f"non-finite {what} {value!r}")
     return number
@@ -533,7 +544,11 @@ class ScoreCache:
             self._handle.flush()
 
     def _load(self) -> bytes:
-        """Read every record, cutting off a torn tail; return the last line kept."""
+        """Read every record, cutting off a torn tail; return the last line kept.
+
+        This loop reads bytes rather than going through the shared line
+        reader, because a torn tail is cut off at its byte offset.
+        """
         offset, last_line, torn = 0, b"", False
         with open(self.path, "rb") as f:
             for lineno, raw in enumerate(f, start=1):
@@ -547,7 +562,7 @@ class ScoreCache:
                         raise CacheError(f"{self.path}:{lineno}: invalid JSON: {exc}") from None
                     try:
                         key = (str(record["v"]), int(record["p"]), int(record["h"]))
-                        self._entries[key] = float(record["s"])
+                        self._entries[key] = json_number(record["s"])
                     except (KeyError, TypeError, ValueError) as exc:
                         raise CacheError(
                             f"{self.path}:{lineno}: bad cache record: {exc!r}"

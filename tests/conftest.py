@@ -12,6 +12,7 @@ from entail_typing import (
     TemplateKind,
     Tier,
 )
+from entail_typing._util import numbered_jsonl
 
 
 def mk_instance(id="i-0", left=(), mention="Jay", right=(), gold=("producer",), extras=None):
@@ -72,6 +73,10 @@ def write_jsonl(path, records):
         "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
         encoding="utf-8",
     )
+
+
+def read_jsonl(path):
+    return [record for _, record in numbered_jsonl(path)]
 
 
 def ufet_record(left, mention, right, y_str, **extras):

@@ -23,9 +23,9 @@ from pathlib import Path
 
 import entail_typing as et
 from entail_typing.cli import main as cli_main
-from entail_typing._util import read_jsonl, substream
+from entail_typing._util import substream
 
-from conftest import mk_instance
+from conftest import mk_instance, read_jsonl
 from oracles import (
     oracle_bucket,
     oracle_macro,

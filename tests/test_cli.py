@@ -17,7 +17,8 @@ from entail_typing import (
     load_vocabulary,
 )
 from entail_typing.cli import load_run_config, main
-from entail_typing._util import read_jsonl
+
+from conftest import read_jsonl
 
 
 def _record(left, mention, right, labels, **extras):
@@ -270,6 +271,54 @@ class TestPredictAndEval:
         assert capsys.readouterr().err.startswith(f"error: {dump}:3: {message}")
 
 
+_CACHE_LINE = '{"v": "v0", "p": 1, "h": 2, "s": 0.5}\n'
+
+
+class TestBadInputFiles:
+    """A bad line in any input file is an ``error: path:line:`` line and exit code 1."""
+
+    @pytest.mark.parametrize(
+        "name, content, settings, line, message",
+        [
+            ("test.jsonl", b"\n" + json.dumps(TEST_ROWS[0]).encode() + b"\xff\n", [], 2,
+             "not UTF-8"),
+            ("vocab.txt", b"company\nduration\nper\xffson\n", [], 3, "not UTF-8"),
+            ("tiers.tsv", b"company\tgeneral\nsinger\tfi\xffne\n", ['tier_path="tiers.tsv"'],
+             2, "not UTF-8"),
+            ("table.jsonl", b'{"default": 0.1}\n5\n', ["scorer=table:table.jsonl"], 2,
+             "expected a JSON object"),
+            ("table.jsonl", b'{"premise": "p", "hypothesis": "h", "score": "high"}\n',
+             ["scorer=table:table.jsonl"], 1, "score must be a JSON number"),
+            ("table.jsonl", b'{"premise": "p", "hypothesis": "h", "score": null}\n',
+             ["scorer=table:table.jsonl"], 1, "score must be a JSON number"),
+            ("table.jsonl", b'{"premise": "p", "hypothesis": "h", "score": true}\n',
+             ["scorer=table:table.jsonl"], 1, "score must be a JSON number"),
+            ("table.jsonl", b'{"premise": "p", "hypothesis": "h", "score": "0.5"}\n',
+             ["scorer=table:table.jsonl"], 1, "score must be a JSON number"),
+            ("table.jsonl", b'{"default": "x"}\n', ["scorer=table:table.jsonl"], 1,
+             "default must be a JSON number"),
+            ("table.jsonl", b'{"premise": "\xff", "hypothesis": "h", "score": 1}\n',
+             ["scorer=table:table.jsonl"], 1, "not UTF-8"),
+            ("cache.jsonl", _CACHE_LINE.replace("0.5", "9" * 401).encode(),
+             ['cache_path="cache.jsonl"'], 1, "bad cache record"),
+            ("cache.jsonl", (_CACHE_LINE + _CACHE_LINE.replace("0.5", "true")).encode(),
+             ['cache_path="cache.jsonl"'], 2, "bad cache record"),
+            ("cache.jsonl", _CACHE_LINE.replace("0.5", '"0.5"').encode(),
+             ['cache_path="cache.jsonl"'], 1, "bad cache record"),
+        ],
+        ids=["corpus-not-utf8", "vocab-not-utf8", "tiers-not-utf8", "table-number-line",
+             "table-score-word", "table-score-null", "table-score-bool", "table-score-string",
+             "table-default-string", "table-not-utf8", "cache-overflowing-integer",
+             "cache-bool", "cache-string"],
+    )
+    def test_bad_line_names_path_and_line(
+        self, workdir, capsys, name, content, settings, line, message
+    ):
+        (workdir / name).write_bytes(content)
+        assert run(workdir, "predict", *settings) == 1
+        assert capsys.readouterr().err.startswith(f"error: {workdir / name}:{line}: {message}")
+
+
 class TestTune:
     def test_threshold_artifact(self, workdir):
         assert run(workdir, "tune", "grid=[0.25]") == 0
@@ -347,6 +396,20 @@ class TestConfigHandling:
             ("split-fewshot", ["target_unseen_fraction=true"]),
             # too many digits for json.loads: a plain ValueError, read as a string
             ("predict", ["topk=" + "5" * 5000]),
+            ("predict", ["scorer=5"]),
+            ("predict", ["scorer=null"]),
+            ("predict", ["fallback=5"]),
+            ("predict", ['fallback=["top1"]']),
+            ("tune", ["fallback=5"]),
+            ("predict", ["cache_path=5"]),
+            ("predict", ["vocab_path=5"]),
+            ("predict", ["tier_path=5"]),
+            ("predict", ["test_path=5"]),
+            ("tune", ["dev_path=[1]"]),
+            ("split-fewshot", ["train_path=5"]),
+            ("eval", ["predictions_path=5"]),
+            ("predict", ["out_dir=5"]),
+            ("predict", ["out_dir=null"]),
         ],
     )
     def test_non_numeric_value_names_key(self, workdir, capsys, command, settings):

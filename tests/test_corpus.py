@@ -68,6 +68,14 @@ class TestLoader:
             load_ufet_jsonl(path, "train")
         assert f"{path}:1: malformed JSON" in str(err.value)
 
+    def test_non_utf8_byte_names_position(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        write_jsonl(path, [ufet_record([], "m", [], ["t"])])
+        path.write_bytes(path.read_bytes() + b'{"mention_span": "\xff"}\n')
+        with pytest.raises(DatasetLoadError) as err:
+            load_ufet_jsonl(path, "train")
+        assert f"{path}:2: not UTF-8" in str(err.value)
+
     def test_missing_key_names_key(self, tmp_path):
         path = tmp_path / "train.jsonl"
         record = ufet_record([], "m", [], ["t"])

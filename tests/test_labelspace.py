@@ -5,6 +5,7 @@ import random
 import pytest
 
 from entail_typing import (
+    DatasetLoadError,
     DependencyPair,
     LabelVocabulary,
     SamplingError,
@@ -201,6 +202,17 @@ class TestVocabulary:
             load_vocabulary(vocab_file, tier_file)
         tier_file.write_text("person\tmega\n", encoding="utf-8")
         with pytest.raises(ValidationError):
+            load_vocabulary(vocab_file, tier_file)
+
+    def test_non_utf8_files_name_path_and_line(self, tmp_path):
+        vocab_file = tmp_path / "vocab.txt"
+        vocab_file.write_bytes(b"person\nbox\xe9r\n")
+        with pytest.raises(DatasetLoadError, match=r"vocab\.txt:2: not UTF-8"):
+            load_vocabulary(vocab_file)
+        vocab_file.write_text("person\n", encoding="utf-8")
+        tier_file = tmp_path / "tiers.tsv"
+        tier_file.write_bytes(b"person\tgen\xe9ral\n")
+        with pytest.raises(DatasetLoadError, match=r"tiers\.tsv:1: not UTF-8"):
             load_vocabulary(vocab_file, tier_file)
 
 

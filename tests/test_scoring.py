@@ -15,6 +15,7 @@ from entail_typing import (
     CacheError,
     CachedScorer,
     ConfigError,
+    DatasetLoadError,
     ExternalScorer,
     ExternalTrainableScorer,
     LabelVocabulary,
@@ -80,7 +81,8 @@ class TestOverlap:
     def test_batch_equals_loop(self):
         scorer = OverlapScorer()
         pairs = [mk_pair(f"word{i} here", f"word{i} is a thing.") for i in range(10)]
-        assert scorer.score_batch(pairs) == [scorer.score(p) for p in pairs]
+        expected = [oracle_overlap(p.premise, p.hypothesis) for p in pairs]
+        assert scorer.score_batch(pairs) == expected
 
     def test_batch_equals_loop_on_interleaved_and_repeated_premises(self):
         premises = ["Jay, a famous producer", "the sky is BLUE.", "Jay is a producer"]
@@ -89,7 +91,7 @@ class TestOverlap:
             mk_pair(premises[i % 3], hypotheses[(i * 7) % 4]) for i in range(24)
         ] + [mk_pair(premises[0], "this is a context referring to .")]
         batch = OverlapScorer().score_batch(pairs)
-        assert batch == [overlap_score(p) for p in pairs]
+        assert batch == [oracle_overlap(p.premise, p.hypothesis) for p in pairs]
         assert 0.0 in batch and 1.0 in batch
 
 
@@ -212,7 +214,39 @@ class TestTableScorer:
     def test_jsonl_oversized_integer_names_line(self, tmp_path):
         path = tmp_path / "table.jsonl"
         path.write_text('{"default": 0.25}\n{"default": ' + "1" * 5000 + "}\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match=r"table\.jsonl:2: invalid JSON"):
+        with pytest.raises(DatasetLoadError, match=r"table\.jsonl:2: malformed JSON"):
+            TableScorer.from_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (b"5", DatasetLoadError, "expected a JSON object"),
+            (b'{"premise": "p", "hypothesis": "h", "score": "high"}', ValidationError,
+             "score must be a JSON number"),
+            (b'{"premise": "p", "hypothesis": "h", "score": null}', ValidationError,
+             "score must be a JSON number"),
+            (b'{"premise": "p", "hypothesis": "h", "score": true}', ValidationError,
+             "score must be a JSON number"),
+            (b'{"premise": "p", "hypothesis": "h", "score": "0.5"}', ValidationError,
+             "score must be a JSON number"),
+            (b'{"premise": "p", "hypothesis": "h", "score": 1.5}', ValidationError,
+             "score must be a JSON number in"),
+            (b'{"default": "x"}', ValidationError, "default must be a JSON number"),
+            (b'{"default": true}', ValidationError, "default must be a JSON number"),
+            (b'{"default": NaN}', ValidationError, "default must be a JSON number in"),
+            (b'{"premise": ["p"], "hypothesis": "h", "score": 0.5}', ValidationError,
+             "premise and hypothesis must be strings"),
+            (b'{"premise": "\xff", "hypothesis": "h", "score": 1}', DatasetLoadError,
+             "not UTF-8"),
+        ],
+        ids=["number-line", "score-word", "score-null", "score-bool", "score-string",
+             "score-out-of-range", "default-string", "default-bool", "default-nan",
+             "premise-list", "not-utf8"],
+    )
+    def test_jsonl_bad_line_names_line(self, tmp_path, bad, error, message):
+        path = tmp_path / "table.jsonl"
+        path.write_bytes(b'{"default": 0.25}\n\n' + bad + b"\n")
+        with pytest.raises(error, match=r"table\.jsonl:3: " + message):
             TableScorer.from_jsonl(path)
 
     def test_monotone_transform_preserves_argsort(self):
@@ -431,6 +465,15 @@ class TestExternalProtocol:
         try:
             with pytest.raises(ProtocolError, match="invalid JSON"):
                 scorer.accumulate_ranking_loss(mk_pair("p", "pos"), [mk_pair("p", "neg")], 0.1)
+        finally:
+            scorer.close()
+
+    def test_non_utf8_reply_raises_protocol_error(self):
+        reply = "import sys; input(); sys.stdout.buffer.write(b'\\xff\\n'); sys.stdout.flush()"
+        scorer = ExternalScorer([sys.executable, "-c", reply])
+        try:
+            with pytest.raises(ProtocolError, match="not UTF-8"):
+                scorer.score_batch([mk_pair("p", "h")])
         finally:
             scorer.close()
 
@@ -796,7 +839,15 @@ class TestCacheCorruption:
             assert len(cache) == 2
 
     @pytest.mark.parametrize(
-        "bad", ["not json", '{"v": "v0", "p": 1, "s": 0.5}', '["v0", 1, 2, 0.5]']
+        "bad",
+        [
+            "not json",
+            '{"v": "v0", "p": 1, "s": 0.5}',
+            '["v0", 1, 2, 0.5]',
+            pytest.param(RECORD.replace("0.5", "9" * 401).strip(), id="score-overflowing-integer"),
+            pytest.param(RECORD.replace("0.5", "true").strip(), id="score-bool"),
+            pytest.param(RECORD.replace("0.5", '"0.5"').strip(), id="score-string"),
+        ],
     )
     def test_bad_inner_line_names_path_and_line(self, tmp_path, bad):
         path = tmp_path / "cache.jsonl"
