@@ -11,7 +11,8 @@ A scorer implements ``score``. Ranking scores one mention's premise
 against every label's hypothesis through ``score_candidates``, which by
 default builds the pairs and calls ``score_batch``; a scorer that can reuse
 the shared premise and template frame across labels overrides it, as
-:class:`OverlapScorer` does. :class:`CachedScorer` keys a mention's labels
+:class:`OverlapScorer` does and :class:`ExternalScorer` does with one
+request line per mention. :class:`CachedScorer` keys a mention's labels
 from the shared frame too and passes only its misses on to the wrapped
 scorer's ``score_candidates``.
 """
@@ -311,9 +312,11 @@ class TrainableTableScorer(TableScorer, TrainableScorer):
 class ExternalEndpoint:
     """A scorer process spoken to over stdin/stdout in UTF-8 JSONL.
 
-    Score requests are {id, premise, hypothesis}; the endpoint answers one
-    {id, entailment} line per request, in order, preserving ids. Control
-    requests (training only) carry an "op" key instead of an id.
+    Score requests are {id, premise, hypothesis}, answered by {id,
+    entailment}, or per mention {id, premise, hypothesis, head, tail,
+    surfaces}, answered by {id, entailments}; the endpoint answers one line
+    per request, in order, preserving ids. Control requests (training only)
+    carry an "op" key instead of an id.
     """
 
     # Seconds a closing endpoint gets to exit on its own before it is killed.
@@ -417,14 +420,31 @@ def _reply_number(value, what: str) -> float:
     return number
 
 
+def _reply_to(request_id: str, response) -> dict:
+    """An endpoint's reply to ``request_id``: a JSON object echoing that id, else raises."""
+    if not isinstance(response, dict):
+        raise ProtocolError(f"reply to {request_id!r} is not a JSON object: {response!r}")
+    if response.get("id") != request_id:
+        raise ProtocolError(f"id mismatch: sent {request_id!r}, got {response.get('id')!r}")
+    return response
+
+
+def _reply_score(value) -> float:
+    """An endpoint's entailment score as a float in [0, 1]; anything else raises."""
+    score = _reply_number(value, "entailment score")
+    if not 0.0 <= score <= 1.0:
+        raise ProtocolError(f"entailment score {score} outside [0, 1]")
+    return score
+
+
 def external_score_batch(
     pairs: Sequence[PremiseHypothesisPair], endpoint: ExternalEndpoint
 ) -> list[float]:
     """Score pairs through an endpoint, enforcing the wire contract.
 
     Violations surface as errors rather than bad numbers: a dropped or
-    extra response line, a shuffled id, or a score outside [0, 1] each
-    raise.
+    extra response line, a reply that is not a JSON object, a shuffled id,
+    or a score outside [0, 1] each raise.
     """
     if not pairs:
         return []
@@ -435,25 +455,29 @@ def external_score_batch(
     responses = endpoint.round_trip(requests)
     scores = []
     for request, response in zip(requests, responses):
-        if response.get("id") != request["id"]:
-            raise ProtocolError(
-                f"id mismatch: sent {request['id']!r}, got {response.get('id')!r}"
-            )
+        response = _reply_to(request["id"], response)
         if "entailment" not in response:
             raise ProtocolError(f"response for {request['id']!r} lacks an entailment score")
-        value = _reply_number(response["entailment"], "entailment score")
-        if not 0.0 <= value <= 1.0:
-            raise ProtocolError(f"entailment score {value} outside [0, 1]")
-        scores.append(value)
+        scores.append(_reply_score(response["entailment"]))
     return scores
 
 
 class ExternalScorer(EntailmentScorer):
-    """EntailmentScorer backed by an external process endpoint."""
+    """EntailmentScorer backed by an external process endpoint.
+
+    ``score_candidates`` sends one request per mention, carrying the
+    premise, the frame and every surface, and reads back one score per
+    surface. The request is also a pair request for its first label, so an
+    endpoint that answers it with a single ``entailment`` speaks pairs
+    only: that reply is dropped, and from then on this scorer ranks through
+    ``score_batch`` of the candidate pairs.
+    """
 
     def __init__(self, command: Sequence[str]):
         self.endpoint = ExternalEndpoint(command)
         self._version = 0
+        self._mentions_sent = 0
+        self._pairs_only = False
 
     @property
     def version_tag(self) -> str:
@@ -464,6 +488,33 @@ class ExternalScorer(EntailmentScorer):
 
     def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> list[float]:
         return external_score_batch(pairs, self.endpoint)
+
+    def score_candidates(self, candidates: TypeCandidates) -> list[float]:
+        surfaces = list(candidates.surfaces)
+        if not surfaces or self._pairs_only:
+            return self.score_batch(candidates.pairs())
+        # ids never repeat within a scorer, so a stale reply cannot pass
+        request_id = f"m{self._mentions_sent:06d}"
+        self._mentions_sent += 1
+        head, tail = candidates.head, candidates.tail
+        request = {"id": request_id, "premise": candidates.premise,
+                   "hypothesis": head + surfaces[0] + tail,
+                   "head": head, "tail": tail, "surfaces": surfaces}
+        response = _reply_to(request_id, self.endpoint.round_trip([request])[0])
+        if "entailments" not in response:
+            if "entailment" not in response:
+                raise ProtocolError(f"response for {request_id!r} lacks entailment scores")
+            self._pairs_only = True
+            return self.score_batch(candidates.pairs())
+        entailments = response["entailments"]
+        if not isinstance(entailments, list):
+            raise ProtocolError(f"entailments for {request_id!r} are not a list: {entailments!r}")
+        if len(entailments) != len(surfaces):
+            raise ProtocolError(
+                f"response length mismatch: {len(entailments)} entailment scores "
+                f"for {len(surfaces)} surfaces in {request_id!r}"
+            )
+        return [_reply_score(value) for value in entailments]
 
     def close(self) -> None:
         self.endpoint.close()
@@ -518,6 +569,11 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
 CacheKey = tuple[str, int, int]
 
 
+def _is_h64(value) -> bool:
+    """Whether a parsed JSON value is a 64-bit hash: an int (not a bool) in [0, 2**64)."""
+    return type(value) is int and 0 <= value < 1 << 64
+
+
 class ScoreCache:
     """Append-only persistent cache of pair scores, keyed by scorer version.
 
@@ -561,12 +617,18 @@ class ScoreCache:
                             break
                         raise CacheError(f"{self.path}:{lineno}: invalid JSON: {exc}") from None
                     try:
-                        key = (str(record["v"]), int(record["p"]), int(record["h"]))
-                        self._entries[key] = json_number(record["s"])
+                        key = (record["v"], record["p"], record["h"])
+                        score = json_number(record["s"])
                     except (KeyError, TypeError, ValueError) as exc:
                         raise CacheError(
                             f"{self.path}:{lineno}: bad cache record: {exc!r}"
                         ) from None
+                    if not (isinstance(key[0], str) and _is_h64(key[1]) and _is_h64(key[2])):
+                        raise CacheError(
+                            f"{self.path}:{lineno}: bad cache record: \"v\" must be a string "
+                            f"and \"p\", \"h\" integers in [0, 2**64), got {key!r}"
+                        )
+                    self._entries[key] = score
                 offset += len(raw)
                 last_line = raw
         if torn:

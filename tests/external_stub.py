@@ -3,9 +3,15 @@
 Started as a subprocess by the scoring tests. Reads one JSON request per
 stdin line and answers one JSON response per stdout line. Scores are a
 deterministic hash of the pair text, so runs are reproducible without any
-model. The first argv selects a behavior:
+model. Both score request kinds are answered: a pair request
+{id, premise, hypothesis} with {id, entailment}, and a per-mention request
+that adds {head, tail, surfaces} with {id, entailments}, one score per
+surface, each exactly the pair score of ``head + surface + tail``. The
+first argv selects a behavior:
 
   ok          honest endpoint (default)
+  pairs-only  honest, but speaks pairs only: a per-mention request is
+              answered as the pair request for its first surface
   short       answers the first request, then exits
   bad-id      answers with a wrong id
   range       returns an entailment score above 1
@@ -14,6 +20,9 @@ model. The first argv selects a behavior:
   bad-update  trainable, but every update is answered with an error
   bad-loss    trainable, but accumulate answers with a loss that is not a
               finite number, cycling through BAD_LOSSES
+
+bad-id, range and non-numeric spoil per-mention replies too: a wrong id,
+or the bad value as the first score.
 """
 
 import hashlib
@@ -95,15 +104,22 @@ def handle_control(request):
 
 def handle_score(request):
     global answered
-    value = score(request["premise"], request["hypothesis"])
+    premise = request["premise"]
+    if "surfaces" in request and MODE != "pairs-only":
+        head, tail = request["head"], request["tail"]
+        key = "entailments"
+        values = [score(premise, head + s + tail) for s in request["surfaces"]]
+    else:
+        key = "entailment"
+        values = [score(premise, request["hypothesis"])]
     response_id = request["id"]
     if MODE == "bad-id":
         response_id = "bogus"
     if MODE == "range":
-        value = 1.2
+        values[0] = 1.2
     if MODE == "non-numeric":
-        value = "high"
-    respond({"id": response_id, "entailment": value})
+        values[0] = "high"
+    respond({"id": response_id, key: values if key == "entailments" else values[0]})
     answered += 1
     if MODE == "short" and answered >= 1:
         sys.exit(0)

@@ -520,16 +520,29 @@ class TestCache:
 STUB = Path(__file__).parent / "external_stub.py"
 
 
+def stub_spec(kind, mode):
+    return f"{kind}:{shlex.quote(sys.executable)} {shlex.quote(str(STUB))} {mode}"
+
+
 class TestClosesScorers:
     @pytest.mark.parametrize(
-        "command, kind, extra",
+        "command, kind, mode, extra",
         [
-            ("predict", "external", ['cache_path="scores.jsonl"']),
-            ("tune", "external", ['cache_path="scores.jsonl"']),
-            ("train", "external-trainable", ["max_epochs=2", "eval_every=1"]),
+            pytest.param("predict", "external", "ok", ['cache_path="scores.jsonl"'],
+                         id="predict-external-extra0"),
+            pytest.param("tune", "external", "ok", ['cache_path="scores.jsonl"'],
+                         id="tune-external-extra1"),
+            pytest.param("train", "external-trainable", "trainable",
+                         ["max_epochs=2", "eval_every=1"], id="train-external-trainable-extra2"),
+            pytest.param("predict", "external", "pairs-only", ['cache_path="scores.jsonl"'],
+                         id="predict-external-pairs-only"),
+            pytest.param("tune", "external", "pairs-only", ['cache_path="scores.jsonl"'],
+                         id="tune-external-pairs-only"),
         ],
     )
-    def test_no_endpoint_process_left_behind(self, workdir, monkeypatch, command, kind, extra):
+    def test_no_endpoint_process_left_behind(
+        self, workdir, monkeypatch, command, kind, mode, extra
+    ):
         started = []
         real_popen = subprocess.Popen
 
@@ -539,10 +552,8 @@ class TestClosesScorers:
             return proc
 
         monkeypatch.setattr(subprocess, "Popen", recording_popen)
-        mode = "trainable" if kind == "external-trainable" else "ok"
-        spec = f"{kind}:{shlex.quote(sys.executable)} {shlex.quote(str(STUB))} {mode}"
         try:
-            assert run(workdir, command, "scorer=" + json.dumps(spec), *extra) == 0
+            assert run(workdir, command, "scorer=" + json.dumps(stub_spec(kind, mode)), *extra) == 0
             assert started
             assert all(p.poll() is not None for p in started)
         finally:
@@ -550,6 +561,16 @@ class TestClosesScorers:
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait()
+
+
+    def test_pairs_only_endpoint_predicts_the_same_bytes(self, workdir):
+        written = []
+        for mode in ("ok", "pairs-only"):
+            spec = "scorer=" + json.dumps(stub_spec("external", mode))
+            assert run(workdir, "predict", spec, 'threshold=0.3', out=f"out-{mode}") == 0
+            written.append((workdir / f"out-{mode}" / "predictions.jsonl").read_bytes())
+        assert written[0] == written[1]
+        assert written[0].count(b"\n") == len(TEST_ROWS)
 
 
 class TestProcessEntry:

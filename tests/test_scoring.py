@@ -47,6 +47,34 @@ def stub_command(mode="ok"):
     return [sys.executable, STUB, mode]
 
 
+def reply_command(reply, copies=1):
+    """An endpoint answering each request ``r`` with ``copies`` lines of JSON ``reply``.
+
+    ``reply`` is a Python expression over the parsed request ``r``.
+    """
+    code = (
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    r = json.loads(line)\n"
+        f"    for _ in range({copies}):\n"
+        f"        print(json.dumps({reply}), flush=True)\n"
+    )
+    return [sys.executable, "-c", code]
+
+
+def recorded_requests(endpoint):
+    """Record the request list of every ``round_trip`` call on ``endpoint``."""
+    sent = []
+    real = endpoint.round_trip
+
+    def recording(requests):
+        sent.append(requests)
+        return real(requests)
+
+    endpoint.round_trip = recording
+    return sent
+
+
 class TestOverlap:
     def test_full_containment(self):
         pair = mk_pair("Jay is a famous producer", "Jay is a producer.")
@@ -477,6 +505,14 @@ class TestExternalProtocol:
         finally:
             scorer.close()
 
+    def test_non_object_reply_raises_protocol_error(self):
+        scorer = ExternalScorer(reply_command("[1, 2]"))
+        try:
+            with pytest.raises(ProtocolError, match="reply to 'q000000' is not a JSON object"):
+                scorer.score_batch([mk_pair("p", "h")])
+        finally:
+            scorer.close()
+
     def test_rejected_update_raises(self):
         scorer = ExternalTrainableScorer(stub_command("bad-update"))
         try:
@@ -487,6 +523,164 @@ class TestExternalProtocol:
             assert scorer.version_tag == "v0"
         finally:
             scorer.close()
+
+    # ``score_candidates``: one request line per mention
+    SURFACES = ["ßoxer", "İstanbul", "ΑΣ σ", "head of state", "€ 😀", "jay", "..."]
+
+    def _batch(self):
+        labels = [_label(f"l{i}", s) for i, s in enumerate(self.SURFACES)]
+        instances = [
+            mk_instance(left=("İn", "ß"), mention="Jay", right=("the", "ΑΣ", "😀", ".")),
+            mk_instance(mention="ßoxer", right=("is", "a", "head", "of", "state")),
+        ]
+        return [type_candidates(i, labels, t) for i in instances for t in TemplateKind]
+
+    def test_candidates_equal_pair_scores_bit_for_bit(self):
+        rng = random.Random(81)
+        batch = self._batch() + [
+            type_candidates(_fuzz_instance(rng), _fuzz_labels(rng, rng.randint(1, 12)), template)
+            for template in TemplateKind for _ in range(20)
+        ]
+        scorer = ExternalScorer(stub_command("ok"))
+        try:
+            sent = recorded_requests(scorer.endpoint)
+            for candidates in batch:
+                got = scorer.score_candidates(candidates)
+                assert _hex(got) == _hex(scorer.score_batch(candidates.pairs()))
+        finally:
+            scorer.close()
+        per_mention = [trip for trip in sent if "surfaces" in trip[0]]
+        assert [len(trip) for trip in per_mention] == [1] * len(batch)
+        assert [trip[0]["id"] for trip in per_mention[:3]] == ["m000000", "m000001", "m000002"]
+
+    def test_candidates_on_trainable_endpoint_after_an_update(self):
+        candidates = self._batch()[0]
+        pairs = candidates.pairs()
+        scorer = ExternalTrainableScorer(stub_command("trainable"))
+        try:
+            before = scorer.score_candidates(candidates)
+            scorer.accumulate_ranking_loss(pairs[0], pairs[1:], margin=1.0)
+            scorer.apply_update()
+            after = scorer.score_candidates(candidates)
+            assert after != before
+            assert _hex(after) == _hex(scorer.score_batch(pairs))
+        finally:
+            scorer.close()
+
+    def test_all_failed_candidates_start_no_process(self):
+        labels = [_label("a", ""), _label("b", "")]
+        candidates = type_candidates(mk_instance(), labels, TemplateKind.CONTEXTUAL)
+        assert candidates.failed == (0, 1)
+        scorer = ExternalScorer(stub_command("ok"))
+        assert scorer.score_candidates(candidates) == []
+        assert scorer.endpoint._proc is None
+
+    def test_cached_scorer_sends_only_the_missed_surfaces(self, tmp_path):
+        candidates = self._batch()[0]
+        warm = dataclasses.replace(candidates, labels=candidates.labels[::2],
+                                   surfaces=candidates.surfaces[::2], failed=())
+        inner = ExternalScorer(stub_command("ok"))
+        scorer = CachedScorer(inner, ScoreCache(tmp_path / "cache.jsonl"))
+        try:
+            scorer.score_candidates(warm)
+            sent = recorded_requests(inner.endpoint)
+            scores = scorer.score_candidates(candidates)
+            assert [[r["surfaces"] for r in trip] for trip in sent] == [
+                [list(candidates.surfaces[1::2])]]
+            assert _hex(scores) == _hex(inner.score_batch(candidates.pairs()))
+        finally:
+            scorer.close()
+
+    def test_pairs_only_endpoint_is_asked_for_pairs_from_then_on(self):
+        batch = self._batch()
+        honest, pairs_only = ExternalScorer(stub_command("ok")), ExternalScorer(
+            stub_command("pairs-only"))
+        try:
+            sent = recorded_requests(pairs_only.endpoint)
+            for candidates in batch:
+                assert _hex(pairs_only.score_candidates(candidates)) == _hex(
+                    honest.score_candidates(candidates))
+        finally:
+            honest.close()
+            pairs_only.close()
+        sizes = [len(c.surfaces) for c in batch]
+        assert [len(trip) for trip in sent] == [1] + sizes
+        assert "surfaces" in sent[0][0]
+        assert not any("surfaces" in r for trip in sent[1:] for r in trip)
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (stub_command("bad-id"), "id mismatch"),
+            (stub_command("range"), "outside"),
+            (stub_command("non-numeric"), "non-numeric"),
+            (reply_command('{"id": r["id"], "entailments": [0.5] * (len(r["surfaces"]) - 1)}'),
+             "length mismatch"),
+            (reply_command('{"id": r["id"], "entailments": [0.5] * (len(r["surfaces"]) + 1)}'),
+             "length mismatch"),
+            (reply_command('{"id": r["id"], "entailments": 0.5}'), "not a list"),
+            (reply_command('{"id": r["id"]}'), "lacks entailment scores"),
+            (reply_command("[1, 2]"), "not a JSON object"),
+        ],
+        ids=["bad-id", "range", "non-numeric", "short-list", "long-list", "not-a-list",
+             "no-scores", "not-an-object"],
+    )
+    def test_bad_per_mention_reply_raises(self, command, message):
+        scorer = ExternalScorer(command)
+        try:
+            with pytest.raises(ProtocolError, match=message):
+                scorer.score_candidates(self._batch()[0])
+        finally:
+            scorer.close()
+
+    def test_a_stale_reply_cannot_pass(self):
+        # every request is answered twice, so the second mention reads the
+        # first mention's spare line
+        scorer = ExternalScorer(reply_command(
+            '{"id": r["id"], "entailments": [0.5] * len(r["surfaces"])}', copies=2))
+        try:
+            candidates = self._batch()[0]
+            assert scorer.score_candidates(candidates) == [0.5] * len(candidates.surfaces)
+            with pytest.raises(ProtocolError, match="sent 'm000001', got 'm000000'"):
+                scorer.score_candidates(candidates)
+        finally:
+            scorer.close()
+
+    def test_wire_bytes_are_pinned(self, tmp_path):
+        log = tmp_path / "requests.bin"
+        code = (
+            "import json, sys\n"
+            f"log = open({str(log)!r}, 'ab')\n"
+            "for line in sys.stdin.buffer:\n"
+            "    log.write(line)\n"
+            "    log.flush()\n"
+            "    r = json.loads(line)\n"
+            "    n = len(r.get('surfaces', ()))\n"
+            "    reply = {'id': r['id'], 'entailments': [0.5] * n} if n else "
+            "{'id': r['id'], 'entailment': 0.5}\n"
+            "    print(json.dumps(reply), flush=True)\n"
+        )
+        candidates = templates.TypeCandidates(
+            instance_id="i-0", template=TemplateKind.CONTEXTUAL, premise="ßoxer İn ΑΣ 😀.",
+            head="In this context, ßoxer is referring to ", tail=".",
+            labels=[_label("a", "ΑΣ"), _label("b", '"q" \\ €')], surfaces=["ΑΣ", '"q" \\ €'],
+            failed=())
+        scorer = ExternalScorer([sys.executable, "-c", code])
+        try:
+            pairs = [mk_pair('ßoxer İn ΑΣ "q" \\ €', "ßoxer is a 😀."), mk_pair("p\u2028\t", "h\n")]
+            assert scorer.score_batch(pairs) == [0.5, 0.5]
+            assert scorer.score_candidates(candidates) == [0.5, 0.5]
+        finally:
+            scorer.close()
+        assert log.read_bytes() == (
+            '{"id": "q000000", "premise": "ßoxer İn ΑΣ \\"q\\" \\\\ €", '
+            '"hypothesis": "ßoxer is a 😀."}\n'
+            '{"id": "q000001", "premise": "p\u2028\\t", "hypothesis": "h\\n"}\n'
+            '{"id": "m000000", "premise": "ßoxer İn ΑΣ 😀.", '
+            '"hypothesis": "In this context, ßoxer is referring to ΑΣ.", '
+            '"head": "In this context, ßoxer is referring to ", "tail": ".", '
+            '"surfaces": ["ΑΣ", "\\"q\\" \\\\ €"]}\n'
+        ).encode("utf-8")
 
 
 class TestScoreCache:
@@ -847,6 +1041,13 @@ class TestCacheCorruption:
             pytest.param(RECORD.replace("0.5", "9" * 401).strip(), id="score-overflowing-integer"),
             pytest.param(RECORD.replace("0.5", "true").strip(), id="score-bool"),
             pytest.param(RECORD.replace("0.5", '"0.5"').strip(), id="score-string"),
+            pytest.param('{"v": ["x"], "p": true, "h": 2.7, "s": 0.5}', id="key-all-wrong"),
+            pytest.param(RECORD.replace('"v0"', '["x"]').strip(), id="tag-list"),
+            pytest.param(RECORD.replace('"p": 1', '"p": true').strip(), id="hash-bool"),
+            pytest.param(RECORD.replace('"h": 2', '"h": 2.7').strip(), id="hash-float"),
+            pytest.param(RECORD.replace('"h": 2', '"h": 2.0').strip(), id="hash-integral-float"),
+            pytest.param(RECORD.replace('"p": 1', '"p": -1').strip(), id="hash-negative"),
+            pytest.param(RECORD.replace('"h": 2', f'"h": {2**64}').strip(), id="hash-2**64"),
         ],
     )
     def test_bad_inner_line_names_path_and_line(self, tmp_path, bad):
@@ -854,6 +1055,12 @@ class TestCacheCorruption:
         path.write_text(self.RECORD + bad + "\n" + self.RECORD, encoding="utf-8")
         with pytest.raises(CacheError, match=r"cache\.jsonl:2: "):
             ScoreCache(path)
+
+    def test_hash_bounds_load(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(f'{{"v": "", "p": 0, "h": {2**64 - 1}, "s": 1}}\n', encoding="utf-8")
+        with ScoreCache(path) as cache:
+            assert cache._entries == {("", 0, 2**64 - 1): 1.0}
 
     def test_parseable_final_record_with_missing_key_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
