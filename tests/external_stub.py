@@ -105,12 +105,11 @@ def handle_control(request):
 def handle_score(request):
     global answered
     premise = request["premise"]
-    if "surfaces" in request and MODE != "pairs-only":
+    per_mention = "surfaces" in request and MODE != "pairs-only"
+    if per_mention:
         head, tail = request["head"], request["tail"]
-        key = "entailments"
         values = [score(premise, head + s + tail) for s in request["surfaces"]]
     else:
-        key = "entailment"
         values = [score(premise, request["hypothesis"])]
     response_id = request["id"]
     if MODE == "bad-id":
@@ -119,7 +118,8 @@ def handle_score(request):
         values[0] = 1.2
     if MODE == "non-numeric":
         values[0] = "high"
-    respond({"id": response_id, key: values if key == "entailments" else values[0]})
+    reply = {"entailments": values} if per_mention else {"entailment": values[0]}
+    respond({"id": response_id, **reply})
     answered += 1
     if MODE == "short" and answered >= 1:
         sys.exit(0)

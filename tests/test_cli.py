@@ -562,7 +562,6 @@ class TestClosesScorers:
                     proc.kill()
                     proc.wait()
 
-
     def test_pairs_only_endpoint_predicts_the_same_bytes(self, workdir):
         written = []
         for mode in ("ok", "pairs-only"):
