@@ -72,7 +72,7 @@ def main():
 
     preds = predict_dataset(TEST, VOCAB, scorer, config)
     for pred in preds:
-        cleared = {s.label.raw for s in pred.ranking if s.score >= config.threshold}
+        cleared = pred.top[0].score >= config.threshold  # top holds the best entries
         note = "" if cleared else "   (nothing cleared, top1 fallback)"
         print(f"{pred.instance_id}: chosen {sorted(pred.chosen)}{note}")
     print()

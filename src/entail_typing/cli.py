@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,6 +31,8 @@ from .inference import (
     DEFAULT_GRID,
     FallbackPolicy,
     PredictionConfig,
+    PredictionSet,
+    Ranking,
     prediction_to_record,
     predict_dataset,
     tune_threshold,
@@ -69,14 +70,6 @@ _DEFAULTS = {
 }
 
 _DEFAULT_SPLITS = {"render": "train", "predict": "test", "eval": "test"}
-
-
-@dataclass(frozen=True)
-class LoadedPrediction:
-    """A prediction read back from a dump; enough for evaluation."""
-
-    instance_id: str
-    chosen: frozenset
 
 
 def _parse_set_value(text: str):
@@ -185,6 +178,7 @@ def _prediction_config(config: dict) -> PredictionConfig:
         threshold=_value(config, "threshold"),
         fallback=FallbackPolicy.parse(_value(config, "fallback", _text)),
         template=_template(config),
+        topk=_value(config, "topk", _whole),
     )
 
 
@@ -260,9 +254,7 @@ def cmd_train(config: dict, out_dir: Path) -> list[str]:
 
 def cmd_predict(config: dict, out_dir: Path) -> list[str]:
     """Rank and threshold a split; write the prediction dump."""
-    topk = _value(config, "topk", _whole)
-    if topk < 0:
-        raise ConfigError(f"topk must be nonnegative, got {topk}")
+    prediction_config = _prediction_config(config)
     split = _split_name(config, "predict")
     dataset = _load_split(config, split)
     vocab = _load_vocab(config)
@@ -274,12 +266,13 @@ def cmd_predict(config: dict, out_dir: Path) -> list[str]:
 
     try:
         preds = predict_dataset(
-            dataset, vocab, scorer, _prediction_config(config), on_render_error=collect
+            dataset, vocab, scorer, prediction_config, on_render_error=collect
         )
     finally:
         scorer.close()
     atomic_write_jsonl(
-        out_dir / "predictions.jsonl", [prediction_to_record(p, topk) for p in preds]
+        out_dir / "predictions.jsonl",
+        [prediction_to_record(p, prediction_config.topk) for p in preds],
     )
     artifacts = ["predictions.jsonl"]
     if render_errors:
@@ -311,7 +304,7 @@ def cmd_eval(config: dict, out_dir: Path) -> list[str]:
             raise SchemaError(f"{where}: instance_id must be a string")
         if not isinstance(chosen, list) or not all(isinstance(c, str) for c in chosen):
             raise SchemaError(f"{where}: chosen must be a list of strings")
-        preds.append(LoadedPrediction(instance_id=instance_id, chosen=frozenset(chosen)))
+        preds.append(PredictionSet(instance_id, frozenset(chosen), top=Ranking([], [])))
 
     buckets = None
     if config.get("bucket_edges"):

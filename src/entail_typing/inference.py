@@ -9,7 +9,9 @@ A ranking is a :class:`Ranking`: the labels in best-first order beside
 their scores, with :class:`ScoredLabel` entries built only when read.
 Since it is sorted, the labels clearing a threshold are a prefix of it,
 found by bisection, which is what makes re-thresholding during tuning
-cheap.
+cheap. A prediction keeps its chosen labels and the first ``topk``
+entries of its ranking, never the whole ranking, so what it retains does
+not grow with the vocabulary.
 """
 
 import math
@@ -75,20 +77,24 @@ class FallbackPolicy:
 
 @dataclass(frozen=True)
 class PredictionConfig:
-    """Threshold, fallback, and template for one prediction run.
+    """Threshold, fallback, template, and kept ranking depth for one prediction run.
 
     Thresholds outside [0, 1] are accepted and behave as the obvious
     extremes: at or below 0 everything is chosen, above 1 only the
     fallback fires. A NaN threshold, which no score clears, is rejected.
+    ``topk`` is how many leading ranking entries a prediction keeps.
     """
 
     threshold: float
     fallback: FallbackPolicy = field(default_factory=FallbackPolicy.top1)
     template: TemplateKind = TemplateKind.TAXONOMIC
+    topk: int = 10
 
     def __post_init__(self):
         if math.isnan(self.threshold):
             raise ConfigError(f"threshold must be a number, got {self.threshold}")
+        if self.topk < 0:
+            raise ConfigError(f"topk must be nonnegative, got {self.topk}")
 
 
 @dataclass(frozen=True)
@@ -117,17 +123,6 @@ class Ranking(Sequence[ScoredLabel]):
             raise ValidationError(f"{len(labels)} labels but {len(scores)} scores")
         self.labels = tuple(labels)
         self.scores = tuple(scores)
-
-    @classmethod
-    def best_first(cls, ranked: Sequence[ScoredLabel]) -> "Ranking":
-        """A Ranking as is; any other sequence sorted by descending score,
-        ties by ascending raw label, the order :func:`rank_all_candidates`
-        returns.
-        """
-        if isinstance(ranked, Ranking):
-            return ranked
-        ordered = sorted(ranked, key=lambda s: (-s.score, s.label.raw))
-        return cls([s.label for s in ordered], [s.score for s in ordered])
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -162,15 +157,15 @@ class Ranking(Sequence[ScoredLabel]):
 
 @dataclass(frozen=True)
 class PredictionSet:
-    """Chosen labels plus the ranking they were drawn from.
+    """Chosen labels plus the leading entries of the ranking they were drawn from.
 
-    ``ranking`` is the ranking ``predict`` was given (after coercion to a
-    :class:`Ranking`), shared, not copied.
+    ``top`` is the first ``topk`` entries of the ranking ``predict`` was
+    given; a prediction read back from a dump has an empty ``top``.
     """
 
     instance_id: str
     chosen: frozenset[str]
-    ranking: Ranking
+    top: Ranking
 
 
 def rank_all_candidates(
@@ -208,18 +203,16 @@ def rank_all_candidates(
 
 
 def predict(
-    ranking: Sequence[ScoredLabel],
+    ranking: Ranking,
     config: PredictionConfig,
     instance_id: str = "",
 ) -> PredictionSet:
     """Apply the threshold to a ranking, falling back when nothing clears it.
 
-    Expects best-first order, as :func:`rank_all_candidates` returns; any
-    other sequence of :class:`ScoredLabel` is first put into that order by
-    :meth:`Ranking.best_first`. The labels at or above the threshold are a
-    prefix of the ranking, found by bisection.
+    The labels at or above the threshold are a prefix of the best-first
+    ranking, found by bisection. The prediction keeps only the ranking's
+    first ``config.topk`` entries.
     """
-    ranking = Ranking.best_first(ranking)
     if not ranking:
         raise ValidationError("cannot predict from an empty ranking")
     cleared = ranking.count_at_least(config.threshold)
@@ -231,7 +224,7 @@ def predict(
         chosen = frozenset([config.fallback.label])
     else:
         chosen = frozenset()
-    return PredictionSet(instance_id=instance_id, chosen=chosen, ranking=ranking)
+    return PredictionSet(instance_id=instance_id, chosen=chosen, top=ranking[:config.topk])
 
 
 def predict_dataset(
@@ -287,11 +280,9 @@ def tune_threshold(
 
 
 def prediction_to_record(pred: PredictionSet, topk: int = 10) -> dict:
-    """Serialize a prediction for the JSONL dump; ranking truncated to topk."""
+    """Serialize a prediction for the JSONL dump; its kept entries truncated to topk."""
     return {
         "instance_id": pred.instance_id,
         "chosen": sorted(pred.chosen),
-        "topk": [
-            {"label": s.label.raw, "score": s.score} for s in pred.ranking[:topk]
-        ],
+        "topk": [{"label": s.label.raw, "score": s.score} for s in pred.top[:topk]],
     }

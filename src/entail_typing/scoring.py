@@ -437,31 +437,6 @@ def _reply_score(value) -> float:
     return score
 
 
-def external_score_batch(
-    pairs: Sequence[PremiseHypothesisPair], endpoint: ExternalEndpoint
-) -> list[float]:
-    """Score pairs through an endpoint, enforcing the wire contract.
-
-    Violations surface as errors rather than bad numbers: a dropped or
-    extra response line, a reply that is not a JSON object, a shuffled id,
-    or a score outside [0, 1] each raise.
-    """
-    if not pairs:
-        return []
-    requests = [
-        {"id": f"q{i:06d}", "premise": p.premise, "hypothesis": p.hypothesis}
-        for i, p in enumerate(pairs)
-    ]
-    responses = endpoint.round_trip(requests)
-    scores = []
-    for request, response in zip(requests, responses):
-        response = _reply_to(request["id"], response)
-        if "entailment" not in response:
-            raise ProtocolError(f"response for {request['id']!r} lacks an entailment score")
-        scores.append(_reply_score(response["entailment"]))
-    return scores
-
-
 class ExternalScorer(EntailmentScorer):
     """EntailmentScorer backed by an external process endpoint.
 
@@ -476,6 +451,7 @@ class ExternalScorer(EntailmentScorer):
     def __init__(self, command: Sequence[str]):
         self.endpoint = ExternalEndpoint(command)
         self._version = 0
+        self._pairs_sent = 0
         self._mentions_sent = 0
         self._pairs_only = False
 
@@ -487,7 +463,29 @@ class ExternalScorer(EntailmentScorer):
         return self.score_batch([pair])[0]
 
     def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> list[float]:
-        return external_score_batch(pairs, self.endpoint)
+        """Score pairs through the endpoint, enforcing the wire contract.
+
+        Violations surface as errors rather than bad numbers: a dropped or
+        extra response line, a reply that is not a JSON object, a shuffled
+        or stale id, or a score outside [0, 1] each raise. Pair ids never
+        repeat within a scorer, so a reply left over from an earlier batch
+        cannot pass.
+        """
+        if not pairs:
+            return []
+        first = self._pairs_sent
+        self._pairs_sent += len(pairs)
+        requests = [
+            {"id": f"q{first + i:06d}", "premise": p.premise, "hypothesis": p.hypothesis}
+            for i, p in enumerate(pairs)
+        ]
+        scores = []
+        for request, response in zip(requests, self.endpoint.round_trip(requests)):
+            response = _reply_to(request["id"], response)
+            if "entailment" not in response:
+                raise ProtocolError(f"response for {request['id']!r} lacks an entailment score")
+            scores.append(_reply_score(response["entailment"]))
+        return scores
 
     def score_candidates(self, candidates: TypeCandidates) -> list[float]:
         surfaces = list(candidates.surfaces)
@@ -527,8 +525,9 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
     {"op": "accumulate", margin, weight, positive, negatives} -> {"loss": x},
     {"op": "update"} -> {"ok": true}, {"op": "snapshot"} -> {"tag": t}, and
     {"op": "restore", "tag": t} -> {"ok": true}. Plain score requests are
-    unchanged. A reply without its key, with ``ok`` other than true, or
-    with a ``loss`` that is not a finite number raises ``ProtocolError``.
+    unchanged. A reply without its key, with ``ok`` other than true, with a
+    ``loss`` that is not a finite number, or with a ``tag`` that is not a
+    non-empty string raises ``ProtocolError``.
     """
 
     def _control(self, request: dict, key: str):
@@ -560,7 +559,10 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
         self._version += 1
 
     def snapshot(self) -> str:
-        return str(self._control({"op": "snapshot"}, "tag"))
+        tag = self._control({"op": "snapshot"}, "tag")
+        if not isinstance(tag, str) or not tag:
+            raise ProtocolError(f"snapshot reply has no valid 'tag': {tag!r}")
+        return tag
 
     def restore(self, tag: str) -> None:
         self._control({"op": "restore", "tag": tag}, "ok")

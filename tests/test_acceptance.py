@@ -266,13 +266,14 @@ class TestAcceptance:
                 scores = {
                     raw: rng.random() for raw in rng.sample(raws, rng.randint(3, 8))
                 }
-                ranking = sorted(
+                entries = sorted(
                     (
                         et.ScoredLabel(label=et.parse_label(raw), score=s)
                         for raw, s in scores.items()
                     ),
                     key=lambda s: (-s.score, s.label.raw),
                 )
+                ranking = et.Ranking([s.label for s in entries], [s.score for s in entries])
                 previous = None
                 for threshold in sorted(rng.random() for _ in range(6)):
                     config = et.PredictionConfig(

@@ -215,6 +215,24 @@ class TestPredictAndEval:
         # "Kim is a producer ." entails "Kim is a producer." word for word
         assert "producer" in records["test-000000"]["chosen"]
 
+    def test_render_errors_are_dumped_and_the_mention_falls_back(self, workdir):
+        rows = [_record(["then"], "", ["left", "."], ["person"]), TEST_ROWS[0]]
+        _write_jsonl(workdir / "test.jsonl", rows)
+        assert run(workdir, "predict") == 0
+        out = workdir / "out"
+        errors = read_jsonl(out / "render_errors.jsonl")
+        assert [e["label"] for e in errors] == VOCAB
+        for error in errors:
+            assert set(error) == {"label", "error"}
+            assert "'test-000000'" in error["error"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["predictions.jsonl", "render_errors.jsonl"]
+        # every label scores 0, so top1 takes the smallest raw label
+        first = read_jsonl(out / "predictions.jsonl")[0]
+        assert first["instance_id"] == "test-000000"
+        assert first["chosen"] == ["company"]
+        assert first["topk"] == [{"label": raw, "score": 0.0} for raw in VOCAB]
+
     def test_eval_reads_default_dump(self, workdir):
         assert run(workdir, "predict") == 0
         assert run(workdir, "eval") == 0

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -74,9 +75,9 @@ def _fallback(kind):
 
 
 def _ranking(scores):
-    return [
-        ScoredLabel(label=parse_label(raw), score=score) for raw, score in scores.items()
-    ]
+    """A Ranking of ``scores`` in oracle order: descending score, ties by raw label."""
+    order = oracle_rank(scores)
+    return Ranking([parse_label(raw) for raw in order], [scores[raw] for raw in order])
 
 
 class TestFallbackPolicy:
@@ -124,9 +125,7 @@ class TestPredict:
         assert pred.chosen == frozenset({"person"})
 
     def test_top1_fallback(self):
-        ranking = sorted(
-            _ranking({"person": 0.92, "athlete": 0.70}), key=lambda s: -s.score
-        )
+        ranking = _ranking({"person": 0.92, "athlete": 0.70})
         pred = predict(ranking, PredictionConfig(threshold=0.95))
         assert pred.chosen == frozenset({"person"})
 
@@ -146,64 +145,67 @@ class TestPredict:
         assert pred.chosen == frozenset({"person", "athlete", "event"})
 
     def test_above_one_threshold_means_fallback_only(self):
-        ranking = sorted(_ranking({"person": 1.0, "athlete": 0.9}), key=lambda s: -s.score)
+        ranking = _ranking({"person": 1.0, "athlete": 0.9})
         pred = predict(ranking, PredictionConfig(threshold=1.5))
         assert pred.chosen == frozenset({"person"})
 
     def test_empty_ranking_rejected(self):
         with pytest.raises(ValidationError):
-            predict([], PredictionConfig(threshold=0.5))
+            predict(Ranking([], []), PredictionConfig(threshold=0.5))
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(ConfigError, match="nan"):
             PredictionConfig(threshold=float("nan"))
 
-    def test_unordered_list_is_put_best_first(self):
-        rng = random.Random(17)
-        scores = {f"l{i}": rng.choice((0.1, 0.4, 0.4, 0.7, 0.9)) for i in range(12)}
-        entries = _ranking(scores)
-        rng.shuffle(entries)
-        for threshold in (0.0, 0.4, 0.7, 0.95):
-            config = PredictionConfig(threshold=threshold, fallback=FallbackPolicy.empty())
-            pred = predict(entries, config)
-            assert pred.chosen == frozenset(oracle_predict(scores, threshold, "empty"))
-            got = [s.score for s in pred.ranking]
-            assert got == sorted(got, reverse=True)
+    def test_negative_topk_rejected(self):
+        with pytest.raises(ConfigError, match="topk must be nonnegative, got -1"):
+            PredictionConfig(threshold=0.5, topk=-1)
 
-    def test_plain_list_ties_go_to_the_smaller_raw_label(self):
-        entries = [
-            ScoredLabel(label=parse_label("zeta"), score=0.3),
-            ScoredLabel(label=parse_label("alpha"), score=0.3),
-        ]
-        pred = predict(entries, PredictionConfig(threshold=0.9))
-        assert pred.chosen == frozenset({"alpha"})
-        assert [s.label.raw for s in pred.ranking] == ["alpha", "zeta"]
-
-    def test_shuffled_ties_match_oracle_sweep(self):
-        rng = random.Random(41)
-        raws = [f"l{i}" for i in range(10)]
-        for trial in range(300):
-            scores = {
-                raw: rng.choice((0.2, 0.3, 0.3))
-                for raw in rng.sample(raws, rng.randint(2, 8))
-            }
-            entries = _ranking(scores)
-            rng.shuffle(entries)
-            threshold = rng.choice((0.25, 0.3, 0.9))
-            for kind in ("top1", "empty", "other"):
-                config = PredictionConfig(threshold=threshold, fallback=_fallback(kind))
-                pred = predict(entries, config)
-                expected = oracle_predict(scores, threshold, kind, other_label="entity")
-                assert pred.chosen == frozenset(expected)
-                assert [s.label.raw for s in pred.ranking] == oracle_rank(scores)
-
-    def test_prediction_shares_the_ranking(self, flat_vocab):
+    def test_prediction_keeps_the_leading_topk_entries(self, flat_vocab):
         inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
         ranking = rank_all_candidates(
-            inst, flat_vocab, RawLabelScorer({"person": 0.8}), TemplateKind.TAXONOMIC
+            inst, flat_vocab, RawLabelScorer({"person": 0.8, "event": 0.3}),
+            TemplateKind.TAXONOMIC,
         )
-        assert isinstance(ranking, Ranking)
-        assert predict(ranking, PredictionConfig(threshold=0.5)).ranking is ranking
+        for topk in (0, 2, len(ranking), len(ranking) + 3):
+            pred = predict(ranking, PredictionConfig(threshold=0.5, topk=topk))
+            assert isinstance(pred.top, Ranking)
+            assert pred.top == ranking[:topk]
+            assert pred.chosen == frozenset({"person"})
+
+    def test_retained_memory_does_not_grow_with_the_vocabulary(self):
+        def retained_per_prediction(size):
+            vocab = LabelVocabulary.from_raws([f"l{i:05d}" for i in range(size)])
+            scorer = OverlapScorer()
+            instances = [
+                mk_instance(id=f"t-{i}", mention="Sam", right=("ran", ".")) for i in range(8)
+            ]
+            # each hypothesis shares only "Sam" of its two content words with
+            # the premise, so every label scores 0.5 and top1 is chosen
+            config = PredictionConfig(threshold=0.9)
+            rank_all_candidates(instances[0], vocab, scorer, config.template)  # warm memos
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                preds = [
+                    predict(
+                        rank_all_candidates(inst, vocab, scorer, config.template),
+                        config, instance_id=inst.id,
+                    )
+                    for inst in instances
+                ]
+                gc.collect()
+                after = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            del preds  # alive until the measurement
+            return (after - before) / len(instances)
+
+        # Free lists make the traced bytes drift by tens of bytes; a whole
+        # ranking of 10,000 labels would add about 160 KiB.
+        small, large = retained_per_prediction(100), retained_per_prediction(10_000)
+        assert abs(large - small) <= 256
 
     def test_matches_oracle_sweep(self):
         rng = random.Random(808)
@@ -216,9 +218,7 @@ class TestPredict:
                 FallbackPolicy.other("entity") if kind == "other"
                 else FallbackPolicy.parse(kind)
             )
-            ranking = sorted(
-                _ranking(scores), key=lambda s: (-s.score, s.label.raw)
-            )
+            ranking = _ranking(scores)
             pred = predict(ranking, PredictionConfig(threshold=threshold, fallback=fallback))
             expected = oracle_predict(scores, threshold, kind, other_label="entity")
             assert pred.chosen == frozenset(expected)
@@ -452,7 +452,7 @@ class TestMonotonicity:
         raws = [f"l{i}" for i in range(10)]
         for trial in range(500):
             scores = {raw: rng.random() for raw in rng.sample(raws, rng.randint(3, 8))}
-            ranking = sorted(_ranking(scores), key=lambda s: (-s.score, s.label.raw))
+            ranking = _ranking(scores)
             thresholds = sorted(rng.random() for _ in range(6))
             previous = None
             for threshold in thresholds:
@@ -594,7 +594,7 @@ class TestTuneThreshold:
 class TestSerialization:
     def test_record_shape_and_truncation(self):
         scores = {f"l{i:02d}": (19 - i) / 20 for i in range(12)}
-        ranking = sorted(_ranking(scores), key=lambda s: (-s.score, s.label.raw))
+        ranking = _ranking(scores)
         pred = predict(ranking, PredictionConfig(threshold=0.88), instance_id="test-000003")
         record = prediction_to_record(pred, topk=3)
         assert set(record) == {"instance_id", "chosen", "topk"}

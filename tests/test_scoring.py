@@ -513,6 +513,29 @@ class TestExternalProtocol:
         finally:
             scorer.close()
 
+    def test_a_stale_pair_reply_cannot_pass(self):
+        # every request is answered twice, so the second batch reads the
+        # first batch's spare line
+        scorer = ExternalScorer(reply_command('{"id": r["id"], "entailment": 0.5}', copies=2))
+        try:
+            assert scorer.score_batch([mk_pair("p", "h")]) == [0.5]
+            with pytest.raises(ProtocolError, match="sent 'q000001', got 'q000000'"):
+                scorer.score_batch([mk_pair("p", "h2")])
+        finally:
+            scorer.close()
+
+    @pytest.mark.parametrize(
+        "reply", ['{"tag": 5}', '{"tag": {}}', '{"tag": ""}', '{"tag": None}', "{}"],
+        ids=["number", "object", "empty", "null", "missing"],
+    )
+    def test_bad_snapshot_tag_raises(self, reply):
+        scorer = ExternalTrainableScorer(reply_command(reply))
+        try:
+            with pytest.raises(ProtocolError, match="snapshot reply has no valid 'tag'"):
+                scorer.snapshot()
+        finally:
+            scorer.close()
+
     def test_rejected_update_raises(self):
         scorer = ExternalTrainableScorer(stub_command("bad-update"))
         try:
