@@ -321,10 +321,10 @@ def cmd_tune(config: dict, out_dir: Path) -> list[str]:
     """Grid-search the prediction threshold on the dev split."""
     dev_set = _load_split(config, "dev")
     vocab = _load_vocab(config)
-    scorer = _maybe_cached(_scorer(config), config)
     template = _template(config)
     fallback = FallbackPolicy.parse(_value(config, "fallback", _text))
     grid = _value(config, "grid", lambda g: [json_number(v) for v in g])
+    scorer = _maybe_cached(_scorer(config), config)
     try:
         threshold = tune_threshold(dev_set, vocab, scorer, template, grid, fallback=fallback)
     finally:

@@ -74,6 +74,11 @@ def check_scores(scores: Sequence[float], expected: int, label_raw: Callable[[in
         raise ValidationError(f"score {scores[bad]} outside [0, 1] for label {label_raw(bad)!r}")
 
 
+def margin_ranking_loss(pos_score: float, neg_score: float, margin: float) -> float:
+    """Hinge penalty when the positive fails to beat the negative by the margin."""
+    return max(neg_score - pos_score + margin, 0.0)
+
+
 class TrainableScorer(EntailmentScorer):
     """A scorer whose parameters move under a margin ranking objective.
 
@@ -243,11 +248,11 @@ def _table_number(record: dict, key: str, where: str) -> float:
 class TrainableTableScorer(TableScorer, TrainableScorer):
     """Table scorer with additive margin updates; a deterministic trainer stub.
 
-    When a positive fails to beat a negative by the margin, the pending
-    step moves the positive's entry up and the negative's down by
-    ``lr * weight``. ``apply_update`` applies all pending steps, clips to
-    [0, 1], and bumps the version tag. Snapshots deep-copy the table so
-    ``restore`` is bit-stable.
+    When a positive fails to beat a negative by the margin (a positive
+    :func:`margin_ranking_loss`), the pending step moves the positive's
+    entry up and the negative's down by ``lr * weight``. ``apply_update``
+    applies all pending steps, clips to [0, 1], and bumps the version tag.
+    Snapshots deep-copy the table so ``restore`` is bit-stable.
     """
 
     def __init__(
@@ -279,7 +284,7 @@ class TrainableTableScorer(TableScorer, TrainableScorer):
         pos_score = self.score(pos_pair)
         total = 0.0
         for neg in neg_pairs:
-            violation = self.score(neg) - pos_score + margin
+            violation = margin_ranking_loss(pos_score, self.score(neg), margin)
             if violation > 0.0:
                 total += violation
                 step = self.lr * weight
@@ -331,8 +336,18 @@ class ExternalEndpoint:
         self._proc: subprocess.Popen | None = None
 
     def _ensure_started(self) -> subprocess.Popen:
+        """The running endpoint, started on first use or after :meth:`close`.
+
+        One that has exited is reaped, not replaced, since a fresh process
+        would lose trained parameters under the same version tag; every use
+        then raises ``TransportError`` until ``close``.
+        """
         if self._proc is not None and self._proc.poll() is not None:
-            self.close()
+            self._release(self._proc)
+            raise TransportError(
+                f"scorer endpoint {shlex.join(self.command)!r} exited with code "
+                f"{self._proc.returncode}"
+            )
         if self._proc is None:
             try:
                 self._proc = subprocess.Popen(
@@ -391,8 +406,11 @@ class ExternalEndpoint:
         ``CLOSE_WAIT_S`` is killed.
         """
         proc, self._proc = self._proc, None
-        if proc is None:
-            return
+        if proc is not None:
+            self._release(proc)
+
+    def _release(self, proc: subprocess.Popen) -> None:
+        """Close ``proc``'s pipes and reap it, killing it after ``CLOSE_WAIT_S``."""
         try:
             if proc.stdin is not None:
                 try:

@@ -58,15 +58,14 @@ class _Frame:
     The mention is checked, and for substitution the premise rendered and
     the mention located, once here. :meth:`surface` checks a label and
     returns the text that fills the frame; its errors, in order of
-    precedence, are an empty mention, an empty surface, and a mention that
-    cannot be located in the premise.
+    precedence, are an empty mention and an empty surface.
     """
 
-    __slots__ = ("premise", "head", "tail", "capitalize", "_empty_mention", "_unlocated")
+    __slots__ = ("premise", "head", "tail", "capitalize", "_empty_mention")
 
     def __init__(self, template: TemplateKind, instance: MentionInstance):
         self.premise = render_premise(instance)
-        self._empty_mention = self._unlocated = None
+        self._empty_mention = None
         self.capitalize = False
         if not instance.mention:
             self._empty_mention = (
@@ -78,18 +77,13 @@ class _Frame:
             self.head, self.tail = f"In this context, {instance.mention} is referring to ", "."
         else:
             start, end = mention_span_in_premise(instance)
-            if self.premise[start:end] != instance.mention:
-                self._unlocated = (
-                    f"mention {instance.mention!r} cannot be located in the premise of "
-                    f"instance {instance.id!r}"
-                )
             self.head, self.tail = self.premise[:start], self.premise[end:]
             self.capitalize = start == 0
 
     @property
     def plain(self) -> bool:
         """True when every label with a nonempty surface fills the frame as is."""
-        return not (self._empty_mention or self._unlocated or self.capitalize)
+        return not (self._empty_mention or self.capitalize)
 
     def surface(self, label: TypeLabel) -> str:
         if self._empty_mention:
@@ -97,8 +91,6 @@ class _Frame:
         surface = label.surface
         if not surface:
             raise RenderingError(f"label {label.raw!r} has an empty surface form")
-        if self._unlocated:
-            raise RenderingError(self._unlocated)
         if self.capitalize:
             surface = surface[0].upper() + surface[1:]
         return surface

@@ -28,12 +28,11 @@ from .labelspace import (
     sample_negative_ancestor,
     sample_negative_type,
 )
-from .scoring import EntailmentScorer, TrainableScorer
+from .scoring import EntailmentScorer, TrainableScorer, margin_ranking_loss
 from .templates import (
     PairKind,
     PremiseHypothesisPair,
     TemplateKind,
-    TypeCandidates,
     build_dependency_pair,
     build_type_pair,
 )
@@ -73,13 +72,17 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class RankedExample:
-    """One positive pair to be ranked above its sampled negative pairs."""
+    """One positive pair to be ranked above its sampled negative pairs, at least one."""
 
     positive: PremiseHypothesisPair
     negatives: tuple[PremiseHypothesisPair, ...]
     kind: PairKind
 
     def __post_init__(self):
+        if not self.negatives:
+            raise ValidationError(
+                f"ranked example for instance {self.positive.instance_id!r} has no negatives"
+            )
         if self.positive.kind is not self.kind:
             raise ValidationError(
                 f"positive pair kind {self.positive.kind.value} does not match "
@@ -102,11 +105,6 @@ class LossReport:
     joint: float
     n_type: int
     n_dependency: int
-
-
-def margin_ranking_loss(pos_score: float, neg_score: float, margin: float) -> float:
-    """Hinge penalty when the positive fails to beat the negative by the margin."""
-    return max(neg_score - pos_score + margin, 0.0)
 
 
 def instance_positives(
@@ -216,51 +214,6 @@ def instance_loss(
         n_type=counts[PairKind.TYPE],
         n_dependency=counts[PairKind.DEPENDENCY],
     )
-
-
-class FrozenScorerAdapter(TrainableScorer):
-    """Give a fixed scorer the trainable interface for dry-run training.
-
-    Losses are computed but produce no parameter movement; snapshot and
-    restore are trivial because there is only one state.
-    """
-
-    def __init__(self, inner: EntailmentScorer):
-        self.inner = inner
-
-    @property
-    def version_tag(self) -> str:
-        return self.inner.version_tag
-
-    def score(self, pair: PremiseHypothesisPair) -> float:
-        return self.inner.score(pair)
-
-    def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> list[float]:
-        return self.inner.score_batch(pairs)
-
-    def score_candidates(self, candidates: TypeCandidates) -> list[float]:
-        return self.inner.score_candidates(candidates)
-
-    def accumulate_ranking_loss(
-        self,
-        pos_pair: PremiseHypothesisPair,
-        neg_pairs: Sequence[PremiseHypothesisPair],
-        margin: float,
-        weight: float = 1.0,
-    ) -> float:
-        pos = self.score(pos_pair)
-        total = sum(margin_ranking_loss(pos, self.score(n), margin) for n in neg_pairs)
-        return total / len(neg_pairs) if neg_pairs else 0.0
-
-    def apply_update(self) -> None:
-        pass
-
-    def snapshot(self) -> str:
-        return "frozen"
-
-    def restore(self, tag: str) -> None:
-        if tag != "frozen":
-            raise ValidationError(f"unknown checkpoint tag {tag!r}")
 
 
 def train(

@@ -386,6 +386,29 @@ class TestConfigHandling:
         assert "test_path" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "config_text, settings, message",
+        [
+            ("missing", [], "config file not found: {workdir}/config.json"),
+            ("[1]", [], "config file {workdir}/config.json must hold a JSON object"),
+            ("kept", ["threshold"], "--set expects KEY=VALUE, got 'threshold'"),
+            ("kept", ['template="taxonomy"'], "unknown template 'taxonomy'"),
+            ("kept", ['split="validation"'], "invalid split 'validation'"),
+            ("kept", ['test_path="absent.jsonl"'],
+             "test_path does not exist: {workdir}/absent.jsonl"),
+        ],
+        ids=["file-not-found", "file-not-object", "set-without-equals", "unknown-template",
+             "invalid-split", "path-does-not-exist"],
+    )
+    def test_bad_config_is_one_error_line(self, workdir, capsys, config_text, settings, message):
+        config = workdir / "config.json"
+        if config_text == "missing":
+            config.unlink()
+        elif config_text != "kept":
+            config.write_text(config_text)
+        assert run(workdir, "predict", *settings) == 1
+        assert capsys.readouterr().err == f"error: {message.format(workdir=workdir)}\n"
+
+    @pytest.mark.parametrize(
         "command, settings",
         [
             ("predict", ["threshold=abc"]),
@@ -525,6 +548,15 @@ class TestManifest:
 
 
 class TestCache:
+    @pytest.mark.parametrize(
+        "bad", ['template="taxonomy"', "fallback=5", 'grid="x"'],
+        ids=["template", "fallback", "grid"],
+    )
+    def test_tune_config_error_opens_no_cache(self, workdir, capsys, bad):
+        assert run(workdir, "tune", 'cache_path="scores.jsonl"', bad) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (workdir / "scores.jsonl").exists()
+
     def test_predict_populates_and_reuses_cache(self, workdir):
         args = ("predict", 'cache_path="scores.jsonl"')
         assert run(workdir, *args, out=str(workdir / "a")) == 0

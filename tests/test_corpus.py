@@ -87,11 +87,13 @@ class TestLoader:
 
     def test_wrong_type_rejected(self, tmp_path):
         path = tmp_path / "train.jsonl"
-        record = ufet_record([], "m", [], ["t"])
-        record["mention_span"] = 7
-        write_jsonl(path, [record])
-        with pytest.raises(SchemaError):
-            load_ufet_jsonl(path, "train")
+        bad = [("mention_span", 7), ("left_context_token", "a b"), ("left_context_token", ["a", 1])]
+        for key, value in bad:
+            record = ufet_record([], "m", [], ["t"])
+            record[key] = value
+            write_jsonl(path, [record])
+            with pytest.raises(SchemaError, match=key):
+                load_ufet_jsonl(path, "train")
 
     def test_newline_in_mention_rejected(self, tmp_path):
         path = tmp_path / "train.jsonl"

@@ -266,10 +266,11 @@ class TestTableScorer:
              "premise and hypothesis must be strings"),
             (b'{"premise": "\xff", "hypothesis": "h", "score": 1}', DatasetLoadError,
              "not UTF-8"),
+            (b'{"premise": "p", "score": 0.5}', ValidationError, "missing key 'hypothesis'"),
         ],
         ids=["number-line", "score-word", "score-null", "score-bool", "score-string",
              "score-out-of-range", "default-string", "default-bool", "default-nan",
-             "premise-list", "not-utf8"],
+             "premise-list", "not-utf8", "no-hypothesis"],
     )
     def test_jsonl_bad_line_names_line(self, tmp_path, bad, error, message):
         path = tmp_path / "table.jsonl"
@@ -310,6 +311,13 @@ class TestTrainableTableScorer:
         before = scorer.score(mk_pair("p", "pos"))
         scorer.apply_update()
         assert scorer.score(mk_pair("p", "pos")) == before
+        # a hinge of exactly zero, or no negatives at all, records no step either
+        pos, neg = mk_pair("p", "pos"), mk_pair("p", "neg")
+        tie = TrainableTableScorer({("p", "pos"): 0.5, ("p", "neg"): 0.5}, lr=0.1)
+        assert tie.accumulate_ranking_loss(pos, [neg], 0.0) == 0.0
+        assert tie.accumulate_ranking_loss(pos, [], 0.1) == 0.0
+        tie.apply_update()
+        assert (tie.score(pos), tie.score(neg)) == (0.5, 0.5)
 
     def test_scores_clamped_to_unit_interval(self):
         scorer = TrainableTableScorer({("p", "pos"): 0.95, ("p", "neg"): 0.99}, lr=0.5)
@@ -408,9 +416,33 @@ class TestExternalProtocol:
                 scorer.score_batch([mk_pair("p", f"h{i}") for i in range(3)])
             first = scorer.endpoint._proc
             first.wait(timeout=10)
+            for _ in range(2):
+                with pytest.raises(TransportError, match="exited with code 0"):
+                    scorer.score_batch([mk_pair("p", "h")])
+            assert first.stdin.closed and first.stdout.closed
+        finally:
+            scorer.close()
+        # after an explicit close the endpoint starts afresh
+        try:
             assert len(scorer.score_batch([mk_pair("p", "h")])) == 1
             assert scorer.endpoint._proc is not first
-            assert first.stdin.closed and first.stdout.closed
+        finally:
+            scorer.close()
+
+    def test_killed_trainable_endpoint_is_not_replaced(self):
+        scorer = ExternalTrainableScorer(stub_command("trainable"))
+        try:
+            pos, neg = mk_pair("p", "pos"), mk_pair("p", "neg")
+            for _ in range(5):
+                scorer.accumulate_ranking_loss(pos, [neg], margin=1.0)
+                scorer.apply_update()
+            proc = scorer.endpoint._proc
+            proc.kill()
+            proc.wait(timeout=10)
+            # a fresh process would answer untrained scores under the same tag
+            with pytest.raises(TransportError, match=f"exited with code {proc.returncode}"):
+                scorer.score_batch([pos, neg])
+            assert scorer.version_tag == "v5"
         finally:
             scorer.close()
 
@@ -644,9 +676,12 @@ class TestExternalProtocol:
             (reply_command('{"id": r["id"], "entailments": 0.5}'), "not a list"),
             (reply_command('{"id": r["id"]}'), "lacks entailment scores"),
             (reply_command("[1, 2]"), "not a JSON object"),
+            # answers the mention as pairs only, then the pair requests without a score
+            (reply_command('{"id": r["id"], **({"entailment": 0.5} if "head" in r else {})}'),
+             "lacks an entailment score"),
         ],
         ids=["bad-id", "range", "non-numeric", "short-list", "long-list", "not-a-list",
-             "no-scores", "not-an-object"],
+             "no-scores", "not-an-object", "no-pair-score"],
     )
     def test_bad_per_mention_reply_raises(self, command, message):
         scorer = ExternalScorer(command)
@@ -838,16 +873,18 @@ def _label(raw, surface):
 class TestCachedCandidates:
     """``CachedScorer.score_candidates`` against ``score_batch`` of the same pairs."""
 
-    def _fuzz_round(self, rng, template):
+    def _fuzz_round(self, rng, template, empty_mention=False):
         instance = _fuzz_instance(rng)
         if rng.random() < 0.3:  # mention at position 0: capitalized substitution
             instance = mk_instance(mention=instance.mention, right=instance.right_tokens)
+        if empty_mention:
+            instance = dataclasses.replace(instance, mention="")
         labels = _fuzz_labels(rng, rng.randint(1, 12))
         labels = [_label(label.raw, "" if rng.random() < 0.1 else label.surface)
                   for label in labels]
         return type_candidates(instance, labels, template)
 
-    def test_fuzz_equals_pair_path_bit_for_bit(self, tmp_path, monkeypatch):
+    def test_fuzz_equals_pair_path_bit_for_bit(self, tmp_path):
         rng = random.Random(71)
         paths = tmp_path / "candidates.jsonl", tmp_path / "pairs.jsonl"
         with ScoreCache(paths[0]) as by_candidates, ScoreCache(paths[1]) as by_pairs:
@@ -855,11 +892,8 @@ class TestCachedCandidates:
             slow = CachedScorer(OverlapScorer(), by_pairs)
             for round_ in range(600):
                 template = list(TemplateKind)[round_ % 3]
-                if round_ % 50 == 49:  # the mention cannot be located: every label fails
-                    monkeypatch.setattr(templates, "mention_span_in_premise",
-                                        lambda inst: (1, 1 + len(inst.mention)))
-                candidates = self._fuzz_round(rng, template)
-                monkeypatch.undo()
+                # every 50th mention is empty, so every label fails
+                candidates = self._fuzz_round(rng, template, empty_mention=round_ % 50 == 49)
                 # warm a random subset first, so later calls mix hits and misses
                 part = sorted(rng.sample(range(len(candidates.labels)),
                                          rng.randint(0, len(candidates.labels))))
@@ -1126,6 +1160,9 @@ class TestScorerSpec:
         assert isinstance(scorer, ExternalScorer)
         trainable = scorer_from_spec("external-trainable:cat -")
         assert isinstance(trainable, ExternalTrainableScorer)
+        for spec in ("external:", "external-trainable: "):
+            with pytest.raises(ConfigError, match="command is empty"):
+                scorer_from_spec(spec)
 
     def test_relative_path_resolution(self, tmp_path):
         (tmp_path / "t.jsonl").write_text('{"premise": "p", "hypothesis": "h", "score": 0.5}\n')

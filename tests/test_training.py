@@ -11,12 +11,9 @@ from entail_typing import (
     Dataset,
     ExternalTrainableScorer,
     FallbackPolicy,
-    FrozenScorerAdapter,
     LabelVocabulary,
-    OverlapScorer,
     PairKind,
     PredictionConfig,
-    PremiseHypothesisPair,
     RankedExample,
     TableScorer,
     TemplateKind,
@@ -27,7 +24,6 @@ from entail_typing import (
     build_examples_for_instance,
     instance_loss,
     margin_ranking_loss,
-    rank_all_candidates,
     render_description,
     train,
 )
@@ -149,6 +145,10 @@ class TestBuildExamples:
         examples = build_examples_for_instance(inst, tier_vocab, config, random.Random(0))
         assert all(e.kind is PairKind.TYPE for e in examples)
         assert len(examples) == 3
+
+    def test_example_without_negatives_rejected(self):
+        with pytest.raises(ValidationError, match="has no negatives"):
+            RankedExample(positive=mk_pair("p", "pos"), negatives=(), kind=PairKind.TYPE)
 
     def test_empty_gold_rejected(self, tier_vocab):
         inst = mk_instance(id="t-0", gold=())
@@ -336,28 +336,13 @@ def _predict_config():
 class TestTrainLoop:
     def test_frozen_dry_run_keeps_initial_snapshot(self):
         vocab, train_set, dev_set = _toy_world()
-        scorer = FrozenScorerAdapter(TableScorer({}, default=0.5))
+        scorer = TrainableTableScorer(default=0.5, lr=0.0)
         config = TrainingConfig(max_epochs=4, eval_every=2, seed=1)
         best_tag, log = train(train_set, dev_set, vocab, scorer, config, _predict_config())
-        assert best_tag == "frozen"
+        assert best_tag == "ckpt-0001"
         assert [r["epoch"] for r in log] == [2, 4]
-        # a frozen scorer cannot improve after the first eval snapshots it
+        # a scorer that never moves cannot improve after the first eval snapshots it
         assert "checkpoint" in log[0] and "checkpoint" not in log[1]
-
-    def test_frozen_adapter_ranks_like_its_inner_scorer(self, flat_vocab, monkeypatch):
-        built = []
-        monkeypatch.setattr(
-            PremiseHypothesisPair, "__post_init__", lambda pair: built.append(pair)
-        )
-        inner = OverlapScorer()
-        adapter = FrozenScorerAdapter(inner)
-        inst = mk_instance(mention="Sam", right=("the", "athlete", "at", "the", "event"))
-        for template in TemplateKind:
-            assert rank_all_candidates(inst, flat_vocab, adapter, template) == (
-                rank_all_candidates(inst, flat_vocab, inner, template)
-            )
-        # the adapter forwards the per-mention call, so no pair is built
-        assert built == []
 
     def test_training_improves_toy_dev_f1(self):
         vocab, train_set, dev_set = _toy_world()
