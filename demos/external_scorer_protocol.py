@@ -18,6 +18,7 @@ from entail_typing import (
     PairKind,
     PremiseHypothesisPair,
     ScoreCache,
+    TemplateKind,
 )
 
 # scores by counting shared words, the whole model in a dozen lines
@@ -40,7 +41,7 @@ def pair(premise, hypothesis):
         kind=PairKind.TYPE,
         instance_id="demo-000000",
         label_raw="demo",
-        template="taxonomic",
+        template=TemplateKind.TAXONOMIC,
     )
 
 

@@ -410,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
             "artifacts": artifacts,
         }
         atomic_write_json(out_dir / "manifest.json", manifest)
-    except EntailTypingError as exc:
+    except (EntailTypingError, OSError) as exc:  # an OSError names the path it failed on
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for name in artifacts:

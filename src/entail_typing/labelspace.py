@@ -155,27 +155,61 @@ class LabelVocabulary:
         return self._sorted_by_tier.get(tier, ())
 
 
+# A tier file's tier names, lowercased with "-" and "_" dropped; a dict lookup
+# costs about half as much per line as calling ``Tier``.
+_TIER_NAMES = {t.value: t for t in (Tier.GENERAL, Tier.FINE, Tier.ULTRAFINE)}
+
+
 def load_vocabulary(path: str | Path, tier_path: str | Path | None = None) -> LabelVocabulary:
     """Read a vocabulary file (one raw label per line, UTF-8).
 
     The optional tier file maps ``label<TAB>tier`` with tier one of
     general / fine / ultrafine (``ultra-fine`` and ``ultra_fine`` are
-    accepted spellings).
+    accepted spellings); a label may repeat only with the same tier. A bad
+    line in either file raises naming ``path:line``.
     """
     raws = [line for _, line in numbered_lines(path)]
     tier_partition = None
     if tier_path is not None:
-        by_tier: dict[Tier, set[str]] = {}
+        tier_of: dict[str, Tier] = {}
         for lineno, line in numbered_lines(tier_path):
             if "\t" not in line:
                 raise ValidationError(f"{tier_path}:{lineno}: expected label<TAB>tier")
             raw, tier_name = line.split("\t", 1)
             tier_name = tier_name.strip().lower().replace("-", "").replace("_", "")
-            if tier_name not in ("general", "fine", "ultrafine"):
+            tier = _TIER_NAMES.get(tier_name)
+            if tier is None:
                 raise ValidationError(f"{tier_path}:{lineno}: unknown tier {tier_name!r}")
-            by_tier.setdefault(Tier(tier_name), set()).add(raw)
+            if tier_of.setdefault(raw, tier) is not tier:
+                raise ValidationError(
+                    f"{tier_path}:{lineno}: label {raw!r} is {tier_of[raw].value} "
+                    f"on an earlier line, not {tier.value}"
+                )
+        by_tier: dict[Tier, set[str]] = {}
+        for raw, tier in tier_of.items():
+            by_tier.setdefault(tier, set()).add(raw)
         tier_partition = {t: frozenset(m) for t, m in by_tier.items()}
-    return LabelVocabulary.from_raws(raws, tier_partition)
+    try:
+        return LabelVocabulary.from_raws(raws, tier_partition)
+    except ValidationError as exc:
+        raise (_first_bad_label(path) or exc) from None
+
+
+def _first_bad_label(path: str | Path) -> ValidationError | None:
+    """The error of a vocabulary file's first duplicate or unparseable label, naming its line.
+
+    Only a failed load calls this, so the common path keeps no line numbers.
+    """
+    seen: set[str] = set()
+    for lineno, raw in numbered_lines(path):
+        if raw in seen:
+            return ValidationError(f"{path}:{lineno}: duplicate label {raw!r} in vocabulary")
+        try:
+            parse_label(raw)
+        except ValidationError as exc:
+            return ValidationError(f"{path}:{lineno}: {exc}")
+        seen.add(raw)
+    return None
 
 
 def ancestors(label: TypeLabel, vocab: LabelVocabulary) -> list[TypeLabel]:

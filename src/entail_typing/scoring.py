@@ -18,7 +18,6 @@ scorer's ``score_candidates``.
 """
 
 import abc
-import copy
 import dataclasses
 import json
 import math
@@ -87,7 +86,17 @@ class TrainableScorer(EntailmentScorer):
     accumulated bookkeeping into the parameters as one step. ``weight``
     scales the example's contribution inside a batch (used for per-instance
     normalization and the dependency-term weight).
+
+    ``version_tag`` is ``v<n>``, n counting every ``apply_update`` and every
+    successful ``restore``: no tag names two parameter states, so a cache
+    re-scores a restored state rather than serve another state's scores.
     """
+
+    _changes = 0  # implementations add one per update and per restore
+
+    @property
+    def version_tag(self) -> str:
+        return f"v{self._changes}"
 
     @abc.abstractmethod
     def accumulate_ranking_loss(
@@ -251,8 +260,7 @@ class TrainableTableScorer(TableScorer, TrainableScorer):
     When a positive fails to beat a negative by the margin (a positive
     :func:`margin_ranking_loss`), the pending step moves the positive's
     entry up and the negative's down by ``lr * weight``. ``apply_update``
-    applies all pending steps, clips to [0, 1], and bumps the version tag.
-    Snapshots deep-copy the table so ``restore`` is bit-stable.
+    applies all pending steps and clips to [0, 1]; ``restore`` is bit-stable.
     """
 
     def __init__(
@@ -264,12 +272,7 @@ class TrainableTableScorer(TableScorer, TrainableScorer):
         super().__init__(table or {}, default)
         self.lr = lr
         self._pending: dict[tuple[str, str], float] = {}
-        self._version = 0
-        self._snapshots: dict[str, tuple[int, dict[tuple[str, str], float]]] = {}
-
-    @property
-    def version_tag(self) -> str:
-        return f"v{self._version}"
+        self._snapshots: dict[str, dict[tuple[str, str], float]] = {}
 
     def _key(self, pair: PremiseHypothesisPair) -> tuple[str, str]:
         return (pair.premise, pair.hypothesis)
@@ -298,20 +301,19 @@ class TrainableTableScorer(TableScorer, TrainableScorer):
             base = self._table.get(key, self.default)
             self._table[key] = min(1.0, max(0.0, base + delta))
         self._pending.clear()
-        self._version += 1
+        self._changes += 1
 
     def snapshot(self) -> str:
         tag = f"ckpt-{len(self._snapshots):04d}"
-        self._snapshots[tag] = (self._version, copy.deepcopy(self._table))
+        self._snapshots[tag] = dict(self._table)
         return tag
 
     def restore(self, tag: str) -> None:
         if tag not in self._snapshots:
             raise ValidationError(f"unknown checkpoint tag {tag!r}")
-        version, table = self._snapshots[tag]
-        self._version = version
-        self._table = copy.deepcopy(table)
+        self._table = dict(self._snapshots[tag])
         self._pending.clear()
+        self._changes += 1
 
 
 class ExternalEndpoint:
@@ -468,14 +470,9 @@ class ExternalScorer(EntailmentScorer):
 
     def __init__(self, command: Sequence[str]):
         self.endpoint = ExternalEndpoint(command)
-        self._version = 0
         self._pairs_sent = 0
         self._mentions_sent = 0
         self._pairs_only = False
-
-    @property
-    def version_tag(self) -> str:
-        return f"v{self._version}"
 
     def score(self, pair: PremiseHypothesisPair) -> float:
         return self.score_batch([pair])[0]
@@ -574,7 +571,7 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
 
     def apply_update(self) -> None:
         self._control({"op": "update"}, "ok")
-        self._version += 1
+        self._changes += 1
 
     def snapshot(self) -> str:
         tag = self._control({"op": "snapshot"}, "tag")
@@ -584,6 +581,7 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
 
     def restore(self, tag: str) -> None:
         self._control({"op": "restore", "tag": tag}, "ok")
+        self._changes += 1
 
 
 CacheKey = tuple[str, int, int]
@@ -600,9 +598,10 @@ class ScoreCache:
     Records are JSONL {"v": version_tag, "p": h64, "h": h64, "s": score}
     with h64 the FNV-1a 64-bit hash of the exact premise or hypothesis
     text, so the file stays portable across implementations without storing
-    full sentences. Entries written under an older version tag are simply
-    never hit once the scorer updates. :meth:`lookup_candidates` gives a
-    mention's type hypotheses the keys :meth:`lookup` gives their pairs.
+    full sentences. A fixed scorer is always ``v0``; a trainable one moves to
+    a fresh tag on each update and restore, so no entry is served to another
+    state. :meth:`lookup_candidates` gives a mention's type hypotheses the
+    keys :meth:`lookup` gives their pairs.
 
     ``insert`` appends a batch's new records with one flush, so a crash
     loses at most the batch in flight and may leave a torn final line. On

@@ -303,6 +303,11 @@ class TestBadInputFiles:
             ("vocab.txt", b"company\nduration\nper\xffson\n", [], 3, "not UTF-8"),
             ("tiers.tsv", b"company\tgeneral\nsinger\tfi\xffne\n", ['tier_path="tiers.tsv"'],
              2, "not UTF-8"),
+            ("vocab.txt", b"company\ncity\n\nsinger\ncity\n", [], 5,
+             "duplicate label 'city' in vocabulary"),
+            ("vocab.txt", b"company\n/\nsinger\n", [], 2, "label '/' has no path components"),
+            ("tiers.tsv", b"city\tgeneral\ncity\tgeneral\ncity\tfine\n",
+             ['tier_path="tiers.tsv"'], 3, "label 'city' is general on an earlier line, not fine"),
             ("table.jsonl", b'{"default": 0.1}\n5\n', ["scorer=table:table.jsonl"], 2,
              "expected a JSON object"),
             ("table.jsonl", b'{"premise": "p", "hypothesis": "h", "score": "high"}\n',
@@ -324,7 +329,8 @@ class TestBadInputFiles:
             ("cache.jsonl", _CACHE_LINE.replace("0.5", '"0.5"').encode(),
              ['cache_path="cache.jsonl"'], 1, "bad cache record"),
         ],
-        ids=["corpus-not-utf8", "vocab-not-utf8", "tiers-not-utf8", "table-number-line",
+        ids=["corpus-not-utf8", "vocab-not-utf8", "tiers-not-utf8", "vocab-duplicate-label",
+             "vocab-unparseable-label", "tiers-two-tiers", "table-number-line",
              "table-score-word", "table-score-null", "table-score-bool", "table-score-string",
              "table-default-string", "table-not-utf8", "cache-overflowing-integer",
              "cache-bool", "cache-string"],
@@ -499,6 +505,25 @@ class TestConfigHandling:
     def test_missing_scorer_file(self, workdir, capsys, command, kind):
         assert run(workdir, command, f'scorer="{kind}:missing.jsonl"') == 1
         assert f"not found: {workdir / 'missing.jsonl'}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "settings, out, culprit",
+        [
+            (['vocab_path="sub"'], None, "sub"),
+            (['tier_path="sub"'], None, "sub"),
+            (['cache_path="sub"'], None, "sub"),
+            ([], "vocab.txt", "vocab.txt"),
+        ],
+        ids=["vocab-path-directory", "tier-path-directory", "cache-path-directory",
+             "out-names-a-file"],
+    )
+    def test_os_error_is_one_error_line(self, workdir, capsys, settings, out, culprit):
+        (workdir / "sub").mkdir()
+        out = out and str(workdir / out)
+        assert run(workdir, "predict", *settings, out=out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(workdir / culprit) in err
 
     def test_set_overrides_apply(self, workdir):
         # a threshold above 1 forces the fallback for every instance

@@ -185,13 +185,16 @@ class TestVocabulary:
         vocab_file = tmp_path / "vocab.txt"
         vocab_file.write_text("person\nboxer\n\nsportsman\n", encoding="utf-8")
         tier_file = tmp_path / "tiers.tsv"
+        # a label may repeat with the same tier, in any accepted spelling
         tier_file.write_text(
-            "person\tgeneral\nboxer\tultra-fine\nsportsman\tfine\n", encoding="utf-8"
+            "person\tgeneral\nboxer\tultra-fine\nsportsman\tfine\nboxer\tultra_fine\n",
+            encoding="utf-8",
         )
         vocab = load_vocabulary(vocab_file, tier_file)
         assert len(vocab) == 3
         assert vocab.get("boxer").tier is Tier.ULTRAFINE
         assert vocab.get("sportsman").tier is Tier.FINE
+        assert vocab.tier_members(Tier.ULTRAFINE) == ("boxer",)
 
     def test_bad_tier_line_rejected(self, tmp_path):
         vocab_file = tmp_path / "vocab.txt"

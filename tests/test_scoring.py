@@ -579,6 +579,25 @@ class TestExternalProtocol:
         finally:
             scorer.close()
 
+    def test_restore_moves_to_a_fresh_tag_through_the_cache(self, tmp_path):
+        inner = ExternalTrainableScorer(stub_command("trainable"))
+        scorer = CachedScorer(inner, ScoreCache(tmp_path / "cache.jsonl"))
+        pairs = [mk_pair("p", "pos"), mk_pair("p", "neg")]
+        try:
+            initial = scorer.score_batch(pairs)
+            tags = {inner.version_tag}
+            snapshot = inner.snapshot()
+            for _ in range(3):
+                inner.accumulate_ranking_loss(pairs[0], pairs[1:], margin=1.0)
+                inner.apply_update()
+                tags.add(inner.version_tag)
+            assert scorer.score_batch(pairs) != initial
+            inner.restore(snapshot)
+            assert inner.version_tag not in tags
+            assert scorer.score_batch(pairs) == initial
+        finally:
+            scorer.close()
+
     # ``score_candidates``: one request line per mention
     SURFACES = ["ßoxer", "İstanbul", "ΑΣ σ", "head of state", "€ 😀", "jay", "..."]
 
@@ -774,6 +793,22 @@ class TestScoreCache:
         inner.apply_update()
         assert scorer.score(pos) == inner.score(pos) != 0.4
         cache.close()
+
+    def test_cached_scorer_after_restore_and_a_diverging_update(self, tmp_path):
+        inner = TrainableTableScorer({("p", "a"): 0.5, ("p", "b"): 0.5}, lr=0.2)
+        a, b = mk_pair("p", "a"), mk_pair("p", "b")
+        with ScoreCache(tmp_path / "cache.jsonl") as cache:
+            scorer = CachedScorer(inner, cache)
+            tag = inner.snapshot()
+            inner.accumulate_ranking_loss(a, [b], 0.1)
+            inner.apply_update()
+            assert scorer.score(a) == 0.7
+            inner.restore(tag)
+            inner.accumulate_ranking_loss(b, [a], 0.1)
+            inner.apply_update()
+            assert scorer.score(a) == inner.score(a) == 0.3
+            # the restore and this update each took a tag of their own
+            assert inner.version_tag == "v3"
 
     def test_append_only_file(self, tmp_path):
         path = tmp_path / "cache.jsonl"
