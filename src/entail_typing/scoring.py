@@ -11,8 +11,9 @@ A scorer implements ``score``. Ranking scores one mention's premise
 against every label's hypothesis through ``score_candidates``, which by
 default builds the pairs and calls ``score_batch``; a scorer that can reuse
 the shared premise and template frame across labels overrides it, as
-:class:`OverlapScorer` does and :class:`ExternalScorer` does with one
-request line per mention. :class:`CachedScorer` keys a mention's labels
+:class:`OverlapScorer` and :class:`TableScorer` do and
+:class:`ExternalScorer` does with one request line per mention.
+:class:`CachedScorer` caches only that call: it keys a mention's labels
 from the shared frame too and passes only its misses on to the wrapped
 scorer's ``score_candidates``.
 """
@@ -223,11 +224,14 @@ class TableScorer(EntailmentScorer):
         A record {"default": x} (no premise key) sets the fallback score.
         """
         table: dict[tuple[str, str], float] = {}
-        default = 0.0
+        default = None
         for lineno, record in numbered_jsonl(path):
             where = f"{path}:{lineno}"
             if "premise" not in record and "default" in record:
-                default = _table_number(record, "default", where)
+                value = _table_number(record, "default", where)
+                if default is not None:
+                    raise ValidationError(f"{where}: duplicate default record")
+                default = value
                 continue
             for key in ("premise", "hypothesis", "score"):
                 if key not in record:
@@ -235,11 +239,22 @@ class TableScorer(EntailmentScorer):
             premise, hypothesis = record["premise"], record["hypothesis"]
             if not isinstance(premise, str) or not isinstance(hypothesis, str):
                 raise ValidationError(f"{where}: premise and hypothesis must be strings")
-            table[(premise, hypothesis)] = _table_number(record, "score", where)
-        return cls(table, default=default)
+            value = _table_number(record, "score", where)
+            if (premise, hypothesis) in table:
+                raise ValidationError(
+                    f"{where}: duplicate record for premise {premise!r}, hypothesis {hypothesis!r}"
+                )
+            table[(premise, hypothesis)] = value
+        return cls(table, default=0.0 if default is None else default)
 
     def score(self, pair: PremiseHypothesisPair) -> float:
         return self._table.get((pair.premise, pair.hypothesis), self.default)
+
+    def score_candidates(self, candidates: TypeCandidates) -> list[float]:
+        """Look up ``(premise, head + surface + tail)`` for every label, building no pairs."""
+        table, default = self._table, self.default
+        premise, head, tail = candidates.premise, candidates.head, candidates.tail
+        return [table.get((premise, head + s + tail), default) for s in candidates.surfaces]
 
 
 def _table_number(record: dict, key: str, where: str) -> float:
@@ -601,7 +616,7 @@ class ScoreCache:
     full sentences. A fixed scorer is always ``v0``; a trainable one moves to
     a fresh tag on each update and restore, so no entry is served to another
     state. :meth:`lookup_candidates` gives a mention's type hypotheses the
-    keys :meth:`lookup` gives their pairs.
+    keys :meth:`get` and :meth:`put` give their pairs.
 
     ``insert`` appends a batch's new records with one flush, so a crash
     loses at most the batch in flight and may leave a torn final line. On
@@ -647,6 +662,10 @@ class ScoreCache:
                             f"{self.path}:{lineno}: bad cache record: \"v\" must be a string "
                             f"and \"p\", \"h\" integers in [0, 2**64), got {key!r}"
                         )
+                    if not 0.0 <= score <= 1.0:
+                        raise CacheError(
+                            f"{self.path}:{lineno}: bad cache record: score {score} outside [0, 1]"
+                        )
                     self._entries[key] = score
                 offset += len(raw)
                 last_line = raw
@@ -654,23 +673,10 @@ class ScoreCache:
             os.truncate(self.path, offset)
         return last_line
 
-    def lookup(
-        self, version_tag: str, pairs: Sequence[PremiseHypothesisPair]
-    ) -> tuple[list[CacheKey], list[float | None]]:
-        """Key every pair, hashing each distinct premise once; return keys and hits."""
-        premise_hashes: dict[str, int] = {}
-        keys = []
-        for pair in pairs:
-            premise_hash = premise_hashes.get(pair.premise)
-            if premise_hash is None:
-                premise_hash = premise_hashes[pair.premise] = fnv1a_64(pair.premise)
-            keys.append((version_tag, premise_hash, fnv1a_64(pair.hypothesis)))
-        return keys, [self._entries.get(key) for key in keys]
-
     def lookup_candidates(
         self, version_tag: str, candidates: TypeCandidates
     ) -> tuple[list[CacheKey], list[float | None]]:
-        """Key each candidate as :meth:`lookup` keys its pair; return keys and hits.
+        """Key each candidate as :meth:`get` keys its pair; return keys and hits.
 
         FNV-1a runs left to right, so a label hashes only ``surface + tail``,
         from the state after the head; the premise and head are hashed once.
@@ -707,6 +713,9 @@ class ScoreCache:
             self._handle.write("".join(lines))
             self._handle.flush()
 
+    # get and put key one pair at a time. Ranking never calls them; they stay
+    # as the reference the cache tests check candidate keys against, and
+    # because the benchmark tracer (bench/tracer.py) wraps them by name.
     def _key(self, version_tag: str, premise: str, hypothesis: str) -> CacheKey:
         return (version_tag, fnv1a_64(premise), fnv1a_64(hypothesis))
 
@@ -731,12 +740,14 @@ class ScoreCache:
 
 
 class CachedScorer(EntailmentScorer):
-    """Wrap any scorer with a ScoreCache; misses are scored then recorded.
+    """Wrap any scorer with a ScoreCache around its per-mention ranking.
 
-    ``score_candidates`` hands only a mention's missed labels to the wrapped
-    scorer's ``score_candidates`` and writes the records ``score_batch``
-    would. A reply with the wrong number of scores, or a score outside
-    [0, 1], raises :class:`ValidationError` before anything is written.
+    Only ``score_candidates`` reads or writes the cache: it hands a
+    mention's missed labels to the wrapped scorer's ``score_candidates`` in
+    one call, then records their scores. A reply with the wrong number of
+    scores, or a score outside [0, 1], raises :class:`ValidationError`
+    before anything is written. ``score`` and ``score_batch`` pass straight
+    through to the wrapped scorer, uncached; ranking never calls them.
     """
 
     def __init__(self, inner: EntailmentScorer, cache: ScoreCache):
@@ -748,37 +759,25 @@ class CachedScorer(EntailmentScorer):
         return self.inner.version_tag
 
     def score(self, pair: PremiseHypothesisPair) -> float:
-        return self.score_batch([pair])[0]
+        return self.inner.score(pair)
 
     def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> list[float]:
-        keys, scores = self.cache.lookup(self.inner.version_tag, pairs)
-
-        def score_misses(misses: list[int]) -> Sequence[float]:
-            return self.inner.score_batch([pairs[i] for i in misses])
-
-        return self._fill(keys, scores, score_misses, lambda i: pairs[i].label_raw)
+        return self.inner.score_batch(pairs)
 
     def score_candidates(self, candidates: TypeCandidates) -> list[float]:
         keys, scores = self.cache.lookup_candidates(self.inner.version_tag, candidates)
-
-        def score_misses(misses: list[int]) -> Sequence[float]:
-            if len(misses) == len(scores):
-                return self.inner.score_candidates(candidates)
-            return self.inner.score_candidates(dataclasses.replace(
-                candidates, labels=[candidates.labels[i] for i in misses],
-                surfaces=[candidates.surfaces[i] for i in misses], failed=()))
-
-        return self._fill(keys, scores, score_misses, lambda i: candidates.labels[i].raw)
-
-    def _fill(self, keys, scores, score_misses, label_raw) -> list[float]:
-        """Score the misses (``None`` entries) in one call, check the reply, then record it."""
         misses = [i for i, hit in enumerate(scores) if hit is None]
-        if misses:
-            fresh = list(score_misses(misses))
-            check_scores(fresh, len(misses), lambda j: label_raw(misses[j]))
-            for i, value in zip(misses, fresh):
-                scores[i] = value
-            self.cache.insert([keys[i] for i in misses], fresh)
+        if not misses:
+            return scores
+        if len(misses) < len(scores):
+            candidates = dataclasses.replace(
+                candidates, labels=[candidates.labels[i] for i in misses],
+                surfaces=[candidates.surfaces[i] for i in misses], failed=())
+        fresh = list(self.inner.score_candidates(candidates))
+        check_scores(fresh, len(misses), lambda j: candidates.labels[j].raw)
+        for i, value in zip(misses, fresh):
+            scores[i] = value
+        self.cache.insert([keys[i] for i in misses], fresh)
         return scores
 
     def close(self) -> None:

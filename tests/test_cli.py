@@ -328,12 +328,21 @@ class TestBadInputFiles:
              ['cache_path="cache.jsonl"'], 2, "bad cache record"),
             ("cache.jsonl", _CACHE_LINE.replace("0.5", '"0.5"').encode(),
              ['cache_path="cache.jsonl"'], 1, "bad cache record"),
+            ("cache.jsonl", _CACHE_LINE.replace("0.5", "7").encode(),
+             ['cache_path="cache.jsonl"'], 1, "bad cache record: score 7.0 outside"),
+            ("cache.jsonl", (_CACHE_LINE + _CACHE_LINE.replace("0.5", "-1")).encode(),
+             ['cache_path="cache.jsonl"'], 2, "bad cache record: score -1.0 outside"),
+            ("cache.jsonl", _CACHE_LINE.replace("0.5", "NaN").encode(),
+             ['cache_path="cache.jsonl"'], 1, "bad cache record: score nan outside"),
+            ("cache.jsonl", _CACHE_LINE.replace("0.5", "Infinity").encode(),
+             ['cache_path="cache.jsonl"'], 1, "bad cache record: score inf outside"),
         ],
         ids=["corpus-not-utf8", "vocab-not-utf8", "tiers-not-utf8", "vocab-duplicate-label",
              "vocab-unparseable-label", "tiers-two-tiers", "table-number-line",
              "table-score-word", "table-score-null", "table-score-bool", "table-score-string",
              "table-default-string", "table-not-utf8", "cache-overflowing-integer",
-             "cache-bool", "cache-string"],
+             "cache-bool", "cache-string", "cache-score-above-one", "cache-score-negative",
+             "cache-score-nan", "cache-score-infinity"],
     )
     def test_bad_line_names_path_and_line(
         self, workdir, capsys, name, content, settings, line, message

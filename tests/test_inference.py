@@ -18,8 +18,10 @@ from entail_typing import (
     PredictionConfig,
     Ranking,
     ScoredLabel,
+    TableScorer,
     TemplateKind,
     Tier,
+    TrainableTableScorer,
     TypeLabel,
     ValidationError,
     build_type_pair,
@@ -298,14 +300,17 @@ class TestRanking:
             rank_all_candidates(inst, flat_vocab, ShortOverlap(), TemplateKind.TAXONOMIC)
 
     def test_overlap_ranking_builds_no_pairs(self, flat_vocab, monkeypatch):
+        inst = mk_instance(id="t-0", mention="Sam", right=("the", "athlete", "ran", "."))
+        athlete = [build_type_pair(inst, flat_vocab.get("athlete"), t) for t in TemplateKind]
+        table = {(p.premise, p.hypothesis): 0.9 for p in athlete}
         built = []
         monkeypatch.setattr(
             templates.PremiseHypothesisPair, "__post_init__", lambda pair: built.append(pair)
         )
-        inst = mk_instance(id="t-0", mention="Sam", right=("the", "athlete", "ran", "."))
-        for template in TemplateKind:
-            ranking = rank_all_candidates(inst, flat_vocab, OverlapScorer(), template)
-            assert ranking[0].label.raw == "athlete"
+        for scorer in (OverlapScorer(), TableScorer(table), TrainableTableScorer(table)):
+            for template in TemplateKind:
+                ranking = rank_all_candidates(inst, flat_vocab, scorer, template)
+                assert ranking[0].label.raw == "athlete"
         assert built == []
 
     def test_sends_the_text_of_build_type_pair(self):

@@ -161,6 +161,22 @@ def _fuzz_labels(rng, count, prefix="l"):
     ]
 
 
+def _label(raw, surface):
+    return TypeLabel(raw=raw, segments=(raw,), tier=Tier.UNSPECIFIED, surface=surface)
+
+
+def _fuzz_candidates(rng, template, empty_mention=False):
+    """A fuzzed mention's candidates, some labels failing to render."""
+    instance = _fuzz_instance(rng)
+    if rng.random() < 0.3:  # mention at position 0: capitalized substitution
+        instance = mk_instance(mention=instance.mention, right=instance.right_tokens)
+    if empty_mention:
+        instance = dataclasses.replace(instance, mention="")
+    labels = _fuzz_labels(rng, rng.randint(1, 12))
+    labels = [_label(label.raw, "" if rng.random() < 0.1 else label.surface) for label in labels]
+    return type_candidates(instance, labels, template)
+
+
 class TestOverlapCandidates:
     """``OverlapScorer.score_candidates`` against ``overlap_score`` of each pair."""
 
@@ -267,15 +283,19 @@ class TestTableScorer:
             (b'{"premise": "\xff", "hypothesis": "h", "score": 1}', DatasetLoadError,
              "not UTF-8"),
             (b'{"premise": "p", "score": 0.5}', ValidationError, "missing key 'hypothesis'"),
+            (b'{"default": 0.25}', ValidationError, "duplicate default record"),
+            (b'{"premise": "p", "hypothesis": "h", "score": 0.75}', ValidationError,
+             "duplicate record for premise 'p', hypothesis 'h'"),
         ],
         ids=["number-line", "score-word", "score-null", "score-bool", "score-string",
              "score-out-of-range", "default-string", "default-bool", "default-nan",
-             "premise-list", "not-utf8", "no-hypothesis"],
+             "premise-list", "not-utf8", "no-hypothesis", "second-default", "repeated-pair"],
     )
     def test_jsonl_bad_line_names_line(self, tmp_path, bad, error, message):
         path = tmp_path / "table.jsonl"
-        path.write_bytes(b'{"default": 0.25}\n\n' + bad + b"\n")
-        with pytest.raises(error, match=r"table\.jsonl:3: " + message):
+        path.write_bytes(b'{"default": 0.25}\n\n{"premise": "p", "hypothesis": "h", "score": 0.5}\n'
+                         + bad + b"\n")
+        with pytest.raises(error, match=r"table\.jsonl:4: " + message):
             TableScorer.from_jsonl(path)
 
     def test_monotone_transform_preserves_argsort(self):
@@ -357,6 +377,40 @@ class TestTrainableTableScorer:
             TrainableTableScorer({("p", "h"): 1.5})
         with pytest.raises(ValidationError):
             TrainableTableScorer(default=-0.2)
+
+
+class TestTableCandidates:
+    """``TableScorer.score_candidates`` against ``score_batch`` of the same pairs."""
+
+    @staticmethod
+    def _check(scorer, candidates, rng):
+        # a random subset stands for the misses ``CachedScorer`` passes on
+        n = len(candidates.labels)
+        part = sorted(rng.sample(range(n), rng.randint(0, n)))
+        for each in (candidates, _subset(candidates, part)):
+            assert _hex(scorer.score_candidates(each)) == _hex(scorer.score_batch(each.pairs()))
+
+    def test_fuzz_equals_pair_path_bit_for_bit(self):
+        rng = random.Random(91)
+        failed = capitalized = 0
+        for round_ in range(450):
+            template = list(TemplateKind)[round_ % 3]
+            # every 50th mention is empty, so every label fails
+            candidates = _fuzz_candidates(rng, template, empty_mention=round_ % 50 == 49)
+            failed += bool(candidates.failed)
+            capitalized += template is TemplateKind.SUBSTITUTION and candidates.head == ""
+            pairs = candidates.pairs()
+            table = {(p.premise, p.hypothesis): rng.random() for p in pairs if rng.random() < 0.6}
+            self._check(TableScorer(table, default=rng.random()), candidates, rng)
+            trainable = TrainableTableScorer(table, default=rng.random(), lr=0.15)
+            tag = trainable.snapshot()
+            if len(pairs) > 1:
+                trainable.accumulate_ranking_loss(pairs[0], pairs[1:], margin=0.3)
+            trainable.apply_update()
+            self._check(trainable, candidates, rng)
+            trainable.restore(tag)
+            self._check(trainable, candidates, rng)
+        assert failed and capitalized
 
 
 class TestExternalProtocol:
@@ -582,19 +636,24 @@ class TestExternalProtocol:
     def test_restore_moves_to_a_fresh_tag_through_the_cache(self, tmp_path):
         inner = ExternalTrainableScorer(stub_command("trainable"))
         scorer = CachedScorer(inner, ScoreCache(tmp_path / "cache.jsonl"))
-        pairs = [mk_pair("p", "pos"), mk_pair("p", "neg")]
+        candidates = self._batch()[0]
+        pairs = candidates.pairs()
         try:
-            initial = scorer.score_batch(pairs)
+            initial = scorer.score_candidates(candidates)
             tags = {inner.version_tag}
             snapshot = inner.snapshot()
             for _ in range(3):
                 inner.accumulate_ranking_loss(pairs[0], pairs[1:], margin=1.0)
                 inner.apply_update()
                 tags.add(inner.version_tag)
-            assert scorer.score_batch(pairs) != initial
+            assert scorer.score_candidates(candidates) != initial
             inner.restore(snapshot)
             assert inner.version_tag not in tags
-            assert scorer.score_batch(pairs) == initial
+            assert scorer.score_candidates(candidates) == initial
+            # one cached ranking at each of the three tags scored, then all hits
+            assert len(scorer.cache) == 3 * len(pairs)
+            sent = recorded_requests(inner.endpoint)
+            assert scorer.score_candidates(candidates) == initial and sent == []
         finally:
             scorer.close()
 
@@ -651,8 +710,7 @@ class TestExternalProtocol:
 
     def test_cached_scorer_sends_only_the_missed_surfaces(self, tmp_path):
         candidates = self._batch()[0]
-        warm = dataclasses.replace(candidates, labels=candidates.labels[::2],
-                                   surfaces=candidates.surfaces[::2], failed=())
+        warm = _subset(candidates, range(0, len(candidates.labels), 2))
         inner = ExternalScorer(stub_command("ok"))
         scorer = CachedScorer(inner, ScoreCache(tmp_path / "cache.jsonl"))
         try:
@@ -760,15 +818,26 @@ class TestExternalProtocol:
         ).encode("utf-8")
 
 
+def _table_candidates(scores):
+    """A taxonomic mention with one label per key of ``scores``, and the table giving
+    each label's hypothesis its score."""
+    labels = [_label(raw, raw) for raw in scores]
+    candidates = type_candidates(mk_instance(), labels, TemplateKind.TAXONOMIC)
+    return candidates, {(p.premise, p.hypothesis): scores[p.label_raw] for p in candidates.pairs()}
+
+
 class TestScoreCache:
     def test_warm_run_matches_cold_run(self, tmp_path):
-        cache = ScoreCache(tmp_path / "cache.jsonl")
-        scorer = CachedScorer(OverlapScorer(), cache)
-        pairs = [mk_pair(f"word{i} text", f"word{i} is a thing.") for i in range(8)]
-        cold = scorer.score_batch(pairs)
-        warm = scorer.score_batch(pairs)
-        assert warm == cold
-        cache.close()
+        labels = [_label(f"l{i}", f"word{i}") for i in range(8)]
+        instance = mk_instance(right=("word1", "word5", "text"))
+        candidates = type_candidates(instance, labels, TemplateKind.TAXONOMIC)
+        inner = RecordingOverlap()
+        with ScoreCache(tmp_path / "cache.jsonl") as cache:
+            scorer = CachedScorer(inner, cache)
+            cold = scorer.score_candidates(candidates)
+            warm = scorer.score_candidates(candidates)
+            assert warm == cold == OverlapScorer().score_candidates(candidates)
+            assert len(cache) == 8 and len(inner.calls) == 1
 
     def test_persists_across_reopen(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -784,31 +853,34 @@ class TestScoreCache:
             assert cache.get("v1", "p", "h") is None
 
     def test_cached_scorer_never_reuses_stale_version(self, tmp_path):
-        inner = TrainableTableScorer({("p", "pos"): 0.4, ("p", "neg"): 0.9}, lr=0.2)
-        cache = ScoreCache(tmp_path / "cache.jsonl")
-        scorer = CachedScorer(inner, cache)
-        pos = mk_pair("p", "pos")
-        assert scorer.score(pos) == 0.4
-        inner.accumulate_ranking_loss(pos, [mk_pair("p", "neg")], 0.1)
-        inner.apply_update()
-        assert scorer.score(pos) == inner.score(pos) != 0.4
-        cache.close()
+        candidates, table = _table_candidates({"pos": 0.4, "neg": 0.9})
+        pos, neg = candidates.pairs()
+        inner = TrainableTableScorer(table, lr=0.2)
+        with ScoreCache(tmp_path / "cache.jsonl") as cache:
+            scorer = CachedScorer(inner, cache)
+            assert scorer.score_candidates(candidates) == [0.4, 0.9]
+            inner.accumulate_ranking_loss(pos, [neg], 0.1)
+            inner.apply_update()
+            assert scorer.score_candidates(candidates)[0] == inner.score(pos) != 0.4
+            assert len(cache) == 4  # both labels at v0 and at v1
 
     def test_cached_scorer_after_restore_and_a_diverging_update(self, tmp_path):
-        inner = TrainableTableScorer({("p", "a"): 0.5, ("p", "b"): 0.5}, lr=0.2)
-        a, b = mk_pair("p", "a"), mk_pair("p", "b")
+        candidates, table = _table_candidates({"a": 0.5, "b": 0.5})
+        a, b = candidates.pairs()
+        inner = TrainableTableScorer(table, lr=0.2)
         with ScoreCache(tmp_path / "cache.jsonl") as cache:
             scorer = CachedScorer(inner, cache)
             tag = inner.snapshot()
             inner.accumulate_ranking_loss(a, [b], 0.1)
             inner.apply_update()
-            assert scorer.score(a) == 0.7
+            assert scorer.score_candidates(candidates)[0] == 0.7
             inner.restore(tag)
             inner.accumulate_ranking_loss(b, [a], 0.1)
             inner.apply_update()
-            assert scorer.score(a) == inner.score(a) == 0.3
+            assert scorer.score_candidates(candidates)[0] == inner.score(a) == 0.3
             # the restore and this update each took a tag of their own
             assert inner.version_tag == "v3"
+            assert len(cache) == 4  # both labels at v1 and at v3
 
     def test_append_only_file(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -829,34 +901,44 @@ def _write_per_pair(path, version, triples):
 
 class TestBatchedCache:
     def test_mixed_hits_and_misses(self, tmp_path):
-        pairs = [mk_pair("p", h) for h in ("a", "b", "c")]
-        inner = TableScorer({("p", "a"): 0.25, ("p", "b"): 0.5, ("p", "c"): 0.75})
-        with ScoreCache(tmp_path / "cache.jsonl") as cache:
-            cache.put("v0", "p", "b", 0.125)
-            scores = CachedScorer(inner, cache).score_batch(pairs)
-            assert scores == [0.25, 0.125, 0.75]
+        candidates, table = _table_candidates({"a": 0.25, "b": 0.5, "c": 0.75})
+        b = candidates.pairs()[1]
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            cache.put("v0", b.premise, b.hypothesis, 0.125)
+            scorer = CachedScorer(TableScorer(table), cache)
+            # pair calls pass straight through: they neither read nor write the cache
+            assert scorer.score_batch(candidates.pairs()) == [0.25, 0.5, 0.75]
+            assert len(cache) == 1
+            assert scorer.score_candidates(candidates) == [0.25, 0.125, 0.75]
             assert len(cache) == 3
-        assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 3
+        assert len(path.read_text().splitlines()) == 3
 
     def test_pair_repeated_in_one_batch_writes_one_record(self, tmp_path):
-        inner = TableScorer({("p", "a"): 0.25, ("p", "b"): 0.5})
-        pairs = [mk_pair("p", "a"), mk_pair("p", "b"), mk_pair("p", "a")]
+        # two labels share a surface, so the mention holds one pair twice
+        labels = [_label("a1", "alpha"), _label("b", "beta"), _label("a2", "alpha")]
+        candidates = type_candidates(mk_instance(), labels, TemplateKind.TAXONOMIC)
+        alpha, beta = candidates.pairs()[:2]
+        inner = TableScorer({(alpha.premise, alpha.hypothesis): 0.25,
+                             (beta.premise, beta.hypothesis): 0.5})
         with ScoreCache(tmp_path / "cache.jsonl") as cache:
-            assert CachedScorer(inner, cache).score_batch(pairs) == [0.25, 0.5, 0.25]
+            assert CachedScorer(inner, cache).score_candidates(candidates) == [0.25, 0.5, 0.25]
             assert len(cache) == 2
         assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 2
 
     def test_file_bytes_match_per_pair_puts(self, tmp_path):
-        pairs = [
-            mk_pair(f"premise {i % 3} with words", f"Ünïcode label {i} is a thing.")
-            for i in range(12)
-        ]
+        labels = [_label(f"l{i}", f"Ünïcode label {i}") for i in range(12)]
+        batch = [type_candidates(mk_instance(left=("premise", str(k)), right=("with", "words")),
+                                 labels[k::3], TemplateKind.TAXONOMIC) for k in range(3)]
         inner = OverlapScorer()
         batched = tmp_path / "batched.jsonl"
         with ScoreCache(batched) as cache:
-            CachedScorer(inner, cache).score_batch(pairs)
+            scorer = CachedScorer(inner, cache)
+            for candidates in batch:
+                scorer.score_candidates(candidates)
         per_pair = tmp_path / "per_pair.jsonl"
-        _write_per_pair(per_pair, "v0", [(p.premise, p.hypothesis, inner.score(p)) for p in pairs])
+        _write_per_pair(per_pair, "v0", [(p.premise, p.hypothesis, inner.score(p))
+                                         for candidates in batch for p in candidates.pairs()])
         assert batched.read_bytes() == per_pair.read_bytes()
 
     def test_seed_format_file_loads(self, tmp_path):
@@ -866,27 +948,52 @@ class TestBatchedCache:
             "v": "v0", "p": scoring.fnv1a_64(premise), "h": scoring.fnv1a_64(hypothesis), "s": 0.75
         }
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        candidates = type_candidates(mk_instance(right=("produced", "films")),
+                                     [_label("producer", "producer")], TemplateKind.TAXONOMIC)
+        assert [(p.premise, p.hypothesis) for p in candidates.pairs()] == [(premise, hypothesis)]
         with ScoreCache(path) as cache:
-            assert CachedScorer(OverlapScorer(), cache).score(mk_pair(premise, hypothesis)) == 0.75
+            assert CachedScorer(OverlapScorer(), cache).score_candidates(candidates) == [0.75]
 
     def test_cold_batch_hashes_premise_once(self, tmp_path, monkeypatch):
         calls = []
+        real = scoring.fnv1a_64
 
-        def counting_hash(text):
+        def counting_hash(text, *state):
             calls.append(text)
-            return hash(text) & 0xFFFFFFFFFFFFFFFF
+            return real(text, *state)
 
         monkeypatch.setattr(scoring, "fnv1a_64", counting_hash)
         n = 50
-        pairs = [mk_pair("one shared premise", f"label{i} is a thing.") for i in range(n)]
+        labels = [_label(f"l{i}", f"label{i}") for i in range(n)]
+        candidates = type_candidates(mk_instance(right=("one", "shared", "premise")), labels,
+                                     TemplateKind.TAXONOMIC)
         with ScoreCache(tmp_path / "cache.jsonl") as cache:
-            CachedScorer(OverlapScorer(), cache).score_batch(pairs)
+            CachedScorer(OverlapScorer(), cache).score_candidates(candidates)
             assert len(cache) == n
-        assert len(calls) == n + 1
+        # the premise and the head once each, then one surface and tail per label
+        assert calls == ["Jay one shared premise", "Jay is a "] + [f"label{i}." for i in range(n)]
 
 
 def _hex(scores):
     return [float.hex(float(s)) for s in scores]
+
+
+def _subset(candidates, part):
+    """The labels of ``candidates`` at positions ``part``, as ``CachedScorer`` passes on misses."""
+    return dataclasses.replace(candidates, labels=[candidates.labels[i] for i in part],
+                               surfaces=[candidates.surfaces[i] for i in part], failed=())
+
+
+def _per_pair_scores(cache, inner, pairs):
+    """Score ``pairs`` through ``cache`` one pair at a time: ``get``, else score and ``put``."""
+    scores = []
+    for pair in pairs:
+        score = cache.get(inner.version_tag, pair.premise, pair.hypothesis)
+        if score is None:
+            score = inner.score(pair)
+            cache.put(inner.version_tag, pair.premise, pair.hypothesis, score)
+        scores.append(score)
+    return scores
 
 
 class RecordingOverlap(OverlapScorer):
@@ -901,42 +1008,24 @@ class RecordingOverlap(OverlapScorer):
         return super().score_candidates(candidates)
 
 
-def _label(raw, surface):
-    return TypeLabel(raw=raw, segments=(raw,), tier=Tier.UNSPECIFIED, surface=surface)
-
-
 class TestCachedCandidates:
-    """``CachedScorer.score_candidates`` against ``score_batch`` of the same pairs."""
-
-    def _fuzz_round(self, rng, template, empty_mention=False):
-        instance = _fuzz_instance(rng)
-        if rng.random() < 0.3:  # mention at position 0: capitalized substitution
-            instance = mk_instance(mention=instance.mention, right=instance.right_tokens)
-        if empty_mention:
-            instance = dataclasses.replace(instance, mention="")
-        labels = _fuzz_labels(rng, rng.randint(1, 12))
-        labels = [_label(label.raw, "" if rng.random() < 0.1 else label.surface)
-                  for label in labels]
-        return type_candidates(instance, labels, template)
+    """``CachedScorer.score_candidates`` against per-pair ``get`` and ``put``."""
 
     def test_fuzz_equals_pair_path_bit_for_bit(self, tmp_path):
         rng = random.Random(71)
+        inner = OverlapScorer()
         paths = tmp_path / "candidates.jsonl", tmp_path / "pairs.jsonl"
         with ScoreCache(paths[0]) as by_candidates, ScoreCache(paths[1]) as by_pairs:
-            fast = CachedScorer(OverlapScorer(), by_candidates)
-            slow = CachedScorer(OverlapScorer(), by_pairs)
+            fast = CachedScorer(inner, by_candidates)
             for round_ in range(600):
                 template = list(TemplateKind)[round_ % 3]
                 # every 50th mention is empty, so every label fails
-                candidates = self._fuzz_round(rng, template, empty_mention=round_ % 50 == 49)
+                candidates = _fuzz_candidates(rng, template, empty_mention=round_ % 50 == 49)
                 # warm a random subset first, so later calls mix hits and misses
                 part = sorted(rng.sample(range(len(candidates.labels)),
                                          rng.randint(0, len(candidates.labels))))
-                subset = dataclasses.replace(
-                    candidates, labels=[candidates.labels[i] for i in part],
-                    surfaces=[candidates.surfaces[i] for i in part], failed=())
-                for each in (subset, candidates):
-                    expected = slow.score_batch(each.pairs())
+                for each in (_subset(candidates, part), candidates):
+                    expected = _per_pair_scores(by_pairs, inner, each.pairs())
                     assert _hex(fast.score_candidates(each)) == _hex(expected)
                     assert expected == [overlap_score(p) for p in each.pairs()]
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -955,8 +1044,7 @@ class TestCachedCandidates:
             for instance in instances:
                 for template in TemplateKind:
                     candidates = type_candidates(instance, labels, template)
-                    expected = CachedScorer(OverlapScorer(), by_pairs).score_batch(
-                        candidates.pairs())
+                    expected = _per_pair_scores(by_pairs, OverlapScorer(), candidates.pairs())
                     got = CachedScorer(OverlapScorer(), by_candidates).score_candidates(
                         candidates)
                     assert _hex(got) == _hex(expected)
@@ -968,8 +1056,7 @@ class TestCachedCandidates:
         labels = [_label(f"l{i}", f"word{i}") for i in range(6)]
         instance = mk_instance(mention="Jay", right=("word1", "word4", "."))
         candidates = type_candidates(instance, labels, TemplateKind.TAXONOMIC)
-        warm = dataclasses.replace(candidates, labels=[labels[1], labels[4]],
-                                   surfaces=["word1", "word4"])
+        warm = _subset(candidates, [1, 4])
         inner = RecordingOverlap()
         with ScoreCache(tmp_path / "cache.jsonl") as cache:
             scorer = CachedScorer(inner, cache)
@@ -1055,9 +1142,6 @@ class WrongReply(OverlapScorer):
             return scores[1:]
         return [self.bad] + scores[1:]
 
-    def score_batch(self, pairs):
-        return self._spoil(super().score_batch(pairs))
-
     def score_candidates(self, candidates):
         return self._spoil(super().score_candidates(candidates))
 
@@ -1065,7 +1149,9 @@ class WrongReply(OverlapScorer):
 class TestCachedScorerChecksReplies:
     LABELS = [_label(raw, raw) for raw in ("athlete", "city", "person")]
 
-    @pytest.mark.parametrize("path_kind", ["candidates", "pairs"])
+    # "misses": a first label is cached already, so the wrapped scorer gets
+    # only the other three, and the bad score is that subset's first
+    @pytest.mark.parametrize("path_kind", ["candidates", "misses"])
     @pytest.mark.parametrize(
         "bad, message",
         [("short", "scorer returned 2 scores for 3 pairs"),
@@ -1075,17 +1161,17 @@ class TestCachedScorerChecksReplies:
         ids=["short", "above-one", "nan", "negative"],
     )
     def test_bad_reply_raises_and_writes_nothing(self, tmp_path, path_kind, bad, message):
-        candidates = type_candidates(mk_instance(), self.LABELS, TemplateKind.TAXONOMIC)
+        warm = [_label("aardvark", "aardvark")] if path_kind == "misses" else []
+        candidates = type_candidates(mk_instance(), warm + self.LABELS, TemplateKind.TAXONOMIC)
         path = tmp_path / "cache.jsonl"
         with ScoreCache(path) as cache:
-            scorer = CachedScorer(WrongReply(bad), cache)
+            for pair in candidates.pairs()[:len(warm)]:
+                cache.put("v0", pair.premise, pair.hypothesis, 0.5)
+            written = path.read_bytes()
             with pytest.raises(ValidationError, match=message):
-                if path_kind == "candidates":
-                    scorer.score_candidates(candidates)
-                else:
-                    scorer.score_batch(candidates.pairs())
-            assert len(cache) == 0
-        assert path.read_bytes() == b""
+                CachedScorer(WrongReply(bad), cache).score_candidates(candidates)
+            assert len(cache) == len(warm)
+        assert path.read_bytes() == written
 
     def test_ranking_through_a_bad_reply_raises(self, tmp_path):
         vocab = LabelVocabulary(self.LABELS)
@@ -1133,6 +1219,10 @@ class TestCacheCorruption:
             pytest.param(RECORD.replace("0.5", "9" * 401).strip(), id="score-overflowing-integer"),
             pytest.param(RECORD.replace("0.5", "true").strip(), id="score-bool"),
             pytest.param(RECORD.replace("0.5", '"0.5"').strip(), id="score-string"),
+            pytest.param(RECORD.replace("0.5", "7").strip(), id="score-above-one"),
+            pytest.param(RECORD.replace("0.5", "-1").strip(), id="score-negative"),
+            pytest.param(RECORD.replace("0.5", "NaN").strip(), id="score-nan"),
+            pytest.param(RECORD.replace("0.5", "Infinity").strip(), id="score-infinity"),
             pytest.param('{"v": ["x"], "p": true, "h": 2.7, "s": 0.5}', id="key-all-wrong"),
             pytest.param(RECORD.replace('"v0"', '["x"]').strip(), id="tag-list"),
             pytest.param(RECORD.replace('"p": 1', '"p": true').strip(), id="hash-bool"),
