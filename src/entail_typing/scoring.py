@@ -690,7 +690,8 @@ class ScoreCache:
         """Record the keys not yet cached, appending their lines with one flush.
 
         Each line is formatted from its key, byte for byte as ``json.dumps``
-        of the record with ``ensure_ascii=False`` writes it.
+        of the record with ``ensure_ascii=False`` writes it. A score that
+        loading would refuse raises ``CacheError`` and records nothing.
         """
         entries = self._entries
         tags: dict[str, str] = {}
@@ -698,20 +699,34 @@ class ScoreCache:
         for key, score in zip(keys, scores):
             if key in entries:
                 continue
+            if isinstance(score, float) and 0.0 <= score <= 1.0:
+                score_json = float.__repr__(score)
+            else:
+                try:
+                    score_json = self._score_json(score)
+                except CacheError:
+                    for _ in lines:
+                        entries.popitem()  # this call's keys, the newest entries
+                    raise
             entries[key] = score
             tag, premise, hypothesis = key
             tag_json = tags.get(tag)
             if tag_json is None:
                 tag_json = tags[tag] = json.dumps(tag, ensure_ascii=False)
-            if isinstance(score, float) and math.isfinite(score):
-                score_json = float.__repr__(score)
-            else:
-                score_json = json.dumps(score)
             line = f'{{"v": {tag_json}, "p": {premise}, "h": {hypothesis}, "s": {score_json}}}\n'
             lines.append(line)
         if lines:
             self._handle.write("".join(lines))
             self._handle.flush()
+
+    def _score_json(self, score) -> str:
+        """The JSON text of a score that is not a float in [0, 1], if loading accepts it."""
+        try:
+            if 0.0 <= json_number(score) <= 1.0:
+                return json.dumps(score)
+        except ValueError as exc:
+            raise CacheError(f"{self.path}: bad cache record: {exc}") from None
+        raise CacheError(f"{self.path}: bad cache record: score {score!r} outside [0, 1]")
 
     # get and put key one pair at a time. Ranking never calls them; they stay
     # as the reference the cache tests check candidate keys against, and

@@ -1,18 +1,17 @@
-"""Ranked-example construction, margin losses, and the epoch training loop.
+"""Ranked-example construction and the epoch training loop.
 
 Each training instance yields one ranked example per positive label (gold
-labels plus induced ancestors) and one per label-dependency pair, each
-positive contrasted against k sampled negatives. The joint objective per
-instance is the mean type-example loss plus a weighted mean
-dependency-example loss; the loop shuffles the order of instances, keeps
-each instance's examples together, cuts the sequence into fixed-size
-batches of examples, accumulates losses on a trainable scorer, and keeps
-the checkpoint with the best dev F1.
+labels plus induced ancestors) and, at a nonzero dependency weight, one per
+label-dependency pair, each positive contrasted against k sampled negatives.
+The joint objective per instance, the mean type-example loss plus the
+weighted mean dependency-example loss, is defined in one place: :func:`train`
+folds both means and the weight into each example's batch weight, and the
+scorer's ``accumulate_ranking_loss`` takes the margin loss. Batches keep each
+instance's examples together, and the best dev F1 picks the checkpoint.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 from ._util import substream
 from .corpus import Dataset, MentionInstance
@@ -28,7 +27,7 @@ from .labelspace import (
     sample_negative_ancestor,
     sample_negative_type,
 )
-from .scoring import EntailmentScorer, TrainableScorer, margin_ranking_loss
+from .scoring import TrainableScorer
 from .templates import (
     PairKind,
     PremiseHypothesisPair,
@@ -96,17 +95,6 @@ class RankedExample:
                 )
 
 
-@dataclass(frozen=True)
-class LossReport:
-    """Per-instance (or per-batch) loss summary."""
-
-    type_loss: float
-    dependency_loss: float
-    joint: float
-    n_type: int
-    n_dependency: int
-
-
 def instance_positives(
     instance: MentionInstance, vocab: LabelVocabulary, template: TemplateKind
 ) -> tuple[list[TypeLabel], list[DependencyPair]]:
@@ -136,14 +124,15 @@ def build_examples_for_instance(
 ) -> list[RankedExample]:
     """Build the instance's ranked examples: type examples, then dependency.
 
-    The positives are those of :func:`instance_positives`; each is
-    contrasted against ``negatives_per_positive`` sampled negatives. A
-    dependency pair's false ancestors exclude every ancestor induced for its
-    descendant.
+    The positives are those of :func:`instance_positives`, less the dependency
+    pairs at a dependency weight of 0; each is contrasted against
+    ``negatives_per_positive`` sampled negatives. A dependency pair's false
+    ancestors exclude every ancestor induced for its descendant.
     """
     if not instance.gold_labels:
         raise ValidationError(f"instance {instance.id!r} has no gold labels")
     labels, deps = instance_positives(instance, vocab, config.template)
+    deps = deps if config.dependency_weight else []
     positive_raws = {l.raw for l in labels}
     true_ancestors: dict[str, set[str]] = {}
     for dep in deps:
@@ -177,43 +166,6 @@ def build_examples_for_instance(
             RankedExample(positive=pos_pair, negatives=negs, kind=PairKind.DEPENDENCY)
         )
     return examples
-
-
-def _example_loss(
-    example: RankedExample, scores: dict[tuple[str, str], float], margin: float
-) -> float:
-    """Mean margin loss of one example's negatives, from precomputed scores."""
-    pos = scores[(example.positive.premise, example.positive.hypothesis)]
-    total = 0.0
-    for neg in example.negatives:
-        total += margin_ranking_loss(pos, scores[(neg.premise, neg.hypothesis)], margin)
-    return total / len(example.negatives)
-
-
-def instance_loss(
-    examples: Sequence[RankedExample], scorer: EntailmentScorer, config: TrainingConfig
-) -> LossReport:
-    """Joint loss of one instance's examples under the current scorer state."""
-    unique_pairs: dict[tuple[str, str], PremiseHypothesisPair] = {}
-    for example in examples:
-        for pair in (example.positive, *example.negatives):
-            unique_pairs.setdefault((pair.premise, pair.hypothesis), pair)
-    keys = list(unique_pairs)
-    values = scorer.score_batch([unique_pairs[k] for k in keys])
-    scores = dict(zip(keys, values))
-
-    sums = dict.fromkeys(PairKind, 0.0)
-    for example in examples:
-        sums[example.kind] += _example_loss(example, scores, config.margin)
-    counts = Counter(e.kind for e in examples)
-    means = {kind: sums[kind] / counts[kind] if counts[kind] else 0.0 for kind in PairKind}
-    return LossReport(
-        type_loss=means[PairKind.TYPE],
-        dependency_loss=means[PairKind.DEPENDENCY],
-        joint=means[PairKind.TYPE] + config.dependency_weight * means[PairKind.DEPENDENCY],
-        n_type=counts[PairKind.TYPE],
-        n_dependency=counts[PairKind.DEPENDENCY],
-    )
 
 
 def train(

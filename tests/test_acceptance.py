@@ -13,17 +13,15 @@ Pinned tolerances:
   criterion 8:         byte equality, 30 s wall-clock budget
 """
 
-import hashlib
 import json
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import entail_typing as et
 from entail_typing.cli import main as cli_main
-from entail_typing._util import substream
 
 from conftest import mk_instance, read_jsonl
 from oracles import (
@@ -334,34 +332,62 @@ class TestAcceptance:
             assert elapsed < TIME_BUDGET_S, f"took {elapsed:.1f}s"
 
     def test_criterion_9_dependency_weight_zero(self, capsys, tier_vocab):
-        class HashScorer(et.EntailmentScorer):
-            def score(self, pair):
-                digest = hashlib.sha256(
-                    (pair.premise + "\x1f" + pair.hypothesis).encode("utf-8")
-                ).digest()
-                return int.from_bytes(digest[:4], "big") / 2**32
+        class Recording(et.TrainableTableScorer):
+            """Records every ``accumulate_ranking_loss`` call and counts updates."""
 
-        with gate(capsys, 9, "a zero dependency weight reproduces the dependency-free loss exactly"):
-            scorer = HashScorer()
-            config = et.TrainingConfig(dependency_weight=0.0)
-            tiers = {
-                "general": ("person", "organization", "location"),
-                "fine": ("sportsman", "artist"),
-                "ultrafine": ("boxer", "guitarist"),
-            }
-            rng = random.Random(60_601)
-            for trial in range(200):
+            def __init__(self):
+                super().__init__(default=0.5, lr=0.05)
+                self.calls, self.updates = [], 0
+
+            def accumulate_ranking_loss(self, pos_pair, neg_pairs, margin, weight=1.0):
+                self.calls.append((pos_pair, tuple(neg_pairs), margin, weight))
+                return super().accumulate_ranking_loss(pos_pair, neg_pairs, margin, weight)
+
+            def apply_update(self):
+                self.updates += 1
+                super().apply_update()
+
+        tiers = {
+            "general": ("person", "organization", "location"),
+            "fine": ("sportsman", "artist"),
+            "ultrafine": ("boxer", "guitarist"),
+        }
+        untiered = et.LabelVocabulary.from_raws(list(tier_vocab.sorted_raws))
+        predict_config = et.PredictionConfig(
+            threshold=0.5, fallback=et.FallbackPolicy.top1(), template=et.TemplateKind.TAXONOMIC
+        )
+
+        def dataset(split, n, rng):
+            instances = []
+            for i in range(n):
                 members = [tiers[t] for t in tiers if rng.random() < 0.7] or [tiers["general"]]
                 gold = tuple(rng.choice(group) for group in members)
-                instance = mk_instance(
-                    id=f"t-{trial:06d}", mention=f"X{trial}", right=("moved", "."),
-                    gold=gold,
+                instances.append(mk_instance(
+                    id=f"{split}-{i:06d}", mention=f"X{i}", right=("moved", "."), gold=gold
+                ))
+            return et.Dataset(name="tiers", split=split, instances=tuple(instances))
+
+        def run(train_set, dev_set, vocab, config):
+            scorer = Recording()
+            _, log = et.train(train_set, dev_set, vocab, scorer, config, predict_config)
+            return scorer, log
+
+        with gate(capsys, 9, "a zero dependency weight trains exactly as a dependency-free run"):
+            rng = random.Random(60_601)
+            for seed, batch_size, k in ((0, 8, 1), (1, 5, 2), (2, 1, 1), (3, 64, 3)):
+                train_set, dev_set = dataset("train", 40, rng), dataset("dev", 10, rng)
+                config = et.TrainingConfig(
+                    dependency_weight=0.0, negatives_per_positive=k, batch_size=batch_size,
+                    max_epochs=3, eval_every=1, seed=seed,
                 )
-                examples = et.build_examples_for_instance(
-                    instance, tier_vocab, config, substream(trial, "acceptance")
+                tiered, tiered_log = run(train_set, dev_set, tier_vocab, config)
+                bare, bare_log = run(train_set, dev_set, untiered, config)
+                assert tiered.calls == bare.calls
+                assert tiered.updates == bare.updates
+                assert tiered_log == bare_log
+                assert tiered._table == bare._table
+                # the comparison can tell: a nonzero weight adds dependency examples
+                weighted, _ = run(
+                    train_set, dev_set, tier_vocab, replace(config, dependency_weight=0.05)
                 )
-                type_only = [e for e in examples if e.kind is et.PairKind.TYPE]
-                full = et.instance_loss(examples, scorer, config)
-                bare = et.instance_loss(type_only, scorer, config)
-                assert full.joint == bare.joint
-                assert full.joint == full.type_loss
+                assert len(weighted.calls) > len(bare.calls)

@@ -194,6 +194,37 @@ class TestTrain:
         second = (workdir / "b" / "train_log.jsonl").read_bytes()
         assert first == second
 
+    def test_zero_dependency_weight_log_ignores_the_tier_file(self, workdir):
+        vocab = ["person", "organization", "sportsman", "artist", "boxer", "guitarist"]
+        tiers = ["general", "general", "fine", "fine", "ultrafine", "ultrafine"]
+        (workdir / "vocab.txt").write_text("".join(l + "\n" for l in vocab), encoding="utf-8")
+        (workdir / "tiers.tsv").write_text(
+            "".join(f"{raw}\t{tier}\n" for raw, tier in zip(vocab, tiers)), encoding="utf-8"
+        )
+        names = ["Ali", "Mae", "Bo", "Kim", "Lee", "Ann", "Jo"]
+        golds = [["boxer", "sportsman", "person"], ["artist", "guitarist"], ["organization"],
+                 ["guitarist", "person"], ["sportsman"], ["boxer", "person"], ["artist"]]
+        _write_jsonl(workdir / "train.jsonl", [
+            _record([], name, ["was", "there", "."], gold) for name, gold in zip(names, golds)
+        ])
+        _write_jsonl(workdir / "dev.jsonl", [
+            _record([], "Cy", ["fought", "."], ["boxer", "person"]),
+            _record(["the"], "band", ["played", "."], ["organization"]),
+        ])
+        args = ("train", 'scorer="trainable-table"', "max_epochs=3", "eval_every=1",
+                "batch_size=3")
+        logs = {}
+        for weight in ("0", "0.05"):
+            for tier_path in ("tiers.tsv", None):
+                out = workdir / f"out-{weight}-{tier_path}"
+                extra = [f'tier_path="{tier_path}"'] if tier_path else []
+                assert run(workdir, *args, f"dependency_weight={weight}", *extra,
+                           out=str(out)) == 0
+                logs[weight, tier_path] = (out / "train_log.jsonl").read_bytes()
+        assert logs["0", "tiers.tsv"] == logs["0", None]
+        # with a weight, the tier file's dependency examples do change the run
+        assert logs["0.05", "tiers.tsv"] != logs["0.05", None]
+
     def test_untrainable_scorer_rejected(self, workdir, capsys):
         assert run(workdir, "train") == 1
         assert "not trainable" in capsys.readouterr().err

@@ -1096,8 +1096,7 @@ class TestCachedCandidates:
 
     @pytest.mark.parametrize("tag", ["v0", 'v"1\\', "vé\u2028ΑΣ", "v\n\t"])
     def test_record_lines_equal_json_dumps(self, tmp_path, tag):
-        scores = [0.0, 1.0, 0.5, 1 / 3, 0.1 + 0.2, 5e-324, 1e-300, -0.0, 1, 0, True,
-                  float("nan"), float("inf"), 10**30]
+        scores = [0.0, 1.0, 0.5, 1 / 3, 0.1 + 0.2, 5e-324, 1e-300, -0.0, 1, 0]
         keys = [(tag, 2**64 - 1 - i, i) for i in range(len(scores))]
         path = tmp_path / "cache.jsonl"
         with ScoreCache(path) as cache:
@@ -1107,6 +1106,27 @@ class TestCachedCandidates:
             for k, s in zip(keys, scores)
         )
         assert path.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(7.0, "score 7.0 outside"), (-0.5, "score -0.5 outside"), (float("nan"), "score nan"),
+         (float("inf"), "score inf"), (10**30, "score 1000000000000000000000000000000 outside"), (10**400, "too large"),
+         (True, "not a JSON number: True"), ("0.5", "not a JSON number")],
+        ids=["above-one", "negative", "nan", "inf", "big-int", "huge-int", "bool", "string"],
+    )
+    def test_score_that_loading_refuses_is_not_written(self, tmp_path, bad, message):
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            cache.put("v0", "p", "h", 0.5)
+            written = path.read_bytes()
+            with pytest.raises(CacheError, match=message):
+                cache.insert([("v0", 1, 2), ("v0", 3, 4), ("v0", 5, 6)], [0.25, 1, bad])
+            with pytest.raises(CacheError, match=message):
+                cache.put("v0", "p", "h2", bad)
+            assert len(cache) == 1
+        assert path.read_bytes() == written
+        with ScoreCache(path) as cache:
+            assert len(cache) == 1
 
     def test_file_written_by_pairwise_keys_is_fully_hit(self, tmp_path):
         """``overlap_cache_golden.jsonl`` was written by ``predict`` with ``cache_path``

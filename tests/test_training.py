@@ -2,7 +2,7 @@
 
 import random
 import sys
-from pathlib import Path
+from dataclasses import replace
 
 import pytest
 
@@ -15,22 +15,24 @@ from entail_typing import (
     PairKind,
     PredictionConfig,
     RankedExample,
-    TableScorer,
     TemplateKind,
+    Tier,
     TrainableTableScorer,
     TrainingConfig,
     TrainingError,
     ValidationError,
+    build_dependency_pair,
     build_examples_for_instance,
-    instance_loss,
     margin_ranking_loss,
     render_description,
     train,
 )
 from entail_typing._util import substream
+from entail_typing.training import instance_positives
 
 from conftest import mk_instance, mk_pair
 from oracles import oracle_margin
+from test_scoring import STUB, recorded_requests
 
 
 class TestMarginLoss:
@@ -220,87 +222,111 @@ class TestBuildExamples:
         )
 
 
-class TestInstanceLoss:
-    def _config(self, **kw):
-        return TrainingConfig(**kw)
+def _random_golds(vocab, n, rng):
+    """``n`` seeded gold sets: one label per tier of a tiered vocabulary, else 1-2 labels."""
+    if vocab.tier_partition:
+        groups = [vocab.tier_members(t) for t in (Tier.GENERAL, Tier.FINE, Tier.ULTRAFINE)]
+        return [
+            tuple(rng.choice(g) for g in groups if rng.random() < 0.7) or (groups[0][0],)
+            for _ in range(n)
+        ]
+    return [tuple(rng.sample(vocab.sorted_raws, rng.randint(1, 2))) for _ in range(n)]
 
-    def test_satisfied_example_is_free(self):
-        example = RankedExample(
-            positive=mk_pair("p", "pos"), negatives=(mk_pair("p", "neg"),), kind=PairKind.TYPE
-        )
-        scorer = TableScorer({("p", "pos"): 0.8, ("p", "neg"): 0.2})
-        report = instance_loss([example], scorer, self._config())
-        assert report.type_loss == 0.0
-        assert report.dependency_loss == 0.0
-        assert report.joint == 0.0
 
-    def test_mixed_kind_arithmetic(self):
-        type_example = RankedExample(
-            positive=mk_pair("p", "t-pos"), negatives=(mk_pair("p", "t-neg"),),
-            kind=PairKind.TYPE,
-        )
-        dep_example = RankedExample(
-            positive=mk_pair("d", "d-pos", kind=PairKind.DEPENDENCY),
-            negatives=(mk_pair("d", "d-neg", kind=PairKind.DEPENDENCY),),
-            kind=PairKind.DEPENDENCY,
-        )
-        scorer = TableScorer(
-            {
-                ("p", "t-pos"): 0.5, ("p", "t-neg"): 0.6,   # type loss 0.2
-                ("d", "d-pos"): 0.3, ("d", "d-neg"): 0.6,   # dependency loss 0.4
-            }
-        )
-        report = instance_loss([type_example, dep_example], scorer, self._config())
-        assert report.type_loss == pytest.approx(0.2)
-        assert report.dependency_loss == pytest.approx(0.4)
-        assert report.joint == pytest.approx(0.22)
-        assert (report.n_type, report.n_dependency) == (1, 1)
+def _dataset(split, golds):
+    return Dataset(name="toy", split=split, instances=tuple(
+        mk_instance(id=f"{split}-{i}", mention=f"X{i}", right=("moved", "."), gold=gold)
+        for i, gold in enumerate(golds)
+    ))
 
-    def test_lambda_zero_annihilates_dependency_term(self):
-        dep_example = RankedExample(
-            positive=mk_pair("d", "d-pos", kind=PairKind.DEPENDENCY),
-            negatives=(mk_pair("d", "d-neg", kind=PairKind.DEPENDENCY),),
-            kind=PairKind.DEPENDENCY,
-        )
-        scorer = TableScorer({("d", "d-pos"): 0.0, ("d", "d-neg"): 1.0})
-        report = instance_loss([dep_example], scorer, self._config(dependency_weight=0.0))
-        assert report.dependency_loss > 0
-        assert report.joint == 0.0
 
-    def test_order_invariance(self):
-        rng = random.Random(12)
-        examples = []
+class TestLoggedLoss:
+    """The per-epoch losses that ``train`` logs, under a frozen scorer."""
+
+    @staticmethod
+    def _world(vocab, seed, **overrides):
+        """Train and dev sets, a config, each epoch's ranked examples per
+        instance as ``train`` draws them, and a table scoring their pairs."""
+        rng = random.Random(seed)
+        train_set = _dataset("train", _random_golds(vocab, 12, rng))
+        dev_set = _dataset("dev", _random_golds(vocab, 3, rng))
+        config = TrainingConfig(max_epochs=3, eval_every=1, batch_size=5, seed=4, **overrides)
+        epochs = [
+            [
+                build_examples_for_instance(
+                    instance, vocab, config,
+                    substream(config.seed, "sampling", str(epoch), instance.id),
+                )
+                for instance in train_set
+            ]
+            for epoch in range(1, config.max_epochs + 1)
+        ]
         table = {}
-        for i in range(8):
-            kind = PairKind.TYPE if i % 2 == 0 else PairKind.DEPENDENCY
-            pos = mk_pair("p", f"pos{i}", kind=kind)
-            negs = tuple(mk_pair("p", f"neg{i}-{j}", kind=kind) for j in range(2))
-            examples.append(RankedExample(positive=pos, negatives=negs, kind=kind))
-            table[("p", f"pos{i}")] = rng.random()
-            for j in range(2):
-                table[("p", f"neg{i}-{j}")] = rng.random()
-        scorer = TableScorer(table)
-        base = instance_loss(examples, scorer, self._config())
-        for _ in range(5):
-            shuffled = examples[:]
-            rng.shuffle(shuffled)
-            report = instance_loss(shuffled, scorer, self._config())
-            # means over reordered floats may differ in the last ulp
-            assert report.type_loss == pytest.approx(base.type_loss, rel=1e-12)
-            assert report.dependency_loss == pytest.approx(base.dependency_loss, rel=1e-12)
-            assert report.joint == pytest.approx(base.joint, rel=1e-12)
-            assert (report.n_type, report.n_dependency) == (base.n_type, base.n_dependency)
+        for per_instance in epochs:
+            for examples in per_instance:
+                for e in examples:
+                    for pair in (e.positive, *e.negatives):
+                        table.setdefault((pair.premise, pair.hypothesis), rng.random())
+        return train_set, dev_set, config, epochs, table
 
-    def test_mean_over_k_negatives(self):
-        example = RankedExample(
-            positive=mk_pair("p", "pos"),
-            negatives=(mk_pair("p", "n0"), mk_pair("p", "n1")),
-            kind=PairKind.TYPE,
-        )
-        scorer = TableScorer({("p", "pos"): 0.5, ("p", "n0"): 0.5, ("p", "n1"): 0.7})
-        report = instance_loss([example], scorer, self._config())
-        # losses 0.1 and 0.3 average to 0.2
-        assert report.type_loss == pytest.approx(0.2)
+    @staticmethod
+    def _log(world, vocab, **overrides):
+        train_set, dev_set, config, _, table = world
+        scorer = TrainableTableScorer(table, lr=0.0)
+        config = replace(config, **overrides)
+        return train(train_set, dev_set, vocab, scorer, config, _predict_config())[1]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("vocab_fixture", ["tier_vocab", "onto_vocab"])
+    def test_logged_losses_match_oracle(self, request, vocab_fixture, k):
+        vocab = request.getfixturevalue(vocab_fixture)
+        world = self._world(vocab, 2024 + k, negatives_per_positive=k)
+        _, _, config, epochs, table = world
+
+        def score(pair):
+            return table[(pair.premise, pair.hypothesis)]
+
+        for record, per_instance in zip(self._log(world, vocab), epochs, strict=True):
+            for kind, key in ((PairKind.TYPE, "type_loss"), (PairKind.DEPENDENCY, "dep_loss")):
+                means = []
+                for examples in per_instance:
+                    losses = [
+                        sum(oracle_margin(score(e.positive), score(n), config.margin)
+                            for n in e.negatives) / len(e.negatives)
+                        for e in examples if e.kind is kind
+                    ]
+                    if losses:
+                        means.append(sum(losses) / len(losses))
+                assert means, f"no {kind.value} examples to check"
+                # the loop averages instances in shuffled order, so the last ulp may differ
+                assert record[key] == pytest.approx(sum(means) / len(means), rel=1e-12)
+
+    def test_satisfied_examples_log_zero_loss(self, tier_vocab):
+        world = self._world(tier_vocab, 8)
+        *_, epochs, table = world
+        for per_instance in epochs:
+            for examples in per_instance:
+                for e in examples:
+                    table[(e.positive.premise, e.positive.hypothesis)] = 1.0
+                    for neg in e.negatives:
+                        table[(neg.premise, neg.hypothesis)] = 0.0
+        log = self._log(world, tier_vocab)
+        assert [(r["type_loss"], r["dep_loss"]) for r in log] == [(0.0, 0.0)] * 3
+
+    def test_zero_dependency_weight_logs_no_dependency_loss(self, tier_vocab):
+        world = self._world(tier_vocab, 9)
+        weighted = self._log(world, tier_vocab)
+        zero = self._log(world, tier_vocab, dependency_weight=0.0)
+        assert all(r["dep_loss"] > 0 for r in weighted)
+        assert all(r["dep_loss"] == 0.0 for r in zero)
+        # type negatives are drawn before any false ancestor, so type losses agree
+        assert [r["type_loss"] for r in zero] == [r["type_loss"] for r in weighted]
+
+    def test_logged_losses_do_not_depend_on_batching(self, onto_vocab):
+        world = self._world(onto_vocab, 10)
+        logs = [self._log(world, onto_vocab, batch_size=size) for size in (1, 3, 64)]
+        assert logs[0] == logs[1] == logs[2]
+        assert len({r["type_loss"] for r in logs[0]}) == 3
 
 
 def _toy_world():
@@ -409,9 +435,8 @@ class TestTrainLoop:
                 super().restore(tag)
                 restored.append(tag)
 
-        stub = str(Path(__file__).parent / "external_stub.py")
         vocab, train_set, dev_set = _toy_world()
-        scorer = Recording([sys.executable, stub, "bad-update"])
+        scorer = Recording([sys.executable, STUB, "bad-update"])
         config = TrainingConfig(max_epochs=2, eval_every=1, seed=3, batch_size=2)
         try:
             with pytest.raises(TrainingError, match="update failed") as err:
@@ -420,6 +445,33 @@ class TestTrainLoop:
             scorer.close()
         assert err.value.best_tag == "s0"
         assert restored == ["s0"]
+
+    def test_zero_dependency_weight_sends_no_dependency_example(self, tier_vocab):
+        rng = random.Random(31)
+        train_set = _dataset("train", _random_golds(tier_vocab, 10, rng))
+        dev_set = _dataset("dev", _random_golds(tier_vocab, 2, rng))
+        dependency_positives = set()
+        for instance in train_set:
+            for dep in instance_positives(instance, tier_vocab, TemplateKind.TAXONOMIC)[1]:
+                pair = build_dependency_pair(instance, dep, TemplateKind.TAXONOMIC)
+                dependency_positives.add((pair.premise, pair.hypothesis))
+        assert dependency_positives
+        sent = {}
+        for weight in (0.0, 0.05):
+            scorer = ExternalTrainableScorer([sys.executable, STUB, "trainable"])
+            requests = recorded_requests(scorer.endpoint)
+            config = TrainingConfig(dependency_weight=weight, max_epochs=2, eval_every=1,
+                                    batch_size=4)
+            try:
+                train(train_set, dev_set, tier_vocab, scorer, config, _predict_config())
+            finally:
+                scorer.close()
+            sent[weight] = [
+                (r["positive"]["premise"], r["positive"]["hypothesis"])
+                for trip in requests for r in trip if r.get("op") == "accumulate"
+            ]
+        assert sum(p in dependency_positives for p in sent[0.05]) > 0
+        assert sent[0.0] and sum(p in dependency_positives for p in sent[0.0]) == 0
 
     def test_empty_sets_rejected(self):
         vocab, train_set, dev_set = _toy_world()
