@@ -39,14 +39,14 @@ def substream(seed: int, *names: object) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file + rename."""
+def atomic_write(path: str | os.PathLike, chunks: Iterable[str]) -> None:
+    """Write each chunk as it is yielded to a temp file, then rename that to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -55,14 +55,13 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 
 
 def atomic_write_jsonl(path: str | os.PathLike, records: Iterable[dict]) -> None:
-    """Write records as one compact JSON object per line, atomically."""
-    lines = [json.dumps(r, ensure_ascii=False) for r in records]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    """Write records as one compact JSON object per line, each as it is yielded, atomically."""
+    atomic_write(path, (json.dumps(r, ensure_ascii=False) + "\n" for r in records))
 
 
 def atomic_write_json(path: str | os.PathLike, doc: dict) -> None:
     """Write one JSON document, indented by two spaces, atomically."""
-    atomic_write_text(path, json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
+    atomic_write(path, [json.dumps(doc, ensure_ascii=False, indent=2) + "\n"])
 
 
 def numbered_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:

@@ -15,7 +15,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from ._util import atomic_write_json, atomic_write_jsonl, atomic_write_text, json_number, numbered_jsonl
+from ._util import atomic_write, atomic_write_json, atomic_write_jsonl, json_number, numbered_jsonl
 from .corpus import (
     Dataset,
     FewShotSplitSpec,
@@ -33,8 +33,9 @@ from .inference import (
     PredictionConfig,
     PredictionSet,
     Ranking,
+    predict,
     prediction_to_record,
-    predict_dataset,
+    rank_all_candidates,
     tune_threshold,
 )
 from .labelspace import LabelVocabulary, load_vocabulary
@@ -253,7 +254,7 @@ def cmd_train(config: dict, out_dir: Path) -> list[str]:
 
 
 def cmd_predict(config: dict, out_dir: Path) -> list[str]:
-    """Rank and threshold a split; write the prediction dump."""
+    """Rank and threshold a split; write each prediction as its mention is ranked."""
     prediction_config = _prediction_config(config)
     split = _split_name(config, "predict")
     dataset = _load_split(config, split)
@@ -264,16 +265,14 @@ def cmd_predict(config: dict, out_dir: Path) -> list[str]:
     def collect(label, exc):
         render_errors.append({"label": label.raw, "error": str(exc)})
 
+    def record(inst):
+        ranking = rank_all_candidates(inst, vocab, scorer, prediction_config.template, collect)
+        return prediction_to_record(predict(ranking, prediction_config, instance_id=inst.id))
+
     try:
-        preds = predict_dataset(
-            dataset, vocab, scorer, prediction_config, on_render_error=collect
-        )
+        atomic_write_jsonl(out_dir / "predictions.jsonl", map(record, dataset))
     finally:
         scorer.close()
-    atomic_write_jsonl(
-        out_dir / "predictions.jsonl",
-        [prediction_to_record(p, prediction_config.topk) for p in preds],
-    )
     artifacts = ["predictions.jsonl"]
     if render_errors:
         atomic_write_jsonl(out_dir / "render_errors.jsonl", render_errors)
@@ -313,7 +312,7 @@ def cmd_eval(config: dict, out_dir: Path) -> list[str]:
         buckets = frequency_buckets(train_set, dataset, edges)
     report = evaluate(preds, golds, buckets)
     atomic_write_json(out_dir / "report.json", report_to_json(report))
-    atomic_write_text(out_dir / "report.txt", report_to_text(report))
+    atomic_write(out_dir / "report.txt", [report_to_text(report)])
     return ["report.json", "report.txt"]
 
 

@@ -7,7 +7,7 @@ one downstream pipeline serves every dataset.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import SchemaError, SplitError, ValidationError
@@ -171,19 +171,7 @@ def _filter_out_labels(train: Dataset, heldout: set[str]) -> Dataset:
         remaining = inst.gold_labels - heldout
         if not remaining:
             continue  # no positive left; unusable for ranking supervision
-        if remaining == inst.gold_labels:
-            kept.append(inst)
-        else:
-            kept.append(
-                MentionInstance(
-                    id=inst.id,
-                    left_tokens=inst.left_tokens,
-                    mention=inst.mention,
-                    right_tokens=inst.right_tokens,
-                    gold_labels=frozenset(remaining),
-                    extras=dict(inst.extras),
-                )
-            )
+        kept.append(replace(inst, gold_labels=remaining))
     return Dataset(name=train.name, split=train.split, instances=tuple(kept))
 
 

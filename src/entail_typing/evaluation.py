@@ -154,18 +154,13 @@ def evaluate(
 
 def report_to_json(report: EvaluationReport) -> dict:
     """JSON-ready report document; bucket keys use the "[lo,hi)" rendering."""
-    def triple(values: tuple[float, float, float]) -> dict:
+    def triple(values: Sequence[float]) -> dict:
         return {"precision": values[0], "recall": values[1], "f1": values[2]}
 
     buckets = {}
     for bucket in sorted(report.per_bucket, key=lambda b: b[0]):
-        p, r, f1, n_labels = report.per_bucket[bucket]
-        buckets[format_bucket(bucket)] = {
-            "precision": p,
-            "recall": r,
-            "f1": f1,
-            "n_labels": n_labels,
-        }
+        *values, n_labels = report.per_bucket[bucket]
+        buckets[format_bucket(bucket)] = {**triple(values), "n_labels": n_labels}
     return {
         "n_instances": report.n_instances,
         "loose_macro": triple(report.loose_macro),

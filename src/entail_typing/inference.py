@@ -245,6 +245,33 @@ def predict_dataset(
     ]
 
 
+def dev_loose_macro(
+    dev: Dataset,
+    vocab: LabelVocabulary,
+    scorer: EntailmentScorer,
+    configs: Sequence[PredictionConfig],
+) -> list[tuple[float, float, float]]:
+    """Loose macro P/R/F1 of the dev split under each config, in config order.
+
+    Each instance is ranked once, under the template the configs share, and
+    thresholded under every config (:func:`predict`). Only its (gold hits,
+    chosen size, gold size) per config is kept, not its ranking.
+    """
+    if len({config.template for config in configs}) != 1:
+        raise ValidationError("dev configs must share one template")
+    counts: list[list[tuple[int, int, int]]] = [[] for _ in configs]
+    for inst in dev:
+        gold = inst.gold_labels
+        if not gold:
+            raise EvaluationError(f"empty gold label set for instance {inst.id!r}")
+        ranking = rank_all_candidates(inst, vocab, scorer, configs[0].template)
+        for config, column in zip(configs, counts):
+            chosen = predict(ranking, config).chosen
+            column.append((len(chosen & gold), len(chosen), len(gold)))
+        del ranking  # not kept alive while the next instance is ranked
+    return [loose_macro_from_counts(column) for column in counts]
+
+
 def tune_threshold(
     dev: Dataset,
     vocab: LabelVocabulary,
@@ -255,9 +282,8 @@ def tune_threshold(
 ) -> float:
     """Pick the grid threshold maximizing loose macro F1 on the dev split.
 
-    Each instance is ranked once and thresholded at every grid value
-    (:func:`predict`). Only its (gold hits, chosen size, gold size) per grid
-    value is kept, not its ranking. Ties go to the larger threshold.
+    The F1 per grid value comes from :func:`dev_loose_macro`, which ranks
+    each instance once. Ties go to the larger threshold.
     """
     if not grid:
         raise ValidationError("threshold grid is empty")
@@ -265,22 +291,13 @@ def tune_threshold(
         if not a < b:
             raise ValidationError("threshold grid must be strictly increasing")
     configs = [PredictionConfig(threshold, fallback, template) for threshold in grid]
-    counts: list[list[tuple[int, int, int]]] = [[] for _ in grid]
-    for inst in dev:
-        gold = inst.gold_labels
-        if not gold:
-            raise EvaluationError(f"empty gold label set for instance {inst.id!r}")
-        ranking = rank_all_candidates(inst, vocab, scorer, template)
-        for config, column in zip(configs, counts):
-            chosen = predict(ranking, config).chosen
-            column.append((len(chosen & gold), len(chosen), len(gold)))
-        del ranking  # not kept alive while the next instance is ranked
+    f1s = [f1 for _, _, f1 in dev_loose_macro(dev, vocab, scorer, configs)]
     # Grid values ascend, so among equal F1s max() takes the larger threshold.
-    return max(zip((loose_macro_from_counts(column)[2] for column in counts), grid))[1]
+    return max(zip(f1s, grid))[1]
 
 
-def prediction_to_record(pred: PredictionSet, topk: int = 10) -> dict:
-    """Serialize a prediction for the JSONL dump; its kept entries truncated to topk."""
+def prediction_to_record(pred: PredictionSet, topk: int | None = None) -> dict:
+    """Serialize a prediction for the JSONL dump: every kept entry, or the first ``topk``."""
     return {
         "instance_id": pred.instance_id,
         "chosen": sorted(pred.chosen),

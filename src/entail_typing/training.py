@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from ._util import substream
 from .corpus import Dataset, MentionInstance
 from .errors import ConfigError, TrainingError, ValidationError
-from .evaluation import loose_macro
-from .inference import PredictionConfig, predict_dataset
+# loose_macro and predict_dataset stay importable from here: bench/tracer.py wraps them by name.
+from .evaluation import loose_macro  # noqa: F401
+from .inference import PredictionConfig, dev_loose_macro, predict_dataset  # noqa: F401
 from .labelspace import (
     DependencyPair,
     LabelVocabulary,
@@ -182,12 +183,11 @@ def train(
     shuffled, each instance's examples stay together, and the examples are
     cut into batches of ``batch_size``; each batch accumulates weighted
     losses and applies one update. Every ``eval_every`` epochs the dev split is
-    predicted and scored, and the scorer is snapshotted when the loose
-    macro F1 improves.
+    scored (:func:`dev_loose_macro`), and the scorer is snapshotted when the
+    loose macro F1 improves.
     """
     if len(train_set) == 0 or len(dev_set) == 0:
         raise ValidationError("training requires nonempty train and dev sets")
-    dev_golds = {inst.id: set(inst.gold_labels) for inst in dev_set}
 
     best_tag = scorer.snapshot()
     best_f1 = float("-inf")
@@ -244,8 +244,7 @@ def train(
             epoch_loss[kind] = sum(means) / len(means) if means else 0.0
 
         if epoch % config.eval_every == 0:
-            preds = predict_dataset(dev_set, vocab, scorer, predict_config)
-            dev_p, dev_r, dev_f1 = loose_macro(preds, dev_golds)
+            [(dev_p, dev_r, dev_f1)] = dev_loose_macro(dev_set, vocab, scorer, [predict_config])
             record = {
                 "epoch": epoch,
                 "dev_p": dev_p,

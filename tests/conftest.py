@@ -1,5 +1,6 @@
 """Shared builders for test fixtures."""
 
+import gc
 import json
 
 import pytest
@@ -10,8 +11,10 @@ from entail_typing import (
     PairKind,
     PremiseHypothesisPair,
     TemplateKind,
+    PredictionSet,
     Tier,
 )
+from entail_typing import inference
 from entail_typing._util import numbered_jsonl
 
 
@@ -88,3 +91,24 @@ def ufet_record(left, mention, right, y_str, **extras):
     }
     record.update(extras)
     return record
+
+
+def _live_predictions():
+    return sum(isinstance(o, PredictionSet) for o in gc.get_objects())
+
+
+def record_live_predictions(monkeypatch):
+    """Count the live PredictionSets each time a mention is ranked.
+
+    Returns the list the counts go to and the count before any ranking.
+    """
+    render = inference.type_candidates
+    live = []
+
+    def count_and_render(*args, **kwargs):
+        live.append(_live_predictions())
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "type_candidates", count_and_render)
+    gc.collect()
+    return live, _live_predictions()

@@ -18,7 +18,7 @@ from entail_typing import (
 )
 from entail_typing.cli import load_run_config, main
 
-from conftest import read_jsonl
+from conftest import read_jsonl, record_live_predictions
 
 
 def _record(left, mention, right, labels, **extras):
@@ -239,6 +239,24 @@ class TestPredictAndEval:
             assert set(record) == {"instance_id", "chosen", "topk"}
             assert record["chosen"] == sorted(record["chosen"])
             assert all(set(t) == {"label", "score"} for t in record["topk"])
+
+    def test_earlier_predictions_are_dropped(self, workdir, monkeypatch):
+        """Each time a mention is ranked, no earlier mention's prediction is alive."""
+        _write_jsonl(workdir / "test.jsonl", TEST_ROWS * 2)
+        live, before = record_live_predictions(monkeypatch)
+        assert run(workdir, "predict") == 0
+        assert live == [before] * 4
+        assert len(read_jsonl(workdir / "out" / "predictions.jsonl")) == 4
+
+    def test_endpoint_failure_keeps_the_earlier_dump(self, workdir, capsys):
+        assert run(workdir, "predict") == 0
+        out = workdir / "out"
+        dump = (out / "predictions.jsonl").read_bytes()
+        names = sorted(p.name for p in out.iterdir())
+        assert run(workdir, "predict", "scorer=" + json.dumps(stub_spec("external", "short"))) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (out / "predictions.jsonl").read_bytes() == dump
+        assert sorted(p.name for p in out.iterdir()) == names
 
     def test_overlap_scorer_finds_surface_labels(self, workdir):
         assert run(workdir, "predict") == 0

@@ -25,6 +25,8 @@ from entail_typing import (
     TypeLabel,
     ValidationError,
     build_type_pair,
+    dev_loose_macro,
+    loose_macro,
     parse_label,
     predict,
     predict_dataset,
@@ -535,6 +537,28 @@ class TestTuneThreshold:
         )
         assert got == 0.8
 
+    def test_dev_loose_macro_matches_loose_macro_of_predict_dataset(self, flat_vocab):
+        dev = self._dev([
+            ("Sam", ("person", "athlete")), ("Paris", ("location",)), ("the euro", ("currency",)),
+        ])
+        scorer = OverlapScorer()
+        configs = [
+            PredictionConfig(threshold, fallback)
+            for threshold in (0.0, 0.2, 0.5, 0.9, 1.1)
+            for fallback in (FallbackPolicy.top1(), FallbackPolicy.empty())
+        ]
+        golds = {inst.id: set(inst.gold_labels) for inst in dev}
+        expected = [loose_macro(predict_dataset(dev, flat_vocab, scorer, c), golds) for c in configs]
+        assert dev_loose_macro(dev, flat_vocab, scorer, configs) == expected
+
+    def test_dev_configs_share_one_template(self, flat_vocab):
+        dev = self._dev([("Sam", ("person",))])
+        scorer = RawLabelScorer({"person": 0.9})
+        mixed = [PredictionConfig(0.5), PredictionConfig(0.5, template=TemplateKind.SUBSTITUTION)]
+        for configs in (mixed, []):
+            with pytest.raises(ValidationError, match="share one template"):
+                dev_loose_macro(dev, flat_vocab, scorer, configs)
+
     def test_earlier_rankings_are_dropped(self, flat_vocab, monkeypatch):
         """Each time a mention is ranked, no earlier mention's ranking is alive."""
         dev = self._dev([(m, ("person",)) for m in ("Sam", "Kim", "Lee", "Bo")])
@@ -606,6 +630,14 @@ class TestSerialization:
         assert record["instance_id"] == "test-000003"
         assert record["chosen"] == ["l00", "l01"]
         assert [r["label"] for r in record["topk"]] == ["l00", "l01", "l02"]
+
+    def test_default_keeps_every_kept_entry(self):
+        scores = {f"l{i:02d}": (19 - i) / 20 for i in range(15)}
+        config = PredictionConfig(threshold=0.4, topk=12)
+        pred = predict(_ranking(scores), config, instance_id="x")
+        record = prediction_to_record(pred)
+        assert [r["label"] for r in record["topk"]] == [f"l{i:02d}" for i in range(12)]
+        assert prediction_to_record(pred, 3)["topk"] == record["topk"][:3]
 
     def test_chosen_list_is_sorted(self):
         ranking = _ranking({"zebra": 0.9, "ant": 0.9, "mole": 0.9})

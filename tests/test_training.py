@@ -30,7 +30,7 @@ from entail_typing import (
 from entail_typing._util import substream
 from entail_typing.training import instance_positives
 
-from conftest import mk_instance, mk_pair
+from conftest import mk_instance, mk_pair, record_live_predictions
 from oracles import oracle_margin
 from test_scoring import STUB, recorded_requests
 
@@ -381,6 +381,15 @@ class TestTrainLoop:
         snapshotted = [r for r in log if "checkpoint" in r]
         assert snapshotted and snapshotted[-1]["checkpoint"] == best_tag
         assert snapshotted[-1]["dev_f1"] == best_f1
+
+    def test_dev_evaluation_drops_earlier_predictions(self, monkeypatch):
+        """Each time a dev mention is ranked, no earlier mention's prediction is alive."""
+        vocab, train_set, dev_set = _toy_world()
+        scorer = TrainableTableScorer(default=0.5, lr=0.2)
+        config = TrainingConfig(max_epochs=2, eval_every=1, seed=1)
+        live, before = record_live_predictions(monkeypatch)
+        train(train_set, dev_set, vocab, scorer, config, _predict_config())
+        assert live == [before] * (2 * len(dev_set))
 
     def test_identical_seeds_identical_logs(self):
         vocab, train_set, dev_set = _toy_world()

@@ -1,11 +1,12 @@
-"""The shared input-file reader and JSON-number rule."""
+"""The shared input-file reader, JSONL writer and JSON-number rule."""
 
+import json
 import math
 
 import pytest
 
 from entail_typing import DatasetLoadError
-from entail_typing._util import json_number, numbered_jsonl, numbered_lines
+from entail_typing._util import atomic_write_jsonl, json_number, numbered_jsonl, numbered_lines
 
 
 class TestNumberedLines:
@@ -24,6 +25,34 @@ class TestNumberedLines:
         path = tmp_path / "records.jsonl"
         path.write_text('{"a": 1}\n\n{"a": 2}\n', encoding="utf-8")
         assert list(numbered_jsonl(path)) == [(1, {"a": 1}), (3, {"a": 2})]
+
+
+class TestAtomicWriteJsonl:
+    @pytest.mark.parametrize(
+        "records",
+        [[{"label": "café", "score": 0.5}, {"chosen": ["東京", "naïve"], "topk": []}], []],
+        ids=["non-ascii", "no-records"],
+    )
+    def test_bytes_match_joined_lines(self, tmp_path, records):
+        path = tmp_path / "out.jsonl"
+        atomic_write_jsonl(path, iter(records))
+        lines = [json.dumps(r, ensure_ascii=False) for r in records]
+        expected = "\n".join(lines) + "\n" if lines else ""
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_failing_records_leave_the_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_bytes(b'{"old": true}\n')
+
+        def records():
+            for i in range(50):  # enough to spill past the write buffer
+                yield {"i": i, "text": "x" * 10_000}
+            raise RuntimeError("scorer failed")
+
+        with pytest.raises(RuntimeError, match="scorer failed"):
+            atomic_write_jsonl(path, records())
+        assert path.read_bytes() == b'{"old": true}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
 class TestJsonNumber:
