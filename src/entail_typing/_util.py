@@ -67,19 +67,23 @@ def atomic_write_json(path: str | os.PathLike, doc: dict) -> None:
 def numbered_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) per nonblank line of a UTF-8 text file.
 
-    Lines end at ``\n``. A file that is not UTF-8 raises naming ``path:line``.
-    Lines are yielded, not returned as a list: a list of one tuple per line of
-    a 10,331-label vocabulary made later warm-cache tuning about 13% slower.
+    Lines end at ``\n``. The file is decoded in blocks of whole lines, about
+    1 MB each, so memory does not grow with the file. Bytes that are not UTF-8
+    raise naming ``path:line`` when their block is reached.
     """
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise DatasetLoadError(f"{path}:{lineno}: not UTF-8 ({exc})") from None
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line := line.strip():
-            yield lineno, line
+    with open(path, "rb") as f:
+        start = 1
+        while block := f.readlines(1 << 20):
+            data = b"".join(block)
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                lineno = start + data.count(b"\n", 0, exc.start)
+                raise DatasetLoadError(f"{path}:{lineno}: not UTF-8 ({exc})") from None
+            for lineno, line in enumerate(text.split("\n"), start=start):
+                if line := line.strip():
+                    yield lineno, line
+            start += len(block)
 
 
 def numbered_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:

@@ -202,24 +202,25 @@ def cmd_render(config: dict, out_dir: Path) -> list[str]:
     dataset = _load_split(config, split)
     vocab = _load_vocab(config)
     template = _template(config)
-    records = []
-    for instance in dataset:
-        labels, deps = instance_positives(instance, vocab, template)
-        targets = [(build_type_pair, label, label.raw) for label in labels]
-        targets += [(build_dependency_pair, dep, dep.descendant.raw) for dep in deps]
-        for build, target, raw in targets:
-            try:
-                records.append(pair_to_record(build(instance, target, template)))
-            except EntailTypingError as exc:
-                records.append(
-                    {
+
+    def records():
+        for instance in dataset:
+            labels, deps = instance_positives(instance, vocab, template)
+            targets = [(build_type_pair, label, label.raw) for label in labels]
+            targets += [(build_dependency_pair, dep, dep.descendant.raw) for dep in deps]
+            for build, target, raw in targets:
+                try:
+                    record = pair_to_record(build(instance, target, template))
+                except EntailTypingError as exc:
+                    record = {
                         "error": str(exc),
                         "instance_id": instance.id,
                         "label": raw,
                         "template": template.value,
                     }
-                )
-    atomic_write_jsonl(out_dir / "pairs.jsonl", records)
+                yield record
+
+    atomic_write_jsonl(out_dir / "pairs.jsonl", records())
     return ["pairs.jsonl"]
 
 
@@ -285,6 +286,11 @@ def cmd_eval(config: dict, out_dir: Path) -> list[str]:
     split = _split_name(config, "eval")
     dataset = _load_split(config, split)
     golds = {inst.id: set(inst.gold_labels) for inst in dataset}
+    buckets = None
+    if config.get("bucket_edges"):
+        train_set = _load_split(config, "train")
+        edges = _value(config, "bucket_edges", tuple)
+        buckets = frequency_buckets(train_set, dataset, edges)
 
     if config.get("predictions_path"):
         predictions_path = _resolve(config, "predictions_path")
@@ -292,25 +298,21 @@ def cmd_eval(config: dict, out_dir: Path) -> list[str]:
         predictions_path = out_dir / "predictions.jsonl"
         if not predictions_path.exists():
             raise ConfigError(f"no predictions found at {predictions_path}")
-    preds = []
-    for lineno, r in numbered_jsonl(predictions_path):
-        where = f"{predictions_path}:{lineno}"
-        for key in ("instance_id", "chosen"):
-            if key not in r:
-                raise SchemaError(f"{where}: missing key {key!r}")
-        instance_id, chosen = r["instance_id"], r["chosen"]
-        if not isinstance(instance_id, str):
-            raise SchemaError(f"{where}: instance_id must be a string")
-        if not isinstance(chosen, list) or not all(isinstance(c, str) for c in chosen):
-            raise SchemaError(f"{where}: chosen must be a list of strings")
-        preds.append(PredictionSet(instance_id, frozenset(chosen), top=Ranking([], [])))
 
-    buckets = None
-    if config.get("bucket_edges"):
-        train_set = _load_split(config, "train")
-        edges = _value(config, "bucket_edges", tuple)
-        buckets = frequency_buckets(train_set, dataset, edges)
-    report = evaluate(preds, golds, buckets)
+    def predictions():
+        for lineno, r in numbered_jsonl(predictions_path):
+            where = f"{predictions_path}:{lineno}"
+            for key in ("instance_id", "chosen"):
+                if key not in r:
+                    raise SchemaError(f"{where}: missing key {key!r}")
+            instance_id, chosen = r["instance_id"], r["chosen"]
+            if not isinstance(instance_id, str):
+                raise SchemaError(f"{where}: instance_id must be a string")
+            if not isinstance(chosen, list) or not all(isinstance(c, str) for c in chosen):
+                raise SchemaError(f"{where}: chosen must be a list of strings")
+            yield PredictionSet(instance_id, frozenset(chosen), top=Ranking([], []))
+
+    report = evaluate(predictions(), golds, buckets)
     atomic_write_json(out_dir / "report.json", report_to_json(report))
     atomic_write(out_dir / "report.txt", [report_to_text(report)])
     return ["report.json", "report.txt"]
@@ -348,9 +350,7 @@ def cmd_split_fewshot(config: dict, out_dir: Path) -> list[str]:
         seed=_value(config, "seed", _whole),
     )
     filtered, heldout = make_fewshot_split(train_set, test_set, spec)
-    atomic_write_jsonl(
-        out_dir / "fewshot_train.jsonl", [instance_to_record(i) for i in filtered]
-    )
+    atomic_write_jsonl(out_dir / "fewshot_train.jsonl", map(instance_to_record, filtered))
     atomic_write_json(out_dir / "fewshot.json", fewshot_manifest(heldout, spec))
     return ["fewshot_train.jsonl", "fewshot.json"]
 

@@ -7,8 +7,10 @@ breakdowns that restrict both prediction and gold sets to a bucket's
 labels before scoring.
 """
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from operator import attrgetter
+from typing import Protocol
 
 from .corpus import Bucket, format_bucket
 from .errors import EvaluationError
@@ -33,25 +35,23 @@ class EvaluationReport:
 
 
 def _aligned_sets(
-    preds: Sequence[PredictionLike], golds: Mapping[str, set[str]]
-) -> list[tuple[set[str], set[str]]]:
-    """Pair up chosen and gold sets by instance id, validating the alignment."""
+    preds: Iterable[PredictionLike], golds: Mapping[str, set[str]]
+) -> Iterator[tuple[frozenset[str], set[str]]]:
+    """Yield (chosen, gold) per prediction, checking the alignment; no prediction is kept."""
     seen = set()
-    pairs = []
-    for pred in preds:
-        if pred.instance_id in seen:
-            raise EvaluationError(f"duplicate prediction for instance {pred.instance_id!r}")
-        seen.add(pred.instance_id)
-        if pred.instance_id not in golds:
-            raise EvaluationError(f"prediction for unknown instance {pred.instance_id!r}")
-        gold = set(golds[pred.instance_id])
+    for instance_id, chosen in map(attrgetter("instance_id", "chosen"), preds):
+        if instance_id in seen:
+            raise EvaluationError(f"duplicate prediction for instance {instance_id!r}")
+        seen.add(instance_id)
+        if instance_id not in golds:
+            raise EvaluationError(f"prediction for unknown instance {instance_id!r}")
+        gold = golds[instance_id]
         if not gold:
-            raise EvaluationError(f"empty gold label set for instance {pred.instance_id!r}")
-        pairs.append((set(pred.chosen), gold))
+            raise EvaluationError(f"empty gold label set for instance {instance_id!r}")
+        yield chosen, gold
     for instance_id in golds:
         if instance_id not in seen:
             raise EvaluationError(f"no prediction for instance {instance_id!r}")
-    return pairs
 
 
 def _harmonic(p: float, r: float) -> float:
@@ -66,49 +66,30 @@ def loose_macro_from_counts(counts: Sequence[tuple[int, int, int]]) -> tuple[flo
     """
     if not counts:
         return (0.0, 0.0, 0.0)
-    precisions = []
-    recalls = []
-    for hits, n_chosen, n_gold in counts:
-        precisions.append(hits / n_chosen if n_chosen else 0.0)
-        recalls.append(hits / n_gold)
-    p = sum(precisions) / len(precisions)
-    r = sum(recalls) / len(recalls)
+    p = sum(hits / n_chosen if n_chosen else 0.0 for hits, n_chosen, _ in counts) / len(counts)
+    r = sum(hits / n_gold for hits, _, n_gold in counts) / len(counts)
     return (p, r, _harmonic(p, r))
-
-
-def _macro_from_sets(pairs: Sequence[tuple[set[str], set[str]]]) -> tuple[float, float, float]:
-    """Loose macro P/R/F1 over (chosen, gold) set pairs."""
-    return loose_macro_from_counts([(len(c & g), len(c), len(g)) for c, g in pairs])
 
 
 def loose_macro(
     preds: Sequence[PredictionLike], golds: Mapping[str, set[str]]
 ) -> tuple[float, float, float]:
     """Per-instance set precision/recall averaged, F1 harmonic of the averages."""
-    return _macro_from_sets(_aligned_sets(preds, golds))
+    return evaluate(preds, golds).loose_macro
 
 
 def micro(
     preds: Sequence[PredictionLike], golds: Mapping[str, set[str]]
 ) -> tuple[float, float, float]:
     """Totaled intersection counts over totaled chosen and gold sizes."""
-    pairs = _aligned_sets(preds, golds)
-    hits = sum(len(chosen & gold) for chosen, gold in pairs)
-    chosen_total = sum(len(chosen) for chosen, _ in pairs)
-    gold_total = sum(len(gold) for _, gold in pairs)
-    p = hits / chosen_total if chosen_total else 0.0
-    r = hits / gold_total if gold_total else 0.0
-    return (p, r, _harmonic(p, r))
+    return evaluate(preds, golds).micro
 
 
 def strict_accuracy(
     preds: Sequence[PredictionLike], golds: Mapping[str, set[str]]
 ) -> float:
     """Fraction of instances whose chosen set equals the gold set exactly."""
-    pairs = _aligned_sets(preds, golds)
-    if not pairs:
-        return 0.0
-    return sum(1 for chosen, gold in pairs if chosen == gold) / len(pairs)
+    return evaluate(preds, golds).strict_accuracy
 
 
 def bucket_report(
@@ -121,34 +102,44 @@ def bucket_report(
     Instances whose restricted gold set is empty are dropped from that
     bucket; buckets that end up with no instances are omitted entirely.
     """
-    pairs = _aligned_sets(preds, golds)
-    report = {}
-    for bucket in sorted(buckets, key=lambda b: b[0]):
-        labels = buckets[bucket]
-        restricted = [
-            (chosen & labels, gold & labels) for chosen, gold in pairs if gold & labels
-        ]
-        if restricted:
-            report[bucket] = _macro_from_sets(restricted)
-    return report
+    per_bucket = evaluate(preds, golds, buckets).per_bucket
+    return {bucket: (p, r, f1) for bucket, (p, r, f1, _) in per_bucket.items()}
 
 
 def evaluate(
-    preds: Sequence[PredictionLike],
+    preds: Iterable[PredictionLike],
     golds: Mapping[str, set[str]],
     buckets: Mapping[Bucket, set[str]] | None = None,
 ) -> EvaluationReport:
-    """Compute every metric of one prediction run (each metric aligns it anew)."""
-    per_bucket: dict[Bucket, tuple[float, float, float, int]] = {}
-    if buckets:
-        for bucket, (p, r, f1) in bucket_report(preds, golds, buckets).items():
-            per_bucket[bucket] = (p, r, f1, len(buckets[bucket]))
+    """Compute every metric of one prediction run in one pass over ``preds``, any iterable.
+
+    Per instance only (gold hits, chosen size, gold size) is kept, overall and per bucket.
+    """
+    counts = []
+    bucket_counts = {bucket: [] for bucket in sorted(buckets or {}, key=lambda b: b[0])}
+    for chosen, gold in _aligned_sets(preds, golds):
+        hits = chosen & gold
+        counts.append((len(hits), len(chosen), len(gold)))
+        for bucket, restricted in bucket_counts.items():
+            labels = buckets[bucket]
+            if n_gold := len(gold & labels):
+                restricted.append((len(hits & labels), len(chosen & labels), n_gold))
+    n_hits = sum(h for h, _, _ in counts)
+    n_chosen = sum(c for _, c, _ in counts)
+    n_gold = sum(g for _, _, g in counts)
+    p = n_hits / n_chosen if n_chosen else 0.0
+    r = n_hits / n_gold if n_gold else 0.0
     return EvaluationReport(
-        loose_macro=loose_macro(preds, golds),
-        micro=micro(preds, golds),
-        strict_accuracy=strict_accuracy(preds, golds),
-        per_bucket=per_bucket,
-        n_instances=len(preds),
+        loose_macro=loose_macro_from_counts(counts),
+        micro=(p, r, _harmonic(p, r)),
+        # the chosen set equals the gold set exactly when both sizes equal the hits
+        strict_accuracy=sum(h == c == g for h, c, g in counts) / len(counts) if counts else 0.0,
+        per_bucket={
+            bucket: (*loose_macro_from_counts(restricted), len(buckets[bucket]))
+            for bucket, restricted in bucket_counts.items()
+            if restricted
+        },
+        n_instances=len(counts),
     )
 
 

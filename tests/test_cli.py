@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand against small on-disk fixtures."""
 
+import gc
 import json
 import random
 import shlex
@@ -16,9 +17,10 @@ from entail_typing import (
     load_ufet_jsonl,
     load_vocabulary,
 )
+from entail_typing import cli
 from entail_typing.cli import load_run_config, main
 
-from conftest import read_jsonl, record_live_predictions
+from conftest import _live_predictions, read_jsonl, record_live_predictions
 
 
 def _record(left, mention, right, labels, **extras):
@@ -247,6 +249,24 @@ class TestPredictAndEval:
         assert run(workdir, "predict") == 0
         assert live == [before] * 4
         assert len(read_jsonl(workdir / "out" / "predictions.jsonl")) == 4
+
+    def test_eval_drops_earlier_predictions(self, workdir, monkeypatch):
+        """Each time eval reads a dump line, no earlier line's prediction is alive."""
+        _write_jsonl(workdir / "test.jsonl", TEST_ROWS * 2)
+        assert run(workdir, "predict") == 0
+        read, live = cli.numbered_jsonl, []
+
+        def counting_read(path):
+            for numbered in read(path):
+                live.append(_live_predictions())
+                yield numbered
+
+        monkeypatch.setattr(cli, "numbered_jsonl", counting_read)
+        gc.collect()
+        before = _live_predictions()
+        assert run(workdir, "eval") == 0
+        assert live == [before] * 4
+        assert json.loads((workdir / "out" / "report.json").read_text())["n_instances"] == 4
 
     def test_endpoint_failure_keeps_the_earlier_dump(self, workdir, capsys):
         assert run(workdir, "predict") == 0

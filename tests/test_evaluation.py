@@ -224,6 +224,13 @@ class TestFullReport:
             )
             assert report.n_instances == len(pairs)
 
+    def test_one_shot_generator_equals_list(self):
+        preds, golds = mk([({"a", "b"}, {"a"}), ({"c"}, {"c", "d"}), (set(), {"b"})])
+        buckets = {(0, 2): {"a", "b"}, (2, None): {"c", "d"}}
+        streamed = evaluate((pred for pred in preds), golds, buckets)
+        assert streamed == evaluate(preds, golds, buckets)
+        assert streamed.per_bucket
+
     def test_json_shape(self):
         preds, golds = mk([({"a", "b"}, {"a"}), ({"c"}, {"c", "d"})])
         report = evaluate(preds, golds, buckets={(0, 2): {"a", "b"}, (2, None): {"c", "d"}})

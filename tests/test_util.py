@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,30 @@ class TestNumberedLines:
         path.write_bytes(b"ok\n\nbad \xff byte\n")
         with pytest.raises(DatasetLoadError, match=r"lines\.txt:3: not UTF-8"):
             list(numbered_lines(path))
+
+    def test_bad_byte_past_the_first_block_names_its_line(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        # 40,000 lines of about 2 MB, so the bad byte sits in a later block
+        path.write_bytes((b"y" * 99 + b"\n\n") * 20_000 + b"ok\nbad \xff byte\nnext\n")
+        with pytest.raises(DatasetLoadError, match=r"lines\.txt:40002: not UTF-8"):
+            list(numbered_lines(path))
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        line = b"z" * 99 + b"\n"
+        peaks = []
+        for megabytes in (4, 16):
+            path = tmp_path / f"{megabytes}.txt"
+            n_lines = (megabytes << 20) // len(line)
+            path.write_bytes(line * n_lines)
+            tracemalloc.start()
+            try:
+                for lineno, _ in numbered_lines(path):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert lineno == n_lines
+        assert abs(peaks[1] - peaks[0]) < 2 << 20
 
     def test_jsonl_keeps_line_numbers(self, tmp_path):
         path = tmp_path / "records.jsonl"
