@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -86,8 +87,26 @@ def numbered_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
             start += len(block)
 
 
+# A \u escape in the UTF-16 surrogate range, U+D800 to U+DFFF. JSON text
+# without one cannot parse to a string holding a lone surrogate.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def has_lone_surrogate(value) -> bool:
+    """Whether a parsed JSON value holds a lone surrogate, which UTF-8 cannot encode."""
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def numbered_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
-    """(line number, JSON object) per nonblank line; a bad line raises naming ``path:line``."""
+    """(line number, JSON object) per nonblank line; a bad line raises naming ``path:line``.
+
+    A line whose escapes leave a lone surrogate is bad too: its text could
+    be read but never written out again as UTF-8.
+    """
     for lineno, line in numbered_lines(path):
         try:
             record = json.loads(line)
@@ -95,6 +114,8 @@ def numbered_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
             raise DatasetLoadError(f"{path}:{lineno}: malformed JSON ({exc})") from None
         if not isinstance(record, dict):
             raise DatasetLoadError(f"{path}:{lineno}: expected a JSON object")
+        if _SURROGATE_ESCAPE.search(line) and has_lone_surrogate(record):
+            raise DatasetLoadError(f"{path}:{lineno}: a \\u escape leaves a lone surrogate")
         yield lineno, record
 
 

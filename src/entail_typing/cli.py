@@ -15,7 +15,14 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from ._util import atomic_write, atomic_write_json, atomic_write_jsonl, json_number, numbered_jsonl
+from ._util import (
+    atomic_write,
+    atomic_write_json,
+    atomic_write_jsonl,
+    has_lone_surrogate,
+    json_number,
+    numbered_jsonl,
+)
 from .corpus import (
     Dataset,
     FewShotSplitSpec,
@@ -111,6 +118,11 @@ def load_run_config(
         config[key] = _parse_set_value(value)
     if out_override:
         config["out_dir"] = out_override
+    for key, value in config.items():
+        if has_lone_surrogate(value):
+            raise ConfigError(
+                f"config key {key!r} holds a lone surrogate, which UTF-8 cannot encode"
+            )
     config["_base_dir"] = str(base_dir)
     return config
 

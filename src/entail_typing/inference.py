@@ -23,7 +23,7 @@ from .errors import ConfigError, EvaluationError, RenderingError, ValidationErro
 # loose_macro stays importable from here: bench/tracer.py wraps it by name.
 from .evaluation import loose_macro, loose_macro_from_counts  # noqa: F401
 from .labelspace import LabelVocabulary, TypeLabel
-from .scoring import EntailmentScorer, check_scores
+from .scoring import EntailmentScorer, check_scores, unit_score
 # build_type_pair stays importable from here: bench/tracer.py wraps it by name.
 from .templates import TemplateKind, build_type_pair, type_candidates  # noqa: F401
 
@@ -103,10 +103,10 @@ class ScoredLabel:
     score: float
 
     def __post_init__(self):
-        if not 0.0 <= self.score <= 1.0:
-            raise ValidationError(
-                f"score {self.score} outside [0, 1] for label {self.label.raw!r}"
-            )
+        try:
+            object.__setattr__(self, "score", unit_score(self.score))
+        except ValueError as exc:
+            raise ValidationError(f"{exc} for label {self.label.raw!r}") from None
 
 
 class Ranking(Sequence[ScoredLabel]):
@@ -182,17 +182,17 @@ def rank_all_candidates(
     point, :meth:`EntailmentScorer.score_candidates`. Labels whose
     hypothesis cannot be rendered score 0 and are reported through
     ``on_render_error`` in vocabulary order when a handler is given. A
-    scorer returning the wrong number of scores, or a score outside
-    [0, 1], raises :class:`ValidationError`, the latter naming the first
-    such label in vocabulary order. The result is best-first: descending
-    score, ties broken by ascending raw label.
+    scorer returning the wrong number of scores, or a score failing
+    :func:`unit_score`, raises :class:`ValidationError`, the latter naming
+    the first such label in vocabulary order. The result is best-first:
+    descending score (as floats), ties broken by ascending raw label.
     """
     labels = vocab.labels
     if not labels:
         raise ValidationError("cannot rank against an empty vocabulary")
     candidates = type_candidates(instance, labels, template, on_render_error)
-    scores = list(scorer.score_candidates(candidates))
-    check_scores(scores, len(candidates.labels), lambda i: candidates.labels[i].raw)
+    scores = check_scores(scorer.score_candidates(candidates), len(candidates.labels),
+                          lambda i: candidates.labels[i].raw)
     # Ascending slots: each insert leaves the slots before it in place.
     for i in candidates.failed:
         scores.insert(i, 0.0)
@@ -287,6 +287,9 @@ def tune_threshold(
     """
     if not grid:
         raise ValidationError("threshold grid is empty")
+    for threshold in grid:
+        if not math.isfinite(threshold):
+            raise ValidationError(f"threshold grid value {threshold} is not finite")
     for a, b in zip(grid, grid[1:]):
         if not a < b:
             raise ValidationError("threshold grid must be strictly increasing")

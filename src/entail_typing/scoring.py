@@ -62,16 +62,32 @@ class EntailmentScorer(abc.ABC):
         """Release held resources (processes, files); in-process scorers hold none."""
 
 
-def check_scores(scores: Sequence[float], expected: int, label_raw: Callable[[int], str]) -> None:
-    """Raise :class:`ValidationError` unless ``scores`` holds ``expected`` scores in [0, 1].
+def unit_score(value) -> float:
+    """A score as a float: an int or float (not a bool) in [0, 1]; else ``ValueError``."""
+    if type(value) is not float:
+        value = json_number(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"score {value} outside [0, 1]")
+    return value
 
-    ``label_raw(i)`` names the label of score ``i``; the first bad one is named.
+
+def check_scores(scores, expected: int, label_raw: Callable[[int], str]) -> list[float]:
+    """``expected`` scores as a fresh list of floats, each passing :func:`unit_score`.
+
+    Otherwise raises :class:`ValidationError`; ``label_raw(i)`` names the
+    label of score ``i``, and the first bad one is named.
     """
+    scores = list(scores)
     if len(scores) != expected:
         raise ValidationError(f"scorer returned {len(scores)} scores for {expected} pairs")
-    bad = next((i for i, s in enumerate(scores) if not 0.0 <= s <= 1.0), None)
-    if bad is not None:
-        raise ValidationError(f"score {scores[bad]} outside [0, 1] for label {label_raw(bad)!r}")
+    if not [s for s in scores if type(s) is not float or not 0.0 <= s <= 1.0]:
+        return scores  # the common case: in-range floats, checked in one pass
+    for i, value in enumerate(scores):
+        try:
+            scores[i] = unit_score(value)
+        except ValueError as exc:
+            raise ValidationError(f"{exc} for label {label_raw(i)!r}") from None
+    return scores
 
 
 def margin_ranking_loss(pos_score: float, neg_score: float, margin: float) -> float:
@@ -207,15 +223,11 @@ class TableScorer(EntailmentScorer):
         table: dict[tuple[str, str], float],
         default: float = 0.0,
     ):
-        for (premise, hypothesis), value in table.items():
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"table score {value} outside [0, 1] for hypothesis {hypothesis!r}"
-                )
-        if not 0.0 <= default <= 1.0:
-            raise ValidationError(f"table default {default} outside [0, 1]")
-        self._table = dict(table)
-        self.default = default
+        try:
+            self._table = {key: unit_score(value) for key, value in table.items()}
+            self.default = unit_score(default)
+        except ValueError as exc:
+            raise ValidationError(f"table {exc}") from None
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "TableScorer":
@@ -261,12 +273,11 @@ def _table_number(record: dict, key: str, where: str) -> float:
     """A table record's ``key`` as a float in [0, 1]; anything else raises naming ``where``."""
     value = record[key]
     try:
-        number = json_number(value)
+        return unit_score(value)
     except ValueError:
-        number = None
-    if number is None or not 0.0 <= number <= 1.0:
-        raise ValidationError(f"{where}: {key} must be a JSON number in [0, 1], got {value!r}")
-    return number
+        raise ValidationError(
+            f"{where}: {key} must be a JSON number in [0, 1], got {value!r}"
+        ) from None
 
 
 class TrainableTableScorer(TableScorer, TrainableScorer):
@@ -466,10 +477,10 @@ def _reply_to(request_id: str, response) -> dict:
 
 def _reply_score(value) -> float:
     """An endpoint's entailment score as a float in [0, 1]; anything else raises."""
-    score = _reply_number(value, "entailment score")
-    if not 0.0 <= score <= 1.0:
-        raise ProtocolError(f"entailment score {score} outside [0, 1]")
-    return score
+    try:
+        return unit_score(_reply_number(value, "entailment score"))
+    except ValueError as exc:
+        raise ProtocolError(f"entailment {exc}") from None
 
 
 class ExternalScorer(EntailmentScorer):
@@ -652,19 +663,17 @@ class ScoreCache:
                         raise CacheError(f"{self.path}:{lineno}: invalid JSON: {exc}") from None
                     try:
                         key = (record["v"], record["p"], record["h"])
-                        score = json_number(record["s"])
-                    except (KeyError, TypeError, ValueError) as exc:
+                        score = unit_score(record["s"])
+                    except (KeyError, TypeError) as exc:
                         raise CacheError(
                             f"{self.path}:{lineno}: bad cache record: {exc!r}"
                         ) from None
+                    except ValueError as exc:
+                        raise CacheError(f"{self.path}:{lineno}: bad cache record: {exc}") from None
                     if not (isinstance(key[0], str) and _is_h64(key[1]) and _is_h64(key[2])):
                         raise CacheError(
                             f"{self.path}:{lineno}: bad cache record: \"v\" must be a string "
                             f"and \"p\", \"h\" integers in [0, 2**64), got {key!r}"
-                        )
-                    if not 0.0 <= score <= 1.0:
-                        raise CacheError(
-                            f"{self.path}:{lineno}: bad cache record: score {score} outside [0, 1]"
                         )
                     self._entries[key] = score
                 offset += len(raw)
@@ -690,43 +699,31 @@ class ScoreCache:
         """Record the keys not yet cached, appending their lines with one flush.
 
         Each line is formatted from its key, byte for byte as ``json.dumps``
-        of the record with ``ensure_ascii=False`` writes it. A score that
-        loading would refuse raises ``CacheError`` and records nothing.
+        of the record with ``ensure_ascii=False`` writes it. If any score fails
+        :func:`unit_score`, ``CacheError`` is raised and nothing is recorded.
         """
+        try:
+            checked = list(map(unit_score, scores))
+        except ValueError as exc:
+            raise CacheError(f"{self.path}: bad cache record: {exc}") from None
         entries = self._entries
         tags: dict[str, str] = {}
         lines = []
-        for key, score in zip(keys, scores):
+        for key, score, value in zip(keys, scores, checked):
             if key in entries:
                 continue
-            if isinstance(score, float) and 0.0 <= score <= 1.0:
-                score_json = float.__repr__(score)
-            else:
-                try:
-                    score_json = self._score_json(score)
-                except CacheError:
-                    for _ in lines:
-                        entries.popitem()  # this call's keys, the newest entries
-                    raise
-            entries[key] = score
+            entries[key] = value
             tag, premise, hypothesis = key
             tag_json = tags.get(tag)
             if tag_json is None:
                 tag_json = tags[tag] = json.dumps(tag, ensure_ascii=False)
+            # an int is written as it came, as json.dumps writes it
+            score_json = int.__repr__(score) if isinstance(score, int) else float.__repr__(value)
             line = f'{{"v": {tag_json}, "p": {premise}, "h": {hypothesis}, "s": {score_json}}}\n'
             lines.append(line)
         if lines:
             self._handle.write("".join(lines))
             self._handle.flush()
-
-    def _score_json(self, score) -> str:
-        """The JSON text of a score that is not a float in [0, 1], if loading accepts it."""
-        try:
-            if 0.0 <= json_number(score) <= 1.0:
-                return json.dumps(score)
-        except ValueError as exc:
-            raise CacheError(f"{self.path}: bad cache record: {exc}") from None
-        raise CacheError(f"{self.path}: bad cache record: score {score!r} outside [0, 1]")
 
     # get and put key one pair at a time. Ranking never calls them; they stay
     # as the reference the cache tests check candidate keys against, and
@@ -760,9 +757,10 @@ class CachedScorer(EntailmentScorer):
     Only ``score_candidates`` reads or writes the cache: it hands a
     mention's missed labels to the wrapped scorer's ``score_candidates`` in
     one call, then records their scores. A reply with the wrong number of
-    scores, or a score outside [0, 1], raises :class:`ValidationError`
-    before anything is written. ``score`` and ``score_batch`` pass straight
-    through to the wrapped scorer, uncached; ranking never calls them.
+    scores, or a score failing :func:`unit_score`, raises
+    :class:`ValidationError` before anything is written. ``score`` and
+    ``score_batch`` pass straight through to the wrapped scorer, uncached;
+    ranking never calls them.
     """
 
     def __init__(self, inner: EntailmentScorer, cache: ScoreCache):
@@ -788,8 +786,8 @@ class CachedScorer(EntailmentScorer):
             candidates = dataclasses.replace(
                 candidates, labels=[candidates.labels[i] for i in misses],
                 surfaces=[candidates.surfaces[i] for i in misses], failed=())
-        fresh = list(self.inner.score_candidates(candidates))
-        check_scores(fresh, len(misses), lambda j: candidates.labels[j].raw)
+        fresh = check_scores(self.inner.score_candidates(candidates), len(misses),
+                             lambda j: candidates.labels[j].raw)
         for i, value in zip(misses, fresh):
             scores[i] = value
         self.cache.insert([keys[i] for i in misses], fresh)

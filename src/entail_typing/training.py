@@ -10,6 +10,7 @@ scorer's ``accumulate_ranking_loss`` takes the margin loss. Batches keep each
 instance's examples together, and the best dev F1 picks the checkpoint.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -52,11 +53,11 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.margin >= 0:
-            raise ConfigError(f"margin must be nonnegative, got {self.margin}")
-        if not self.dependency_weight >= 0:
+        if not 0 <= self.margin < math.inf:
+            raise ConfigError(f"margin must be nonnegative and finite, got {self.margin}")
+        if not 0 <= self.dependency_weight < math.inf:
             raise ConfigError(
-                f"dependency_weight must be nonnegative, got {self.dependency_weight}"
+                f"dependency_weight must be nonnegative and finite, got {self.dependency_weight}"
             )
         if self.negatives_per_positive < 1:
             raise ConfigError(

@@ -109,6 +109,16 @@ class TestRender:
         # the healthy instances still rendered
         assert any(r.get("instance_id") == "train-000000" for r in records if "error" not in r)
 
+    def test_lone_surrogate_in_the_corpus_is_one_error_line(self, workdir, capsys):
+        # json.dumps writes the lone surrogate as the escape \ud800
+        rows = TRAIN_ROWS[:1] + [_record(["\ud800x"], "Bo", ["sang", "."], ["singer"])]
+        _write_jsonl(workdir / "train.jsonl", rows)
+        assert run(workdir, "render") == 1
+        assert capsys.readouterr().err == (
+            f"error: {workdir / 'train.jsonl'}:2: a \\u escape leaves a lone surrogate\n"
+        )
+        assert not (workdir / "out" / "pairs.jsonl").exists()
+
     def test_substitution_render_has_no_dependency_pairs(self, workdir):
         assert run(workdir, "render", 'template="substitution"') == 0
         records = list(read_jsonl(workdir / "out" / "pairs.jsonl"))
@@ -573,6 +583,45 @@ class TestConfigHandling:
         assert run(workdir, command, *settings) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and settings[-1].partition("=")[0] in err
+
+    @pytest.mark.parametrize(
+        "command, settings, artifact, message",
+        [
+            ("train", ['scorer="trainable-table"', "margin=1e309"], "train_log.jsonl",
+             "margin must be nonnegative and finite, got inf"),
+            ("train", ['scorer="trainable-table"', "dependency_weight=1e309"], "train_log.jsonl",
+             "dependency_weight must be nonnegative and finite, got inf"),
+            ("tune", ["grid=[0.5, 1e309]"], "threshold.json",
+             "threshold grid value inf is not finite"),
+            ("tune", ["grid=[-1e309, 0.5]"], "threshold.json",
+             "threshold grid value -inf is not finite"),
+        ],
+        ids=["margin", "dependency-weight", "grid-inf", "grid-minus-inf"],
+    )
+    def test_non_finite_number_names_its_value(self, workdir, capsys, command, settings,
+                                               artifact, message):
+        # JSON has no Infinity, so such a value must not reach a JSON artifact
+        assert run(workdir, command, *settings) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (workdir / "out" / artifact).exists()
+
+    @pytest.mark.parametrize("where", ["set", "file", "out-flag"])
+    def test_lone_surrogate_value_names_its_key(self, workdir, capsys, where):
+        key, settings, out = "predictions_path", [], None
+        if where == "set":
+            settings = ['predictions_path="\\ud800"']
+        elif where == "file":
+            config = json.loads((workdir / "config.json").read_text())
+            config[key] = "\ud800"
+            (workdir / "config.json").write_text(json.dumps(config))
+        else:
+            # a path argument that is not UTF-8 reaches Python as a lone surrogate
+            key, out = "out_dir", str(workdir / "out\udce9")
+        assert run(workdir, "predict", *settings, out=out) == 1
+        assert capsys.readouterr().err == (
+            f"error: config key {key!r} holds a lone surrogate, which UTF-8 cannot encode\n"
+        )
+        assert not list(workdir.glob("out*"))
 
     def test_negative_topk_rejected(self, workdir, capsys):
         assert run(workdir, "predict", "topk=-1") == 1

@@ -3,6 +3,7 @@
 import gc
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -114,6 +115,16 @@ class TestScoredLabel:
             ScoredLabel(label=parse_label("person"), score=1.2)
         with pytest.raises(ValidationError):
             ScoredLabel(label=parse_label("person"), score=-0.01)
+
+    @pytest.mark.parametrize("bad", [True, "0.5", Fraction(1, 2), None],
+                             ids=["bool", "string", "fraction", "none"])
+    def test_rejects_a_score_neither_int_nor_float(self, bad):
+        with pytest.raises(ValidationError, match="^not a JSON number: .* for label 'person'$"):
+            ScoredLabel(label=parse_label("person"), score=bad)
+
+    def test_int_score_becomes_a_float(self):
+        entry = ScoredLabel(label=parse_label("person"), score=1)
+        assert entry.score == 1.0 and type(entry.score) is float
 
 
 class TestPredict:
@@ -282,6 +293,26 @@ class TestRanking:
                 rank_all_candidates(
                     inst, flat_vocab, RawLabelScorer(scores), TemplateKind.TAXONOMIC
                 )
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(True, "not a JSON number: True"), ("0.5", "not a JSON number: '0.5'"),
+         (Fraction(1, 2), r"not a JSON number: Fraction\(1, 2\)")],
+        ids=["bool", "string", "fraction"],
+    )
+    def test_score_neither_int_nor_float_names_first_bad_label(self, flat_vocab, bad, message):
+        inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
+        scorer = RawLabelScorer({"athlete": 0.5, "currency": bad, "person": bad})
+        with pytest.raises(ValidationError, match=f"^{message} for label 'currency'$"):
+            rank_all_candidates(inst, flat_vocab, scorer, TemplateKind.TAXONOMIC)
+
+    def test_int_scores_rank_as_floats(self, flat_vocab):
+        inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
+        ranking = rank_all_candidates(
+            inst, flat_vocab, RawLabelScorer({"event": 1}, default=0), TemplateKind.TAXONOMIC
+        )
+        assert ranking.scores == (1.0, 0.0, 0.0, 0.0, 0.0)
+        assert {type(score) for score in ranking.scores} == {float}
 
     def test_scorer_returning_too_few_scores_rejected(self, flat_vocab):
         class ShortScorer(RawLabelScorer):

@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from entail_typing import (
     ExternalTrainableScorer,
     LabelVocabulary,
     OverlapScorer,
+    PredictionConfig,
     ProtocolError,
     ScoreCache,
     TableScorer,
@@ -32,6 +34,8 @@ from entail_typing import (
     load_ufet_jsonl,
     load_vocabulary,
     overlap_score,
+    predict,
+    prediction_to_record,
     rank_all_candidates,
     type_candidates,
 )
@@ -377,6 +381,17 @@ class TestTrainableTableScorer:
             TrainableTableScorer({("p", "h"): 1.5})
         with pytest.raises(ValidationError):
             TrainableTableScorer(default=-0.2)
+
+    @pytest.mark.parametrize("cls", [TableScorer, TrainableTableScorer])
+    def test_bool_rejected(self, cls):
+        with pytest.raises(ValidationError, match="table not a JSON number: True"):
+            cls({("p", "h"): True})
+        with pytest.raises(ValidationError, match="table not a JSON number: False"):
+            cls({}, default=False)
+
+    def test_int_values_are_kept_as_floats(self):
+        scorer = TableScorer({("p", "h"): 1}, default=0)
+        assert [type(scorer.score(mk_pair("p", h))) for h in ("h", "x")] == [float, float]
 
 
 class TestTableCandidates:
@@ -1110,7 +1125,7 @@ class TestCachedCandidates:
     @pytest.mark.parametrize(
         "bad, message",
         [(7.0, "score 7.0 outside"), (-0.5, "score -0.5 outside"), (float("nan"), "score nan"),
-         (float("inf"), "score inf"), (10**30, "score 1000000000000000000000000000000 outside"), (10**400, "too large"),
+         (float("inf"), "score inf"), (10**30, r"score 1e\+30 outside \[0, 1\]"), (10**400, "too large"),
          (True, "not a JSON number: True"), ("0.5", "not a JSON number")],
         ids=["above-one", "negative", "nan", "inf", "big-int", "huge-int", "bool", "string"],
     )
@@ -1177,8 +1192,11 @@ class TestCachedScorerChecksReplies:
         [("short", "scorer returned 2 scores for 3 pairs"),
          (1.5, "score 1.5 outside \\[0, 1\\] for label 'athlete'"),
          (float("nan"), "score nan outside \\[0, 1\\] for label 'athlete'"),
-         (-0.25, "score -0.25 outside \\[0, 1\\] for label 'athlete'")],
-        ids=["short", "above-one", "nan", "negative"],
+         (-0.25, "score -0.25 outside \\[0, 1\\] for label 'athlete'"),
+         (True, "not a JSON number: True for label 'athlete'"),
+         ("0.5", "not a JSON number: '0.5' for label 'athlete'"),
+         (Fraction(1, 2), "not a JSON number: Fraction\\(1, 2\\) for label 'athlete'")],
+        ids=["short", "above-one", "nan", "negative", "bool", "string", "fraction"],
     )
     def test_bad_reply_raises_and_writes_nothing(self, tmp_path, path_kind, bad, message):
         warm = [_label("aardvark", "aardvark")] if path_kind == "misses" else []
@@ -1192,6 +1210,25 @@ class TestCachedScorerChecksReplies:
                 CachedScorer(WrongReply(bad), cache).score_candidates(candidates)
             assert len(cache) == len(warm)
         assert path.read_bytes() == written
+
+    def test_int_scores_dump_the_same_cold_and_warm(self, tmp_path):
+        class RoundedOverlap(OverlapScorer):
+            def score_candidates(self, candidates):
+                return [round(s) for s in super().score_candidates(candidates)]
+
+        vocab = LabelVocabulary(self.LABELS)
+        instance = mk_instance(right=("toured", "the", "city", "."))
+        config = PredictionConfig(threshold=0.5, template=TemplateKind.SUBSTITUTION)
+        dumps = []
+        for run in ("cold", "warm"):
+            with ScoreCache(tmp_path / "cache.jsonl") as cache:
+                inner = RoundedOverlap()
+                ranking = rank_all_candidates(instance, vocab, CachedScorer(inner, cache),
+                                              config.template)
+                dumps.append(json.dumps(prediction_to_record(predict(ranking, config))))
+                assert len(cache) == len(self.LABELS)
+        assert dumps[0] == dumps[1]
+        assert '{"label": "city", "score": 1.0}' in dumps[0]
 
     def test_ranking_through_a_bad_reply_raises(self, tmp_path):
         vocab = LabelVocabulary(self.LABELS)

@@ -51,6 +51,29 @@ class TestNumberedLines:
         path.write_text('{"a": 1}\n\n{"a": 2}\n', encoding="utf-8")
         assert list(numbered_jsonl(path)) == [(1, {"a": 1}), (3, {"a": 2})]
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"a": ["\\ud800x"]}', '{"a": "\\uDFFF"}', '{"\\udc00": 1}', '{"a": "\\udc00\\ud83d"}'],
+        ids=["high-in-list", "low-upper-case", "in-a-key", "pair-reversed"],
+    )
+    def test_lone_surrogate_escape_names_path_and_line(self, tmp_path, text):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"a": 1}\n' + text + "\n", encoding="utf-8")
+        with pytest.raises(DatasetLoadError,
+                           match=r"records\.jsonl:2: a \\u escape leaves a lone surrogate"):
+            list(numbered_jsonl(path))
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [('{"a": "\\ud83d\\ude00"}', "\U0001F600"), ('{"a": "\\\\ud800"}', "\\ud800"),
+         ('{"a": "\\u00e9"}', "\u00e9")],
+        ids=["escaped-pair", "escaped-backslash", "plain-escape"],
+    )
+    def test_escapes_that_make_text_are_read(self, tmp_path, text, value):
+        path = tmp_path / "records.jsonl"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert list(numbered_jsonl(path)) == [(1, {"a": value})]
+
 
 class TestAtomicWriteJsonl:
     @pytest.mark.parametrize(
