@@ -7,9 +7,10 @@ language or framework it runs on. One that also answers a per-mention line
 {id, entailments} ranks a whole mention in one round trip. The demo writes
 a miniature endpoint to a temp directory, drives it through ExternalScorer,
 and layers a persistent score cache over its per-mention ranking. It checks
-its own claim: the first ranking writes one cache record per label, and the
-second is served from the cache without a request crossing the process
-boundary. The demo exits nonzero if either part does not hold.
+its own claim: the first ranking writes one cache record for the mention,
+holding a score per label, and the second is served from the cache without
+a request crossing the process boundary. The demo exits nonzero if either
+part does not hold.
 """
 
 import sys
@@ -97,7 +98,7 @@ def main():
         print()
         scorer.close()  # stops the endpoint process
 
-        # the cache keys a mention's labels; only its misses reach the endpoint
+        # the cache keeps one record per mention; only a missed mention reaches the endpoint
         cache_path = Path(td) / "scores.jsonl"
         cached = CachedScorer(ExternalScorer(command), ScoreCache(cache_path))
         rankings, written, sent = [], [], []
@@ -115,9 +116,11 @@ def main():
             print(f"{name} ranking: {records} cache records written, {trips} requests sent")
 
         renderable = len(type_candidates(MENTION, VOCAB.labels, TEMPLATE).surfaces)
-        if written != [renderable, 0] or sent[1] != 0 or rankings[1] != rankings[0]:
-            sys.exit(f"error: expected {renderable} records, then none and no request, "
-                     f"with the same ranking; got {written} records and {sent} requests")
+        if (written != [1, 0] or len(cached.cache) != renderable or sent[1] != 0
+                or rankings[1] != rankings[0]):
+            sys.exit(f"error: expected 1 record of {renderable} scores, then none and no "
+                     f"request, with the same ranking; got {written} records holding "
+                     f"{len(cached.cache)} scores and {sent} requests")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Small shared helpers: seeded substreams, hashing, reading input files, atomic file writes."""
+"""Small shared helpers: seeded substreams, reading input files, atomic file writes."""
 
 import hashlib
 import json
@@ -10,22 +10,6 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .errors import DatasetLoadError
-
-FNV64_OFFSET = 0xCBF29CE484222325
-FNV64_PRIME = 0x100000001B3
-
-
-def fnv1a_64(text: str, h: int = FNV64_OFFSET) -> int:
-    """64-bit FNV-1a hash of the UTF-8 encoding of ``text``, started from state ``h``.
-
-    Used for score-cache records so cache files stay portable across
-    implementations; the algorithm is fixed, do not swap it for ``hash()``.
-    The hash runs left to right, so ``fnv1a_64(a + b)`` equals
-    ``fnv1a_64(b, fnv1a_64(a))``.
-    """
-    for byte in text.encode("utf-8"):
-        h = ((h ^ byte) * FNV64_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
 
 
 def substream(seed: int, *names: object) -> random.Random:

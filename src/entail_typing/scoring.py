@@ -13,23 +13,25 @@ default builds the pairs and calls ``score_batch``; a scorer that can reuse
 the shared premise and template frame across labels overrides it, as
 :class:`OverlapScorer` and :class:`TableScorer` do and
 :class:`ExternalScorer` does with one request line per mention.
-:class:`CachedScorer` caches only that call: it keys a mention's labels
-from the shared frame too and passes only its misses on to the wrapped
+:class:`CachedScorer` caches only that call, one record per mention: a
+mention is served whole from the cache, or scored whole by the wrapped
 scorer's ``score_candidates``.
 """
 
 import abc
-import dataclasses
+import array
+import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import string
 import subprocess
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ._util import fnv1a_64, json_number, numbered_jsonl
+from ._util import has_lone_surrogate, json_number, numbered_jsonl
 from .errors import CacheError, ConfigError, ProtocolError, TransportError, ValidationError
 from .templates import PremiseHypothesisPair, TypeCandidates
 
@@ -40,6 +42,11 @@ SCAFFOLD_TOKENS = frozenset({"is", "a", "in", "this", "context", "referring", "t
 
 class EntailmentScorer(abc.ABC):
     """Contract: deterministic pairwise scoring into the unit interval."""
+
+    @property
+    def identity(self) -> str:
+        """Names the scorer in score-cache keys: its kind, and what fixes its scores."""
+        return f"{type(self).__module__}.{type(self).__qualname__}"
 
     @property
     def version_tag(self) -> str:
@@ -169,6 +176,8 @@ class OverlapScorer(EntailmentScorer):
     usable zero-shot toy scorer.
     """
 
+    identity = "overlap"
+
     def __init__(self):
         # surface -> its content tokens, scaffold words dropped
         self._surface_tokens: dict[str, tuple[str, ...]] = {}
@@ -215,7 +224,8 @@ class TableScorer(EntailmentScorer):
     """Lookup scorer over an explicit (premise, hypothesis) -> score table.
 
     Unknown pairs fall back to ``default``. Lookup never fails, so fixtures
-    stay small: only the pairs a test cares about need entries.
+    stay small: only the pairs a test cares about need entries. The
+    identity is a SHA-256 of the entries and the default as constructed.
     """
 
     def __init__(
@@ -228,6 +238,12 @@ class TableScorer(EntailmentScorer):
             self.default = unit_score(default)
         except ValueError as exc:
             raise ValidationError(f"table {exc}") from None
+        content = json.dumps([self.default, sorted(self._table.items())])
+        self._identity = "table:" + hashlib.sha256(content.encode()).hexdigest()
+
+    @property
+    def identity(self) -> str:
+        return self._identity
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "TableScorer":
@@ -500,6 +516,10 @@ class ExternalScorer(EntailmentScorer):
         self._mentions_sent = 0
         self._pairs_only = False
 
+    @property
+    def identity(self) -> str:
+        return "external:" + shlex.join(self.endpoint.command)
+
     def score(self, pair: PremiseHypothesisPair) -> float:
         return self.score_batch([pair])[0]
 
@@ -601,7 +621,8 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
 
     def snapshot(self) -> str:
         tag = self._control({"op": "snapshot"}, "tag")
-        if not isinstance(tag, str) or not tag:
+        # a lone surrogate could not be sent back in a restore request
+        if not isinstance(tag, str) or not tag or has_lone_surrogate(tag):
             raise ProtocolError(f"snapshot reply has no valid 'tag': {tag!r}")
         return tag
 
@@ -610,34 +631,44 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
         self._changes += 1
 
 
-CacheKey = tuple[str, int, int]
+# A record key: a SHA-256 digest in lowercase hex.
+_KEY = re.compile(r"[0-9a-f]{64}")
 
 
-def _is_h64(value) -> bool:
-    """Whether a parsed JSON value is a 64-bit hash: an int (not a bool) in [0, 2**64)."""
-    return type(value) is int and 0 <= value < 1 << 64
+def _checked_record(key, scores, where: str) -> list[float]:
+    """A record's scores as a list of floats; a bad key or score raises naming ``where``."""
+    if type(key) is not str or not _KEY.fullmatch(key):
+        raise CacheError(
+            f'{where}: bad cache record: "k" must be a SHA-256 hex digest, got {key!r}')
+    if type(scores) is not list:
+        raise CacheError(f'{where}: bad cache record: "s" must be a list of scores, '
+                         f"got {type(scores).__name__}")
+    try:
+        return [s if type(s) is float and 0.0 <= s <= 1.0 else unit_score(s) for s in scores]
+    except ValueError as exc:
+        raise CacheError(f"{where}: bad cache record: {exc}") from None
 
 
 class ScoreCache:
-    """Append-only persistent cache of pair scores, keyed by scorer version.
+    """Append-only persistent cache of per-mention scores.
 
-    Records are JSONL {"v": version_tag, "p": h64, "h": h64, "s": score}
-    with h64 the FNV-1a 64-bit hash of the exact premise or hypothesis
-    text, so the file stays portable across implementations without storing
-    full sentences. A fixed scorer is always ``v0``; a trainable one moves to
-    a fresh tag on each update and restore, so no entry is served to another
-    state. :meth:`lookup_candidates` gives a mention's type hypotheses the
-    keys :meth:`get` and :meth:`put` give their pairs.
+    Records are JSONL {"k": key, "s": [score, ...]}: one record per mention,
+    one score per surface of its :class:`TypeCandidates`, in order. The key
+    (:meth:`key`) is a SHA-256 of the scorer's tag, the premise, the frame
+    and the whole surface list, so a mention ranked by another scorer or
+    state, or against another vocabulary or label order, misses in full.
+    Records of the earlier per-pair format are refused. Each record's scores
+    are held as one array of doubles; ``len`` counts the scores held.
 
-    ``insert`` appends a batch's new records with one flush, so a crash
-    loses at most the batch in flight and may leave a torn final line. On
-    load an unparseable final line without a newline is cut off the file;
-    any other bad line raises ``CacheError`` naming ``path:line``.
+    :meth:`put` appends one record with one flush, so a crash loses at most
+    the mention in flight and may leave a torn final line. On load an
+    unparseable final line without a newline is cut off the file; any other
+    bad line raises ``CacheError`` naming ``path:line``.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._entries: dict[CacheKey, float] = {}
+        self._entries: dict[str, array.array] = {}
         last_line = self._load() if self.path.exists() else b""
         self._handle = open(self.path, "a", encoding="utf-8")
         if last_line and not last_line.endswith(b"\n"):
@@ -654,91 +685,68 @@ class ScoreCache:
         with open(self.path, "rb") as f:
             for lineno, raw in enumerate(f, start=1):
                 if raw.strip():
+                    where = f"{self.path}:{lineno}"
                     try:
                         record = json.loads(raw)
                     except ValueError as exc:
                         if not raw.endswith(b"\n"):
                             torn = True  # an append cut short by a crash
                             break
-                        raise CacheError(f"{self.path}:{lineno}: invalid JSON: {exc}") from None
-                    try:
-                        key = (record["v"], record["p"], record["h"])
-                        score = unit_score(record["s"])
-                    except (KeyError, TypeError) as exc:
-                        raise CacheError(
-                            f"{self.path}:{lineno}: bad cache record: {exc!r}"
-                        ) from None
-                    except ValueError as exc:
-                        raise CacheError(f"{self.path}:{lineno}: bad cache record: {exc}") from None
-                    if not (isinstance(key[0], str) and _is_h64(key[1]) and _is_h64(key[2])):
-                        raise CacheError(
-                            f"{self.path}:{lineno}: bad cache record: \"v\" must be a string "
-                            f"and \"p\", \"h\" integers in [0, 2**64), got {key!r}"
-                        )
-                    self._entries[key] = score
+                        raise CacheError(f"{where}: invalid JSON: {exc}") from None
+                    if not isinstance(record, dict):
+                        raise CacheError(f"{where}: bad cache record: not a JSON object")
+                    if "k" not in record and "v" in record:
+                        raise CacheError(f"{where}: bad cache record: a per-pair record of an "
+                                         "earlier cache format; start a new cache file")
+                    key = record.get("k")
+                    checked = _checked_record(key, record.get("s"), where)
+                    self._entries[key] = array.array("d", checked)
                 offset += len(raw)
                 last_line = raw
         if torn:
             os.truncate(self.path, offset)
         return last_line
 
-    def lookup_candidates(
-        self, version_tag: str, candidates: TypeCandidates
-    ) -> tuple[list[CacheKey], list[float | None]]:
-        """Key each candidate as :meth:`get` keys its pair; return keys and hits.
+    @staticmethod
+    def key(tag: str, candidates: TypeCandidates) -> str:
+        """The record key of ``candidates`` scored by the scorer named ``tag``.
 
-        FNV-1a runs left to right, so a label hashes only ``surface + tail``,
-        from the state after the head; the premise and head are hashed once.
+        It is the SHA-256, in lowercase hex, of the JSON text of the tag, the
+        premise, the head, the tail and the surface list, computed once per
+        mention. A JSON array spells each string whole, so two inputs never
+        share a text.
         """
-        premise, head = fnv1a_64(candidates.premise), fnv1a_64(candidates.head)
-        tail = candidates.tail
-        keys = [(version_tag, premise, fnv1a_64(s + tail, head)) for s in candidates.surfaces]
-        return keys, list(map(self._entries.get, keys))
+        text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail,
+                           candidates.surfaces])
+        return hashlib.sha256(text.encode()).hexdigest()
 
-    def insert(self, keys: Sequence[CacheKey], scores: Sequence[float]) -> None:
-        """Record the keys not yet cached, appending their lines with one flush.
+    def get(self, key: str, size: int) -> list[float] | None:
+        """The scores recorded under ``key`` as a fresh list, else None.
 
-        Each line is formatted from its key, byte for byte as ``json.dumps``
-        of the record with ``ensure_ascii=False`` writes it. If any score fails
-        :func:`unit_score`, ``CacheError`` is raised and nothing is recorded.
+        A record holding other than ``size`` scores raises ``CacheError``.
         """
-        try:
-            checked = list(map(unit_score, scores))
-        except ValueError as exc:
-            raise CacheError(f"{self.path}: bad cache record: {exc}") from None
-        entries = self._entries
-        tags: dict[str, str] = {}
-        lines = []
-        for key, score, value in zip(keys, scores, checked):
-            if key in entries:
-                continue
-            entries[key] = value
-            tag, premise, hypothesis = key
-            tag_json = tags.get(tag)
-            if tag_json is None:
-                tag_json = tags[tag] = json.dumps(tag, ensure_ascii=False)
-            # an int is written as it came, as json.dumps writes it
-            score_json = int.__repr__(score) if isinstance(score, int) else float.__repr__(value)
-            line = f'{{"v": {tag_json}, "p": {premise}, "h": {hypothesis}, "s": {score_json}}}\n'
-            lines.append(line)
-        if lines:
-            self._handle.write("".join(lines))
+        scores = self._entries.get(key)
+        if scores is None:
+            return None
+        if len(scores) != size:
+            raise CacheError(
+                f"{self.path}: record {key} holds {len(scores)} scores for {size} surfaces")
+        return scores.tolist()
+
+    def put(self, key: str, scores: list[float]) -> None:
+        """Record a mention's scores under ``key``, appending its line with one flush.
+
+        A key already recorded is left as it is. A bad key, or a score failing
+        :func:`unit_score`, raises ``CacheError`` and nothing is recorded.
+        """
+        checked = _checked_record(key, scores, str(self.path))
+        if key not in self._entries:
+            self._entries[key] = array.array("d", checked)
+            self._handle.write(json.dumps({"k": key, "s": checked}) + "\n")
             self._handle.flush()
 
-    # get and put key one pair at a time. Ranking never calls them; they stay
-    # as the reference the cache tests check candidate keys against, and
-    # because the benchmark tracer (bench/tracer.py) wraps them by name.
-    def _key(self, version_tag: str, premise: str, hypothesis: str) -> CacheKey:
-        return (version_tag, fnv1a_64(premise), fnv1a_64(hypothesis))
-
-    def get(self, version_tag: str, premise: str, hypothesis: str) -> float | None:
-        return self._entries.get(self._key(version_tag, premise, hypothesis))
-
-    def put(self, version_tag: str, premise: str, hypothesis: str, score: float) -> None:
-        self.insert([self._key(version_tag, premise, hypothesis)], [score])
-
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._entries.values()))
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -754,10 +762,11 @@ class ScoreCache:
 class CachedScorer(EntailmentScorer):
     """Wrap any scorer with a ScoreCache around its per-mention ranking.
 
-    Only ``score_candidates`` reads or writes the cache: it hands a
-    mention's missed labels to the wrapped scorer's ``score_candidates`` in
-    one call, then records their scores. A reply with the wrong number of
-    scores, or a score failing :func:`unit_score`, raises
+    Only ``score_candidates`` reads or writes the cache, one record per
+    mention under the wrapped scorer's ``identity`` and ``version_tag``: a
+    cached mention is served whole, any other is scored whole by the
+    wrapped scorer's ``score_candidates`` and recorded. A reply with the
+    wrong number of scores, or a score failing :func:`unit_score`, raises
     :class:`ValidationError` before anything is written. ``score`` and
     ``score_batch`` pass straight through to the wrapped scorer, uncached;
     ranking never calls them.
@@ -778,19 +787,13 @@ class CachedScorer(EntailmentScorer):
         return self.inner.score_batch(pairs)
 
     def score_candidates(self, candidates: TypeCandidates) -> list[float]:
-        keys, scores = self.cache.lookup_candidates(self.inner.version_tag, candidates)
-        misses = [i for i, hit in enumerate(scores) if hit is None]
-        if not misses:
-            return scores
-        if len(misses) < len(scores):
-            candidates = dataclasses.replace(
-                candidates, labels=[candidates.labels[i] for i in misses],
-                surfaces=[candidates.surfaces[i] for i in misses], failed=())
-        fresh = check_scores(self.inner.score_candidates(candidates), len(misses),
-                             lambda j: candidates.labels[j].raw)
-        for i, value in zip(misses, fresh):
-            scores[i] = value
-        self.cache.insert([keys[i] for i in misses], fresh)
+        inner, labels = self.inner, candidates.labels
+        key = self.cache.key(f"{inner.identity} {inner.version_tag}", candidates)
+        scores = self.cache.get(key, len(labels))
+        if scores is None:
+            scores = check_scores(inner.score_candidates(candidates), len(labels),
+                                  lambda i: labels[i].raw)
+            self.cache.put(key, scores)
         return scores
 
     def close(self) -> None:

@@ -368,7 +368,9 @@ class TestPredictAndEval:
         assert capsys.readouterr().err.startswith(f"error: {dump}:3: {message}")
 
 
-_CACHE_LINE = '{"v": "v0", "p": 1, "h": 2, "s": 0.5}\n'
+# one mention's record: a SHA-256 hex key and one score per surface
+_CACHE_KEY = "0123456789abcdef" * 4
+_CACHE_LINE = '{"k": "%s", "s": [0.25, 0.5]}\n' % _CACHE_KEY
 
 
 class TestBadInputFiles:
@@ -415,13 +417,21 @@ class TestBadInputFiles:
              ['cache_path="cache.jsonl"'], 1, "bad cache record: score nan outside"),
             ("cache.jsonl", _CACHE_LINE.replace("0.5", "Infinity").encode(),
              ['cache_path="cache.jsonl"'], 1, "bad cache record: score inf outside"),
+            ("cache.jsonl", (_CACHE_LINE + _CACHE_LINE.replace(f'"k": "{_CACHE_KEY}", ', "")
+                             ).encode(),
+             ['cache_path="cache.jsonl"'], 2, 'bad cache record: "k" must be a SHA-256'),
+            ("cache.jsonl", _CACHE_LINE.replace(_CACHE_KEY, _CACHE_KEY.upper()).encode(),
+             ['cache_path="cache.jsonl"'], 1, 'bad cache record: "k" must be a SHA-256'),
+            ("cache.jsonl", b'{"v": "v0", "p": 1, "h": 2, "s": 0.5}\n',
+             ['cache_path="cache.jsonl"'], 1, "bad cache record: a per-pair record"),
         ],
         ids=["corpus-not-utf8", "vocab-not-utf8", "tiers-not-utf8", "vocab-duplicate-label",
              "vocab-unparseable-label", "tiers-two-tiers", "table-number-line",
              "table-score-word", "table-score-null", "table-score-bool", "table-score-string",
              "table-default-string", "table-not-utf8", "cache-overflowing-integer",
              "cache-bool", "cache-string", "cache-score-above-one", "cache-score-negative",
-             "cache-score-nan", "cache-score-infinity"],
+             "cache-score-nan", "cache-score-infinity", "cache-key-missing",
+             "cache-key-not-hex", "cache-per-pair-record"],
     )
     def test_bad_line_names_path_and_line(
         self, workdir, capsys, name, content, settings, line, message
@@ -717,6 +727,28 @@ class TestCache:
         first = (workdir / "a" / "predictions.jsonl").read_bytes()
         assert run(workdir, *args, out=str(workdir / "b")) == 0
         assert (workdir / "b" / "predictions.jsonl").read_bytes() == first
+
+    @pytest.mark.parametrize("template", [t.value for t in TemplateKind])
+    def test_golden_dumps_match_uncached_cold_and_warm(self, tmp_path, template):
+        config = Path(__file__).parent / "data" / "golden" / "config.json"
+        cache_path = tmp_path / "scores.jsonl"
+
+        def predict(name, *sets):
+            argv = ["predict", "--config", str(config), "--out", str(tmp_path / name),
+                    "--set", f'template="{template}"']
+            for item in sets:
+                argv += ["--set", item]
+            assert main(argv) == 0
+            return (tmp_path / name / "predictions.jsonl").read_bytes()
+
+        cached = f"cache_path={json.dumps(str(cache_path))}"
+        uncached = predict("uncached")
+        cold = predict("cold", cached)
+        cold_cache = cache_path.read_bytes()
+        assert predict("warm", cached) == cold == uncached
+        # one record per test mention, and the warm run appends nothing
+        assert cold_cache.count(b"\n") == len(uncached.splitlines()) == 20
+        assert cache_path.read_bytes() == cold_cache
 
 
 STUB = Path(__file__).parent / "external_stub.py"

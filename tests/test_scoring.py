@@ -399,7 +399,7 @@ class TestTableCandidates:
 
     @staticmethod
     def _check(scorer, candidates, rng):
-        # a random subset stands for the misses ``CachedScorer`` passes on
+        # a random subset stands for a smaller vocabulary
         n = len(candidates.labels)
         part = sorted(rng.sample(range(n), rng.randint(0, n)))
         for each in (candidates, _subset(candidates, part)):
@@ -626,8 +626,9 @@ class TestExternalProtocol:
             scorer.close()
 
     @pytest.mark.parametrize(
-        "reply", ['{"tag": 5}', '{"tag": {}}', '{"tag": ""}', '{"tag": None}', "{}"],
-        ids=["number", "object", "empty", "null", "missing"],
+        "reply", ['{"tag": 5}', '{"tag": {}}', '{"tag": ""}', '{"tag": None}', "{}",
+                  '{"tag": "ckpt-\\ud800"}'],
+        ids=["number", "object", "empty", "null", "missing", "lone-surrogate"],
     )
     def test_bad_snapshot_tag_raises(self, reply):
         scorer = ExternalTrainableScorer(reply_command(reply))
@@ -731,12 +732,27 @@ class TestExternalProtocol:
         try:
             scorer.score_candidates(warm)
             sent = recorded_requests(inner.endpoint)
-            scores = scorer.score_candidates(candidates)
+            # a longer list of the same mention misses in full, then both hit
+            scores = [scorer.score_candidates(c) for c in (candidates, warm, candidates)]
             assert [[r["surfaces"] for r in trip] for trip in sent] == [
-                [list(candidates.surfaces[1::2])]]
-            assert _hex(scores) == _hex(inner.score_batch(candidates.pairs()))
+                [list(candidates.surfaces)]]
+            assert _hex(scores[0]) == _hex(scores[2]) == _hex(
+                inner.score_batch(candidates.pairs()))
         finally:
             scorer.close()
+
+    def test_two_commands_do_not_share_entries(self, tmp_path):
+        candidates = self._batch()[0]
+        path = tmp_path / "cache.jsonl"
+        for value in (0.25, 0.75, 0.25):
+            command = reply_command(
+                f'{{"id": r["id"], "entailments": [{value}] * len(r["surfaces"])}}')
+            scorer = CachedScorer(ExternalScorer(command), ScoreCache(path))
+            try:
+                assert scorer.score_candidates(candidates) == [value] * len(candidates.surfaces)
+            finally:
+                scorer.close()
+        assert len(path.read_text().splitlines()) == 2
 
     def test_pairs_only_endpoint_is_asked_for_pairs_from_then_on(self):
         batch = self._batch()
@@ -841,6 +857,10 @@ def _table_candidates(scores):
     return candidates, {(p.premise, p.hypothesis): scores[p.label_raw] for p in candidates.pairs()}
 
 
+# record keys for tests that put and get records directly
+KEY_A, KEY_B, KEY_C = ("%x" % n * 64 for n in (10, 11, 12))
+
+
 class TestScoreCache:
     def test_warm_run_matches_cold_run(self, tmp_path):
         labels = [_label(f"l{i}", f"word{i}") for i in range(8)]
@@ -857,15 +877,16 @@ class TestScoreCache:
     def test_persists_across_reopen(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with ScoreCache(path) as cache:
-            cache.put("v0", "p", "h", 0.625)
+            cache.put(KEY_A, [0.625, 1])
         with ScoreCache(path) as cache:
-            assert cache.get("v0", "p", "h") == 0.625
-            assert len(cache) == 1
+            assert cache.get(KEY_A, 2) == [0.625, 1.0]
+            assert len(cache) == 2
 
     def test_version_isolation(self, tmp_path):
+        candidates, _ = _table_candidates({"a": 0.25})
         with ScoreCache(tmp_path / "cache.jsonl") as cache:
-            cache.put("v0", "p", "h", 0.25)
-            assert cache.get("v1", "p", "h") is None
+            cache.put(cache.key("overlap v0", candidates), [0.25])
+            assert cache.get(cache.key("overlap v1", candidates), 1) is None
 
     def test_cached_scorer_never_reuses_stale_version(self, tmp_path):
         candidates, table = _table_candidates({"pos": 0.4, "neg": 0.9})
@@ -900,33 +921,64 @@ class TestScoreCache:
     def test_append_only_file(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with ScoreCache(path) as cache:
-            cache.put("v0", "a", "b", 0.5)
+            cache.put(KEY_A, [0.5])
             size_one = path.stat().st_size
-            cache.put("v0", "c", "d", 0.75)
+            cache.put(KEY_B, [0.75, 0.25])
             assert path.stat().st_size > size_one
-            cache.put("v0", "a", "b", 0.5)  # duplicate: no growth
+            cache.put(KEY_A, [0.5])  # duplicate: no growth
             assert len(path.read_text().splitlines()) == 2
 
+    def test_identity_names_the_scorer(self):
+        table = {("p", "h"): 0.5, ("p", "g"): 0.25}
+        identity = TableScorer(table, default=0.125).identity
+        assert identity.startswith("table:")
+        # the content counts, not the order it was given in
+        assert TableScorer(dict(reversed(table.items())), default=0.125).identity == identity
+        assert TableScorer(table).identity != identity
+        assert TableScorer({("p", "h"): 0.5}, default=0.125).identity != identity
+        # a trainable table starts as the same table, so it starts with the same scores
+        assert TrainableTableScorer(table, default=0.125).identity == identity
+        assert OverlapScorer().identity == "overlap"
+        assert ExternalScorer(["run it", "-q"]).identity == "external:'run it' -q"
 
-def _write_per_pair(path, version, triples):
-    with ScoreCache(path) as cache:
-        for premise, hypothesis, score in triples:
-            cache.put(version, premise, hypothesis, score)
+    def test_scorers_do_not_share_entries(self, tmp_path):
+        candidates, table = _table_candidates({"a": 0.25, "b": 0.5})
+        path = tmp_path / "cache.jsonl"
+        for inner, expected in [
+            (OverlapScorer(), OverlapScorer().score_candidates(candidates)),
+            (TableScorer(table, default=0.125), [0.25, 0.5]),
+            (TableScorer({}, default=0.125), [0.125, 0.125]),
+            (TableScorer(table, default=0.875), [0.25, 0.5]),
+        ]:
+            with ScoreCache(path) as cache:
+                assert CachedScorer(inner, cache).score_candidates(candidates) == expected
+        # four scorers, four records; a repeated scorer is served its own
+        assert len(path.read_text().splitlines()) == 4
+        with ScoreCache(path) as cache:
+            served = CachedScorer(TableScorer({}, default=0.875), cache).score_candidates(
+                candidates)
+        assert served == [0.875, 0.875]
 
 
 class TestBatchedCache:
     def test_mixed_hits_and_misses(self, tmp_path):
-        candidates, table = _table_candidates({"a": 0.25, "b": 0.5, "c": 0.75})
-        b = candidates.pairs()[1]
+        labels = [_label(raw, raw) for raw in ("a", "b", "c")]
+        batch = [type_candidates(mk_instance(mention=name), labels, TemplateKind.TAXONOMIC)
+                 for name in ("Jay", "Kim", "Bo")]
+        inner = RecordingOverlap()
         path = tmp_path / "cache.jsonl"
         with ScoreCache(path) as cache:
-            cache.put("v0", b.premise, b.hypothesis, 0.125)
-            scorer = CachedScorer(TableScorer(table), cache)
+            # a stand-in record for the second mention, so a hit shows
+            cache.put(cache.key(f"{inner.identity} v0", batch[1]), [0.125, 0.25, 0.375])
+            scorer = CachedScorer(inner, cache)
             # pair calls pass straight through: they neither read nor write the cache
-            assert scorer.score_batch(candidates.pairs()) == [0.25, 0.5, 0.75]
-            assert len(cache) == 1
-            assert scorer.score_candidates(candidates) == [0.25, 0.125, 0.75]
+            assert scorer.score_batch(batch[0].pairs()) == inner.score_batch(batch[0].pairs())
             assert len(cache) == 3
+            scores = [scorer.score_candidates(c) for c in batch]
+            assert scores[1] == [0.125, 0.25, 0.375]
+            for i in (0, 2):
+                assert scores[i] == OverlapScorer().score_candidates(batch[i])
+            assert len(inner.calls) == 2 and len(cache) == 9
         assert len(path.read_text().splitlines()) == 3
 
     def test_pair_repeated_in_one_batch_writes_one_record(self, tmp_path):
@@ -937,56 +989,35 @@ class TestBatchedCache:
         inner = TableScorer({(alpha.premise, alpha.hypothesis): 0.25,
                              (beta.premise, beta.hypothesis): 0.5})
         with ScoreCache(tmp_path / "cache.jsonl") as cache:
-            assert CachedScorer(inner, cache).score_candidates(candidates) == [0.25, 0.5, 0.25]
-            assert len(cache) == 2
-        assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 2
-
-    def test_file_bytes_match_per_pair_puts(self, tmp_path):
-        labels = [_label(f"l{i}", f"Ünïcode label {i}") for i in range(12)]
-        batch = [type_candidates(mk_instance(left=("premise", str(k)), right=("with", "words")),
-                                 labels[k::3], TemplateKind.TAXONOMIC) for k in range(3)]
-        inner = OverlapScorer()
-        batched = tmp_path / "batched.jsonl"
-        with ScoreCache(batched) as cache:
             scorer = CachedScorer(inner, cache)
-            for candidates in batch:
-                scorer.score_candidates(candidates)
-        per_pair = tmp_path / "per_pair.jsonl"
-        _write_per_pair(per_pair, "v0", [(p.premise, p.hypothesis, inner.score(p))
-                                         for candidates in batch for p in candidates.pairs()])
-        assert batched.read_bytes() == per_pair.read_bytes()
-
-    def test_seed_format_file_loads(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        premise, hypothesis = "Jay produced films", "Jay is a producer."
-        record = {
-            "v": "v0", "p": scoring.fnv1a_64(premise), "h": scoring.fnv1a_64(hypothesis), "s": 0.75
-        }
-        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        candidates = type_candidates(mk_instance(right=("produced", "films")),
-                                     [_label("producer", "producer")], TemplateKind.TAXONOMIC)
-        assert [(p.premise, p.hypothesis) for p in candidates.pairs()] == [(premise, hypothesis)]
-        with ScoreCache(path) as cache:
-            assert CachedScorer(OverlapScorer(), cache).score_candidates(candidates) == [0.75]
+            assert scorer.score_candidates(candidates) == [0.25, 0.5, 0.25]
+            assert scorer.score_candidates(candidates) == [0.25, 0.5, 0.25]
+            assert len(cache) == 3
+        assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1
 
     def test_cold_batch_hashes_premise_once(self, tmp_path, monkeypatch):
-        calls = []
-        real = scoring.fnv1a_64
+        texts = []
+        real = scoring.hashlib.sha256
 
-        def counting_hash(text, *state):
-            calls.append(text)
-            return real(text, *state)
+        def counting_sha256(data):
+            texts.append(data.decode())
+            return real(data)
 
-        monkeypatch.setattr(scoring, "fnv1a_64", counting_hash)
         n = 50
         labels = [_label(f"l{i}", f"label{i}") for i in range(n)]
         candidates = type_candidates(mk_instance(right=("one", "shared", "premise")), labels,
                                      TemplateKind.TAXONOMIC)
         with ScoreCache(tmp_path / "cache.jsonl") as cache:
-            CachedScorer(OverlapScorer(), cache).score_candidates(candidates)
+            scorer = CachedScorer(OverlapScorer(), cache)
+            monkeypatch.setattr(scoring.hashlib, "sha256", counting_sha256)
+            scorer.score_candidates(candidates)
+            scorer.score_candidates(candidates)
+            monkeypatch.undo()
             assert len(cache) == n
-        # the premise and the head once each, then one surface and tail per label
-        assert calls == ["Jay one shared premise", "Jay is a "] + [f"label{i}." for i in range(n)]
+        # one digest per call, of the tag, the premise, the frame and every surface
+        expected = json.dumps(["overlap v0", "Jay one shared premise", "Jay is a ", "."]
+                              + [[f"label{i}" for i in range(n)]])
+        assert texts == [expected] * 2
 
 
 def _hex(scores):
@@ -994,21 +1025,9 @@ def _hex(scores):
 
 
 def _subset(candidates, part):
-    """The labels of ``candidates`` at positions ``part``, as ``CachedScorer`` passes on misses."""
+    """The labels of ``candidates`` at positions ``part``, as a smaller vocabulary gives them."""
     return dataclasses.replace(candidates, labels=[candidates.labels[i] for i in part],
                                surfaces=[candidates.surfaces[i] for i in part], failed=())
-
-
-def _per_pair_scores(cache, inner, pairs):
-    """Score ``pairs`` through ``cache`` one pair at a time: ``get``, else score and ``put``."""
-    scores = []
-    for pair in pairs:
-        score = cache.get(inner.version_tag, pair.premise, pair.hypothesis)
-        if score is None:
-            score = inner.score(pair)
-            cache.put(inner.version_tag, pair.premise, pair.hypothesis, score)
-        scores.append(score)
-    return scores
 
 
 class RecordingOverlap(OverlapScorer):
@@ -1024,26 +1043,34 @@ class RecordingOverlap(OverlapScorer):
 
 
 class TestCachedCandidates:
-    """``CachedScorer.score_candidates`` against per-pair ``get`` and ``put``."""
+    """``CachedScorer.score_candidates`` cold, warm and reopened against the pair path."""
 
     def test_fuzz_equals_pair_path_bit_for_bit(self, tmp_path):
         rng = random.Random(71)
-        inner = OverlapScorer()
-        paths = tmp_path / "candidates.jsonl", tmp_path / "pairs.jsonl"
-        with ScoreCache(paths[0]) as by_candidates, ScoreCache(paths[1]) as by_pairs:
-            fast = CachedScorer(inner, by_candidates)
+        path = tmp_path / "cache.jsonl"
+        batch, expected = [], []
+        with ScoreCache(path) as cache:
+            cached = CachedScorer(OverlapScorer(), cache)
             for round_ in range(600):
                 template = list(TemplateKind)[round_ % 3]
                 # every 50th mention is empty, so every label fails
                 candidates = _fuzz_candidates(rng, template, empty_mention=round_ % 50 == 49)
-                # warm a random subset first, so later calls mix hits and misses
+                # a shorter list of the same mention is a record of its own
                 part = sorted(rng.sample(range(len(candidates.labels)),
                                          rng.randint(0, len(candidates.labels))))
                 for each in (_subset(candidates, part), candidates):
-                    expected = _per_pair_scores(by_pairs, inner, each.pairs())
-                    assert _hex(fast.score_candidates(each)) == _hex(expected)
-                    assert expected == [overlap_score(p) for p in each.pairs()]
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+                    uncached = [overlap_score(p) for p in each.pairs()]
+                    assert _hex(OverlapScorer().score_candidates(each)) == _hex(uncached)
+                    cold = cached.score_candidates(each)
+                    warm = cached.score_candidates(each)
+                    assert _hex(cold) == _hex(warm) == _hex(uncached)
+                    batch.append(each)
+                    expected.append(_hex(uncached))
+        inner = RecordingOverlap()
+        with ScoreCache(path) as cache:
+            reopened = CachedScorer(inner, cache)
+            assert [_hex(reopened.score_candidates(c)) for c in batch] == expected
+        assert inner.calls == []
 
     def test_named_surfaces_equal_pair_path(self, tmp_path):
         surfaces = ["ß", "İ", "ΑΣ", "İstanbul ßoxer", "is a", "referring to", "context",
@@ -1054,16 +1081,15 @@ class TestCachedCandidates:
             mk_instance(left=("In", "İ"), mention="Jay", right=("referring", "to", "ß")),
             mk_instance(mention="İ"),
         ]
-        paths = tmp_path / "candidates.jsonl", tmp_path / "pairs.jsonl"
-        with ScoreCache(paths[0]) as by_candidates, ScoreCache(paths[1]) as by_pairs:
-            for instance in instances:
-                for template in TemplateKind:
-                    candidates = type_candidates(instance, labels, template)
-                    expected = _per_pair_scores(by_pairs, OverlapScorer(), candidates.pairs())
-                    got = CachedScorer(OverlapScorer(), by_candidates).score_candidates(
-                        candidates)
-                    assert _hex(got) == _hex(expected)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        path = tmp_path / "cache.jsonl"
+        batch = [type_candidates(i, labels, t) for i in instances for t in TemplateKind]
+        expected = [_hex(overlap_score(p) for p in c.pairs()) for c in batch]
+        for run in ("cold", "warm"):
+            inner = RecordingOverlap()
+            with ScoreCache(path) as cache:
+                scorer = CachedScorer(inner, cache)
+                assert [_hex(scorer.score_candidates(c)) for c in batch] == expected
+            assert len(inner.calls) == (len(batch) if run == "cold" else 0)
         capitalized = type_candidates(instances[0], labels, TemplateKind.SUBSTITUTION)
         assert capitalized.surfaces[:3] == ["SS", "İ", "ΑΣ"]
 
@@ -1076,9 +1102,10 @@ class TestCachedCandidates:
         with ScoreCache(tmp_path / "cache.jsonl") as cache:
             scorer = CachedScorer(inner, cache)
             scorer.score_candidates(warm)
-            scores = scorer.score_candidates(candidates)
-        assert inner.calls == [(["l1", "l4"], ()), (["l0", "l2", "l3", "l5"], ())]
-        assert scores == OverlapScorer().score_candidates(candidates)
+            # another label list misses in full, then both hit
+            scores = [scorer.score_candidates(c) for c in (candidates, warm, candidates)]
+        assert inner.calls == [(["l1", "l4"], ()), (["l0", "l1", "l2", "l3", "l4", "l5"], ())]
+        assert scores[0] == scores[2] == OverlapScorer().score_candidates(candidates)
 
     def test_cold_pass_hands_over_the_whole_candidates(self, tmp_path):
         labels = [_label("a", "alpha"), _label("b", ""), _label("c", "gamma")]
@@ -1101,25 +1128,29 @@ class TestCachedCandidates:
             assert [scorer.score_candidates(c) for c in batch] == cold
             assert path.stat().st_size == size and len(inner.calls) == calls == 3
 
-    def test_fnv_resumes_from_a_prefix_state(self):
-        rng = random.Random(73)
-        alphabet = "ab .ßİΑΣσ€😀"
-        for _ in range(200):
-            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
-            b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
-            assert scoring.fnv1a_64(a + b) == scoring.fnv1a_64(b, scoring.fnv1a_64(a))
+    def test_served_list_is_a_copy(self, tmp_path):
+        candidates, _ = _table_candidates({"a": 0.25, "b": 0.5})
+        with ScoreCache(tmp_path / "cache.jsonl") as cache:
+            scorer = CachedScorer(OverlapScorer(), cache)
+            for _ in range(2):
+                scorer.score_candidates(candidates).append(1.0)
+            assert scorer.score_candidates(candidates) == OverlapScorer().score_candidates(
+                candidates)
 
     @pytest.mark.parametrize("tag", ["v0", 'v"1\\', "vé\u2028ΑΣ", "v\n\t"])
     def test_record_lines_equal_json_dumps(self, tmp_path, tag):
         scores = [0.0, 1.0, 0.5, 1 / 3, 0.1 + 0.2, 5e-324, 1e-300, -0.0, 1, 0]
-        keys = [(tag, 2**64 - 1 - i, i) for i in range(len(scores))]
+        labels = [_label(f"l{i}", f"Ünïcode label {i}") for i in range(len(scores))]
+        candidates = type_candidates(mk_instance(), labels, TemplateKind.CONTEXTUAL)
+        key = ScoreCache.key(tag, candidates)
+        text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail,
+                           candidates.surfaces])
+        assert key == scoring.hashlib.sha256(text.encode("ascii")).hexdigest()
+        assert ScoreCache.key(tag + " ", candidates) != key
         path = tmp_path / "cache.jsonl"
         with ScoreCache(path) as cache:
-            cache.insert(keys, scores)
-        expected = "".join(
-            json.dumps({"v": k[0], "p": k[1], "h": k[2], "s": s}, ensure_ascii=False) + "\n"
-            for k, s in zip(keys, scores)
-        )
+            cache.put(key, scores)
+        expected = json.dumps({"k": key, "s": [float(s) for s in scores]}) + "\n"
         assert path.read_text(encoding="utf-8") == expected
 
     @pytest.mark.parametrize(
@@ -1132,37 +1163,16 @@ class TestCachedCandidates:
     def test_score_that_loading_refuses_is_not_written(self, tmp_path, bad, message):
         path = tmp_path / "cache.jsonl"
         with ScoreCache(path) as cache:
-            cache.put("v0", "p", "h", 0.5)
+            cache.put(KEY_A, [0.5])
             written = path.read_bytes()
             with pytest.raises(CacheError, match=message):
-                cache.insert([("v0", 1, 2), ("v0", 3, 4), ("v0", 5, 6)], [0.25, 1, bad])
+                cache.put(KEY_B, [0.25, 1, bad])
             with pytest.raises(CacheError, match=message):
-                cache.put("v0", "p", "h2", bad)
+                cache.put(KEY_A, [bad])
             assert len(cache) == 1
         assert path.read_bytes() == written
         with ScoreCache(path) as cache:
             assert len(cache) == 1
-
-    def test_file_written_by_pairwise_keys_is_fully_hit(self, tmp_path):
-        """``overlap_cache_golden.jsonl`` was written by ``predict`` with ``cache_path``
-        on the golden test split, for all three templates, when every cache key
-        was computed from the full pair."""
-        golden = Path(__file__).parent / "data"
-        path = tmp_path / "cache.jsonl"
-        path.write_bytes((golden / "overlap_cache_golden.jsonl").read_bytes())
-        dataset = load_ufet_jsonl(golden / "golden" / "corpus_test.jsonl", "test")
-        vocab = load_vocabulary(golden / "golden" / "vocab.txt")
-        inner = RecordingOverlap()
-        with ScoreCache(path) as cache:
-            assert len(cache) == 720
-            scorer = CachedScorer(inner, cache)
-            for template in TemplateKind:
-                for instance in dataset:
-                    cached = rank_all_candidates(instance, vocab, scorer, template)
-                    assert cached == rank_all_candidates(instance, vocab, OverlapScorer(),
-                                                         template)
-        assert inner.calls == []
-        assert path.read_bytes() == (golden / "overlap_cache_golden.jsonl").read_bytes()
 
 
 class WrongReply(OverlapScorer):
@@ -1184,8 +1194,8 @@ class WrongReply(OverlapScorer):
 class TestCachedScorerChecksReplies:
     LABELS = [_label(raw, raw) for raw in ("athlete", "city", "person")]
 
-    # "misses": a first label is cached already, so the wrapped scorer gets
-    # only the other three, and the bad score is that subset's first
+    # "misses": the cache holds another mention's record already, so this
+    # one misses in full beside it
     @pytest.mark.parametrize("path_kind", ["candidates", "misses"])
     @pytest.mark.parametrize(
         "bad, message",
@@ -1199,12 +1209,12 @@ class TestCachedScorerChecksReplies:
         ids=["short", "above-one", "nan", "negative", "bool", "string", "fraction"],
     )
     def test_bad_reply_raises_and_writes_nothing(self, tmp_path, path_kind, bad, message):
-        warm = [_label("aardvark", "aardvark")] if path_kind == "misses" else []
-        candidates = type_candidates(mk_instance(), warm + self.LABELS, TemplateKind.TAXONOMIC)
+        candidates = type_candidates(mk_instance(), self.LABELS, TemplateKind.TAXONOMIC)
         path = tmp_path / "cache.jsonl"
         with ScoreCache(path) as cache:
-            for pair in candidates.pairs()[:len(warm)]:
-                cache.put("v0", pair.premise, pair.hypothesis, 0.5)
+            warm = [0.5] * 2 if path_kind == "misses" else []
+            if warm:
+                cache.put(cache.key("overlap v0", _subset(candidates, [0, 1])), warm)
             written = path.read_bytes()
             with pytest.raises(ValidationError, match=message):
                 CachedScorer(WrongReply(bad), cache).score_candidates(candidates)
@@ -1239,33 +1249,50 @@ class TestCachedScorerChecksReplies:
 
 
 class TestCacheCorruption:
-    RECORD = '{"v": "v0", "p": 1, "h": 2, "s": 0.5}\n'
+    RECORD = '{"k": "%s", "s": [0.25, 0.5]}\n' % KEY_A
 
     def test_torn_tail_is_dropped_and_next_append_starts_fresh(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        path.write_text(self.RECORD + '{"v": "v0", "p": 3, "h"', encoding="utf-8")
-        with ScoreCache(path) as cache:
-            assert len(cache) == 1
-            cache.put("v0", "p", "h", 0.25)
+        path.write_text(self.RECORD + '{"k": "%s", "s": [0.' % KEY_B, encoding="utf-8")
         with ScoreCache(path) as cache:
             assert len(cache) == 2
-            assert cache.get("v0", "p", "h") == 0.25
+            cache.put(KEY_C, [0.25])
+        with ScoreCache(path) as cache:
+            assert len(cache) == 3
+            assert cache.get(KEY_C, 1) == [0.25]
 
     def test_torn_multibyte_tail_is_dropped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        path.write_bytes(self.RECORD.encode() + '{"v": "vé'.encode()[:-1])
+        path.write_bytes(self.RECORD.encode() + '{"k": "é'.encode()[:-1])
         with ScoreCache(path) as cache:
-            assert len(cache) == 1
+            assert len(cache) == 2
         assert path.read_text(encoding="utf-8") == self.RECORD
+
+    def test_torn_mention_is_cut_off_and_scored_again(self, tmp_path):
+        labels = [_label(f"l{i}", f"word{i}") for i in range(40)]
+        batch = [type_candidates(mk_instance(mention=name, right=("word3", "word7")), labels,
+                                 TemplateKind.TAXONOMIC) for name in ("Jay", "Kim")]
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            cold = [CachedScorer(OverlapScorer(), cache).score_candidates(c) for c in batch]
+        whole = path.read_bytes()
+        first = whole.index(b"\n") + 1
+        path.write_bytes(whole[:first + (len(whole) - first) // 2])
+        inner = RecordingOverlap()
+        with ScoreCache(path) as cache:
+            assert path.read_bytes() == whole[:first]
+            assert [CachedScorer(inner, cache).score_candidates(c) for c in batch] == cold
+        assert [raws for raws, _ in inner.calls] == [[label.raw for label in labels]]
+        assert path.read_bytes() == whole
 
     def test_complete_final_line_without_newline_is_kept(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text(self.RECORD.rstrip("\n"), encoding="utf-8")
         with ScoreCache(path) as cache:
-            assert len(cache) == 1
-            cache.put("v0", "p", "h", 0.25)
-        with ScoreCache(path) as cache:
             assert len(cache) == 2
+            cache.put(KEY_B, [0.25])
+        with ScoreCache(path) as cache:
+            assert len(cache) == 3
 
     @pytest.mark.parametrize(
         "bad",
@@ -1280,13 +1307,20 @@ class TestCacheCorruption:
             pytest.param(RECORD.replace("0.5", "-1").strip(), id="score-negative"),
             pytest.param(RECORD.replace("0.5", "NaN").strip(), id="score-nan"),
             pytest.param(RECORD.replace("0.5", "Infinity").strip(), id="score-infinity"),
-            pytest.param('{"v": ["x"], "p": true, "h": 2.7, "s": 0.5}', id="key-all-wrong"),
-            pytest.param(RECORD.replace('"v0"', '["x"]').strip(), id="tag-list"),
-            pytest.param(RECORD.replace('"p": 1', '"p": true').strip(), id="hash-bool"),
-            pytest.param(RECORD.replace('"h": 2', '"h": 2.7').strip(), id="hash-float"),
-            pytest.param(RECORD.replace('"h": 2', '"h": 2.0').strip(), id="hash-integral-float"),
-            pytest.param(RECORD.replace('"p": 1', '"p": -1').strip(), id="hash-negative"),
-            pytest.param(RECORD.replace('"h": 2', f'"h": {2**64}').strip(), id="hash-2**64"),
+            pytest.param(RECORD.replace("[0.25, 0.5]", "0.5").strip(), id="scores-not-a-list"),
+            pytest.param(RECORD.replace("[0.25, 0.5]", '{"0": 0.5}').strip(),
+                         id="scores-object"),
+            pytest.param('{"s": [0.5]}', id="key-missing"),
+            pytest.param('{"k": ["x"], "s": true}', id="key-all-wrong"),
+            pytest.param(RECORD.replace(f'"{KEY_A}"', '["x"]').strip(), id="key-list"),
+            pytest.param(RECORD.replace(KEY_A, KEY_A[1:]).strip(), id="key-short"),
+            pytest.param(RECORD.replace(KEY_A, KEY_A.upper()).strip(), id="key-uppercase"),
+            pytest.param(RECORD.replace(KEY_A, "g" * 64).strip(), id="key-not-hex"),
+            pytest.param(RECORD.replace(f'"{KEY_A}"', "true").strip(), id="hash-bool"),
+            pytest.param(RECORD.replace(f'"{KEY_A}"', "2.7").strip(), id="hash-float"),
+            pytest.param(RECORD.replace(f'"{KEY_A}"', "2.0").strip(), id="hash-integral-float"),
+            pytest.param(RECORD.replace(f'"{KEY_A}"', "-1").strip(), id="hash-negative"),
+            pytest.param(RECORD.replace(f'"{KEY_A}"', str(2**64)).strip(), id="hash-2**64"),
         ],
     )
     def test_bad_inner_line_names_path_and_line(self, tmp_path, bad):
@@ -1297,16 +1331,41 @@ class TestCacheCorruption:
 
     def test_hash_bounds_load(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        path.write_text(f'{{"v": "", "p": 0, "h": {2**64 - 1}, "s": 1}}\n', encoding="utf-8")
+        path.write_text(f'{{"k": "{"0" * 64}", "s": [1]}}\n{{"k": "{"f" * 64}", "s": []}}\n',
+                        encoding="utf-8")
         with ScoreCache(path) as cache:
-            assert cache._entries == {("", 0, 2**64 - 1): 1.0}
+            assert cache.get("0" * 64, 1) == [1.0] and cache.get("f" * 64, 0) == []
 
     def test_parseable_final_record_with_missing_key_raises(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        path.write_text(self.RECORD + '{"v": "v0", "p": 1, "s": 0.5}', encoding="utf-8")
+        path.write_text(self.RECORD + '{"s": [0.5]}', encoding="utf-8")
         with pytest.raises(CacheError, match=r"cache\.jsonl:2: "):
             ScoreCache(path)
         assert path.read_text(encoding="utf-8").count("\n") == 1
+
+    def test_hit_of_another_length_raises(self, tmp_path):
+        candidates, _ = _table_candidates({"a": 0.25, "b": 0.5})
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            cache.put(KEY_A, [0.25, 0.5])
+            with pytest.raises(CacheError, match="holds 2 scores for 3 surfaces"):
+                cache.get(KEY_A, 3)
+            cache.put(cache.key("overlap v0", candidates), [0.5])
+            with pytest.raises(CacheError, match=r"cache\.jsonl: record [0-9a-f]{64} holds "
+                               "1 scores for 2 surfaces"):
+                CachedScorer(OverlapScorer(), cache).score_candidates(candidates)
+
+    def test_v1_golden_file_is_refused_and_left_unchanged(self, tmp_path):
+        """``overlap_cache_golden.jsonl`` was written by ``predict`` with ``cache_path``
+        on the golden test split, for all three templates, in the earlier format of
+        one record per (mention, label) pair."""
+        golden = Path(__file__).parent / "data" / "overlap_cache_golden.jsonl"
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(golden.read_bytes())
+        with pytest.raises(CacheError, match=r"cache\.jsonl:1: bad cache record: a per-pair "
+                           "record of an earlier cache format"):
+            ScoreCache(path)
+        assert path.read_bytes() == golden.read_bytes()
 
 
 class TestScorerSpec:
