@@ -412,22 +412,34 @@ class ExternalEndpoint:
 
         A window of at most ``WINDOW`` requests is written, then its
         responses are read, so the pipes cannot both fill; this assumes a
-        window's responses fit in the endpoint's stdout pipe buffer. Replies
-        come from a pipe as they are written, not from a file, so this loop
-        reads them itself rather than through the shared line reader.
+        window's responses fit in the endpoint's stdout pipe buffer. A
+        window is encoded whole before any of it is written, so a request
+        that UTF-8 cannot encode raises ``ValidationError`` with nothing
+        sent. Each reply must be a JSON object and echo its request's id,
+        when the request has one. Replies come from a pipe as they are
+        written, not from a file, so this loop reads them itself rather
+        than through the shared line reader.
         """
         proc = self._ensure_started()
         assert proc.stdin is not None and proc.stdout is not None
         responses = []
         for start in range(0, len(requests), self.WINDOW):
             window = requests[start:start + self.WINDOW]
+            text = "".join(json.dumps(request, ensure_ascii=False) + "\n" for request in window)
             try:
-                for request in window:
-                    proc.stdin.write(json.dumps(request, ensure_ascii=False) + "\n")
-                proc.stdin.flush()
+                data = text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                # JSON escapes newlines inside strings, so each one ends a request
+                request = window[text.count("\n", 0, exc.start)]
+                name = request.get("id", request.get("op"))
+                raise ValidationError(
+                    f"request {name!r} holds a lone surrogate, which UTF-8 cannot encode") from None
+            try:
+                proc.stdin.buffer.write(data)
+                proc.stdin.buffer.flush()
             except (BrokenPipeError, OSError) as exc:
                 raise TransportError(f"scorer endpoint not reachable for writes: {exc}") from None
-            for _ in window:
+            for request in window:
                 try:
                     line = proc.stdout.readline()
                 except UnicodeDecodeError as exc:
@@ -438,9 +450,15 @@ class ExternalEndpoint:
                         f"{len(responses)} of {len(requests)} responses"
                     )
                 try:
-                    responses.append(json.loads(line))
+                    response = json.loads(line)
                 except ValueError as exc:  # also an integer too long to convert
                     raise ProtocolError(f"invalid JSON from endpoint: {exc}") from None
+                name = request.get("id", request.get("op"))
+                if not isinstance(response, dict):
+                    raise ProtocolError(f"reply to {name!r} is not a JSON object: {response!r}")
+                if "id" in request and response.get("id") != name:
+                    raise ProtocolError(f"id mismatch: sent {name!r}, got {response.get('id')!r}")
+                responses.append(response)
         return responses
 
     def close(self) -> None:
@@ -480,15 +498,6 @@ def _reply_number(value, what: str) -> float:
     if not math.isfinite(number):
         raise ProtocolError(f"non-finite {what} {value!r}")
     return number
-
-
-def _reply_to(request_id: str, response) -> dict:
-    """An endpoint's reply to ``request_id``: a JSON object echoing that id, else raises."""
-    if not isinstance(response, dict):
-        raise ProtocolError(f"reply to {request_id!r} is not a JSON object: {response!r}")
-    if response.get("id") != request_id:
-        raise ProtocolError(f"id mismatch: sent {request_id!r}, got {response.get('id')!r}")
-    return response
 
 
 def _reply_score(value) -> float:
@@ -542,7 +551,6 @@ class ExternalScorer(EntailmentScorer):
         ]
         scores = []
         for request, response in zip(requests, self.endpoint.round_trip(requests)):
-            response = _reply_to(request["id"], response)
             if "entailment" not in response:
                 raise ProtocolError(f"response for {request['id']!r} lacks an entailment score")
             scores.append(_reply_score(response["entailment"]))
@@ -559,7 +567,7 @@ class ExternalScorer(EntailmentScorer):
         request = {"id": request_id, "premise": candidates.premise,
                    "hypothesis": head + surfaces[0] + tail,
                    "head": head, "tail": tail, "surfaces": surfaces}
-        response = _reply_to(request_id, self.endpoint.round_trip([request])[0])
+        [response] = self.endpoint.round_trip([request])
         if "entailments" not in response:
             if "entailment" not in response:
                 raise ProtocolError(f"response for {request_id!r} lacks entailment scores")
@@ -593,8 +601,8 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
 
     def _control(self, request: dict, key: str):
         """Send one control op and return its reply's ``key`` value."""
-        response = self.endpoint.round_trip([request])[0]
-        value = response.get(key) if isinstance(response, dict) else None
+        [response] = self.endpoint.round_trip([request])
+        value = response.get(key)
         if value is None or (key == "ok" and value is not True):
             raise ProtocolError(f"{request['op']} reply has no valid {key!r}: {response!r}")
         return value

@@ -3,9 +3,10 @@
 Three template families are supported. Two wrap the mention and label
 surface in a fixed frame ("X is a Y.", "In this context, X is referring to
 Y.") and one substitutes the label surface into the original sentence at
-the mention's position. The same family is used for training pairs and for
-candidate ranking at inference time. For ranking, :func:`type_candidates`
-renders one mention's premise and frame once for a whole label sequence.
+the mention's position. One renderer, :func:`type_candidates`, renders a
+mention's premise and frame once for a sequence of labels; training pairs,
+ranking hypotheses and dependency pairs (:func:`dependency_pair`, from two
+type pairs) are all built from its output.
 """
 
 import enum
@@ -52,60 +53,6 @@ class PremiseHypothesisPair:
             raise ValidationError(f"empty hypothesis for instance {self.instance_id!r}")
 
 
-class _Frame:
-    """One instance's hypothesis frame: a description is ``head + surface + tail``.
-
-    The mention is checked, and for substitution the premise rendered and
-    the mention located, once here. :meth:`surface` checks a label and
-    returns the text that fills the frame; its errors, in order of
-    precedence, are an empty mention and an empty surface.
-    """
-
-    __slots__ = ("premise", "head", "tail", "capitalize", "_empty_mention")
-
-    def __init__(self, template: TemplateKind, instance: MentionInstance):
-        self.premise = render_premise(instance)
-        self._empty_mention = None
-        self.capitalize = False
-        if not instance.mention:
-            self._empty_mention = (
-                f"instance {instance.id!r} has an empty mention; no description possible"
-            )
-        if template is TemplateKind.TAXONOMIC:
-            self.head, self.tail = f"{instance.mention} is a ", "."
-        elif template is TemplateKind.CONTEXTUAL:
-            self.head, self.tail = f"In this context, {instance.mention} is referring to ", "."
-        else:
-            start, end = mention_span_in_premise(instance)
-            self.head, self.tail = self.premise[:start], self.premise[end:]
-            self.capitalize = start == 0
-
-    @property
-    def plain(self) -> bool:
-        """True when every label with a nonempty surface fills the frame as is."""
-        return not (self._empty_mention or self.capitalize)
-
-    def surface(self, label: TypeLabel) -> str:
-        if self._empty_mention:
-            raise RenderingError(self._empty_mention)
-        surface = label.surface
-        if not surface:
-            raise RenderingError(f"label {label.raw!r} has an empty surface form")
-        if self.capitalize:
-            surface = surface[0].upper() + surface[1:]
-        return surface
-
-    def describe(self, label: TypeLabel) -> str:
-        return self.head + self.surface(label) + self.tail
-
-
-def render_description(
-    template: TemplateKind, instance: MentionInstance, label: TypeLabel
-) -> str:
-    """Render the hypothesis asserting that the mention has the given type."""
-    return _Frame(template, instance).describe(label)
-
-
 @dataclass(frozen=True)
 class TypeCandidates:
     """One mention's type hypotheses: one premise, one frame, many labels.
@@ -126,7 +73,7 @@ class TypeCandidates:
     failed: tuple[int, ...]
 
     def pairs(self) -> list[PremiseHypothesisPair]:
-        """The type pairs, one per label, exactly as :func:`build_type_pair` builds them."""
+        """The type pairs, one per label: the only place type pairs are built."""
         return [
             PremiseHypothesisPair(
                 premise=self.premise,
@@ -140,6 +87,11 @@ class TypeCandidates:
         ]
 
 
+def raise_render_error(label: TypeLabel, exc: RenderingError) -> None:
+    """An ``on_render_error`` handler that makes the first failing label raise."""
+    raise exc
+
+
 def type_candidates(
     instance: MentionInstance,
     labels: Sequence[TypeLabel],
@@ -148,74 +100,95 @@ def type_candidates(
 ) -> TypeCandidates:
     """Render the instance's premise and frame once, and each label's surface.
 
-    A label that cannot be rendered is left out and, when a handler is
-    given, reported through ``on_render_error``, in the given order.
+    A label cannot be rendered when the mention is empty or, failing that,
+    when its surface is empty. Such a label is left out and, when a handler
+    is given, reported through ``on_render_error``, in the given order.
     """
-    frame = _Frame(template, instance)
+    premise = render_premise(instance)
+    capitalize = False
+    if template is TemplateKind.TAXONOMIC:
+        head, tail = f"{instance.mention} is a ", "."
+    elif template is TemplateKind.CONTEXTUAL:
+        head, tail = f"In this context, {instance.mention} is referring to ", "."
+    else:
+        start, end = mention_span_in_premise(instance)
+        head, tail = premise[:start], premise[end:]
+        capitalize = start == 0
     surfaces = [label.surface for label in labels]
-    # A plain frame fails a label only for an empty surface.
-    if frame.plain and all(surfaces):
+    # Without capitalization a label fails only for an empty mention or surface.
+    if instance.mention and not capitalize and all(surfaces):
         kept, failed = labels, []
     else:
         kept, surfaces, failed = [], [], []
         for i, label in enumerate(labels):
-            try:
-                surfaces.append(frame.surface(label))
-            except RenderingError as exc:
-                failed.append(i)
-                if on_render_error is not None:
-                    on_render_error(label, exc)
+            surface = label.surface
+            if not instance.mention:
+                error = f"instance {instance.id!r} has an empty mention; no description possible"
+            elif not surface:
+                error = f"label {label.raw!r} has an empty surface form"
             else:
                 kept.append(label)
+                surfaces.append(surface[0].upper() + surface[1:] if capitalize else surface)
+                continue
+            failed.append(i)
+            if on_render_error is not None:
+                on_render_error(label, RenderingError(error))
     return TypeCandidates(
         instance_id=instance.id,
         template=template,
-        premise=frame.premise,
-        head=frame.head,
-        tail=frame.tail,
+        premise=premise,
+        head=head,
+        tail=tail,
         labels=kept,
         surfaces=surfaces,
         failed=tuple(failed),
     )
 
 
+def dependency_pair(
+    descendant: PremiseHypothesisPair, ancestor: PremiseHypothesisPair
+) -> PremiseHypothesisPair:
+    """Pair a finer type's hypothesis (as premise) with a coarser one's.
+
+    Both are type pairs of one instance. Only the framed templates apply:
+    substituting two different labels into the sentence yields two
+    unrelated sentences, so substitution runs must skip dependency pairs.
+    """
+    if descendant.template is TemplateKind.SUBSTITUTION:
+        raise UnsupportedTemplateError(
+            "dependency pairs cannot be rendered with the substitution template"
+        )
+    return PremiseHypothesisPair(
+        premise=descendant.hypothesis,
+        hypothesis=ancestor.hypothesis,
+        kind=PairKind.DEPENDENCY,
+        instance_id=descendant.instance_id,
+        label_raw=descendant.label_raw,
+        template=descendant.template,
+    )
+
+
+def render_description(
+    template: TemplateKind, instance: MentionInstance, label: TypeLabel
+) -> str:
+    """Render the hypothesis asserting that the mention has the given type."""
+    return build_type_pair(instance, label, template).hypothesis
+
+
 def build_type_pair(
     instance: MentionInstance, label: TypeLabel, template: TemplateKind
 ) -> PremiseHypothesisPair:
     """Pair the instance's sentence with one candidate type description."""
-    frame = _Frame(template, instance)
-    return PremiseHypothesisPair(
-        premise=frame.premise,
-        hypothesis=frame.describe(label),
-        kind=PairKind.TYPE,
-        instance_id=instance.id,
-        label_raw=label.raw,
-        template=template,
-    )
+    [pair] = type_candidates(instance, [label], template, raise_render_error).pairs()
+    return pair
 
 
 def build_dependency_pair(
     instance: MentionInstance, dep: DependencyPair, template: TemplateKind
 ) -> PremiseHypothesisPair:
-    """Pair a finer type description (premise) with a coarser one (hypothesis).
-
-    Only the framed templates apply: substituting two different labels into
-    the sentence yields two unrelated sentences, so substitution runs must
-    skip dependency pairs.
-    """
-    if template is TemplateKind.SUBSTITUTION:
-        raise UnsupportedTemplateError(
-            "dependency pairs cannot be rendered with the substitution template"
-        )
-    frame = _Frame(template, instance)
-    return PremiseHypothesisPair(
-        premise=frame.describe(dep.descendant),
-        hypothesis=frame.describe(dep.ancestor),
-        kind=PairKind.DEPENDENCY,
-        instance_id=instance.id,
-        label_raw=dep.descendant.raw,
-        template=template,
-    )
+    """Pair a finer type description (premise) with a coarser one (hypothesis)."""
+    labels = [dep.descendant, dep.ancestor]
+    return dependency_pair(*type_candidates(instance, labels, template, raise_render_error).pairs())
 
 
 def pair_to_record(pair: PremiseHypothesisPair) -> dict:

@@ -30,12 +30,15 @@ from .labelspace import (
     sample_negative_type,
 )
 from .scoring import TrainableScorer
+# build_type_pair and build_dependency_pair stay importable from here: bench/tracer.py wraps them.
+from .templates import build_dependency_pair, build_type_pair  # noqa: F401
 from .templates import (
     PairKind,
     PremiseHypothesisPair,
     TemplateKind,
-    build_dependency_pair,
-    build_type_pair,
+    dependency_pair,
+    raise_render_error,
+    type_candidates,
 )
 
 
@@ -140,33 +143,26 @@ def build_examples_for_instance(
     for dep in deps:
         true_ancestors.setdefault(dep.descendant.raw, set()).add(dep.ancestor.raw)
     k = config.negatives_per_positive
-    examples = []
+    # Labels are drawn in example order, which fixes the rng stream: each
+    # positive, then its k negatives. The instance is then rendered once.
+    drawn = []
     for label in labels:
-        pos_pair = build_type_pair(instance, label, config.template)
-        negs = tuple(
-            build_type_pair(
-                instance, sample_negative_type(vocab, positive_raws, rng), config.template
-            )
-            for _ in range(k)
-        )
-        examples.append(RankedExample(positive=pos_pair, negatives=negs, kind=PairKind.TYPE))
+        drawn += [label, *(sample_negative_type(vocab, positive_raws, rng) for _ in range(k))]
     for dep in deps:
-        pos_pair = build_dependency_pair(instance, dep, config.template)
         excluded = true_ancestors[dep.descendant.raw]
-        negs = tuple(
-            build_dependency_pair(
-                instance,
-                DependencyPair(
-                    descendant=dep.descendant,
-                    ancestor=sample_negative_ancestor(dep, vocab, excluded, rng),
-                ),
-                config.template,
-            )
-            for _ in range(k)
-        )
-        examples.append(
-            RankedExample(positive=pos_pair, negatives=negs, kind=PairKind.DEPENDENCY)
-        )
+        drawn += [dep.descendant, dep.ancestor]
+        drawn += [sample_negative_ancestor(dep, vocab, excluded, rng) for _ in range(k)]
+    pairs = type_candidates(instance, drawn, config.template, raise_render_error).pairs()
+    type_end = len(labels) * (k + 1)
+    examples = [
+        RankedExample(positive=pairs[i], negatives=tuple(pairs[i + 1 : i + k + 1]),
+                      kind=PairKind.TYPE)
+        for i in range(0, type_end, k + 1)
+    ]
+    for i in range(type_end, len(pairs), k + 2):
+        positive, *negatives = (dependency_pair(pairs[i], a) for a in pairs[i + 1 : i + k + 2])
+        examples.append(RankedExample(
+            positive=positive, negatives=tuple(negatives), kind=PairKind.DEPENDENCY))
     return examples
 
 

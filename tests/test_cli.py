@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand against small on-disk fixtures."""
 
 import gc
+import hashlib
 import json
 import random
 import shlex
@@ -240,6 +241,58 @@ class TestTrain:
     def test_untrainable_scorer_rejected(self, workdir, capsys):
         assert run(workdir, "train") == 1
         assert "not trainable" in capsys.readouterr().err
+
+
+# A path vocabulary whose gold sets induce dependency pairs; the golden
+# fixture's flat vocabulary induces none.
+PIN_VOCAB = ["/person", "/person/athlete", "/person/athlete/boxer", "/person/artist",
+             "/person/artist/singer", "/organization", "/organization/company", "/location",
+             "/location/city"]
+PIN_TRAIN = [
+    _record([], "Ali", ["fought", "twice", "."], ["/person/athlete/boxer"]),
+    _record(["the"], "band", ["played", "."], ["/organization", "/person/artist/singer"]),
+    _record([], "Acme", ["hired", "Bo", "."], ["/organization/company"]),
+    _record(["in"], "Rome", ["it", "rained", "."], ["/location/city", "/location"]),
+    _record([], "Mae", ["sang", "and", "ran", "."], ["/person/artist", "/person/athlete"]),
+]
+PIN_DEV = [
+    _record([], "Cy", ["boxed", "."], ["/person/athlete/boxer"]),
+    _record(["a"], "firm", ["grew", "."], ["/organization/company"]),
+]
+
+
+class TestPinnedArtifacts:
+    """``render`` and ``train`` bytes on a corpus with dependency pairs, pinned by SHA-256."""
+
+    RENDER = {
+        "taxonomic": "34ded9377c6e3c70949b791629c9319548aeb5056758a49189cbea3917eb29fc",
+        "contextual": "db882c7b631d2ee6d5e5bc2c2819e7bfa913a4e253ae2ce7d24b28ff2563e3a9",
+        "substitution": "fd8464eceab0c8a7aeac49f3c559acf902cd6111041d8bc11920ce9d61fe9792",
+    }
+    TRAIN_LOG = "22be9448350df19a396ac804c823339fc44401443048546553c88f5730b5971f"
+    CHECKPOINT = "a600650ace2168d10392a2cbbdebe72658e7956ab29891d51c1222edce9dbbc0"
+
+    @pytest.fixture
+    def pinned(self, workdir):
+        _write_jsonl(workdir / "train.jsonl", PIN_TRAIN)
+        _write_jsonl(workdir / "dev.jsonl", PIN_DEV)
+        (workdir / "vocab.txt").write_text("".join(l + "\n" for l in PIN_VOCAB), encoding="utf-8")
+        return workdir
+
+    @staticmethod
+    def _digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("template", ["taxonomic", "contextual", "substitution"])
+    def test_render_is_pinned(self, pinned, template):
+        assert run(pinned, "render", f'template="{template}"') == 0
+        assert self._digest(pinned / "out" / "pairs.jsonl") == self.RENDER[template]
+
+    def test_train_is_pinned(self, pinned):
+        assert run(pinned, "train", 'scorer="trainable-table"', "max_epochs=4", "eval_every=1",
+                   "batch_size=3", "negatives_per_positive=2", "seed=5") == 0
+        assert self._digest(pinned / "out" / "train_log.jsonl") == self.TRAIN_LOG
+        assert self._digest(pinned / "out" / "checkpoint.json") == self.CHECKPOINT
 
 
 class TestPredictAndEval:

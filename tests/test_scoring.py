@@ -525,6 +525,17 @@ class TestExternalProtocol:
         assert proc.returncode is not None and proc.returncode < 0
         assert proc.stdin.closed and proc.stdout.closed
 
+    def test_unencodable_request_sends_nothing_and_keeps_the_endpoint(self):
+        scorer = ExternalScorer(stub_command("ok"))
+        try:
+            with pytest.raises(ValidationError, match="request .q000001. holds a lone surrogate"):
+                scorer.score_batch([mk_pair("p", "h"), mk_pair("p\ud800", "h")])
+            # nothing of the refused window was written, so no reply is left over
+            assert scorer.score_batch([mk_pair("p", "h")]) == scorer.score_batch(
+                [mk_pair("p", "h")])
+        finally:
+            scorer.close()
+
     def test_id_mismatch_raises(self):
         scorer = ExternalScorer(stub_command("bad-id"))
         try:

@@ -1,11 +1,14 @@
 """Loss arithmetic, example construction, and the epoch loop."""
 
+import hashlib
+import json
 import random
 import sys
 from dataclasses import replace
 
 import pytest
 
+import entail_typing.templates as templates
 from entail_typing import (
     ConfigError,
     Dataset,
@@ -220,6 +223,53 @@ class TestBuildExamples:
                 "/location/transit": ("/location",),
             },
         )
+
+
+class TestExampleStream:
+    # SHA-256 of every example's pairs over the sweep below
+    DIGEST = "79b9eb9534fd1d41bfb80521aac60d94f2d910e4bbd4ea75e07d49a7939aaab8"
+
+    def test_example_stream_is_pinned(self, tier_vocab, onto_vocab):
+        digest = hashlib.sha256()
+        for vocab in (tier_vocab, onto_vocab):
+            instances = [
+                mk_instance(id=f"t-{i}", left=("the",) * (i % 2), mention=f"X{i}",
+                            right=("moved", "."), gold=gold)
+                for i, gold in enumerate(_random_golds(vocab, 12, random.Random(5)))
+            ]
+            for template in TemplateKind:
+                for k in (1, 2):
+                    for weight in (0.05, 0.0):
+                        config = TrainingConfig(
+                            template=template, negatives_per_positive=k, dependency_weight=weight
+                        )
+                        for inst in instances:
+                            for example in build_examples_for_instance(
+                                inst, vocab, config, substream(11, inst.id)
+                            ):
+                                for pair in (example.positive, *example.negatives):
+                                    record = [example.kind.value, pair.premise, pair.hypothesis,
+                                              pair.kind.value, pair.label_raw,
+                                              pair.template.value]
+                                    digest.update(json.dumps(record).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_premise_rendered_once_per_instance(self, tier_vocab, monkeypatch):
+        calls = []
+        render_premise = templates.render_premise
+
+        def counting(instance):
+            calls.append(instance.id)
+            return render_premise(instance)
+
+        monkeypatch.setattr(templates, "render_premise", counting)
+        inst = mk_instance(id="t-0", mention="Ali", right=("won", "."),
+                           gold=("person", "sportsman", "boxer"))
+        for template in TemplateKind:
+            calls.clear()
+            config = TrainingConfig(template=template, negatives_per_positive=2)
+            assert len(build_examples_for_instance(inst, tier_vocab, config, random.Random(0))) > 1
+            assert calls == ["t-0"]
 
 
 def _random_golds(vocab, n, rng):
