@@ -32,7 +32,7 @@ from .corpus import (
     load_ufet_jsonl,
     make_fewshot_split,
 )
-from .errors import ConfigError, EntailTypingError, SchemaError
+from .errors import ConfigError, EntailTypingError, RenderingError, SchemaError
 from .evaluation import evaluate, report_to_json, report_to_text
 from .inference import (
     DEFAULT_GRID,
@@ -47,7 +47,7 @@ from .inference import (
 )
 from .labelspace import LabelVocabulary, load_vocabulary
 from .scoring import CachedScorer, ScoreCache, TrainableScorer, scorer_from_spec
-from .templates import TemplateKind, build_dependency_pair, build_type_pair, pair_to_record
+from .templates import TemplateKind, dependency_pair, pair_to_record, type_candidates
 from .training import TrainingConfig, instance_positives, train
 
 _DEFAULTS = {
@@ -207,8 +207,11 @@ def cmd_render(config: dict, out_dir: Path) -> list[str]:
 
     The positives are those training ranks (``instance_positives``): each
     instance's type pairs, then its dependency pairs; instances without gold
-    labels have none. Per-label rendering failures become inline records
-    carrying an "error" key, and the run continues.
+    labels have none. Each instance is rendered once (``type_candidates``)
+    for its positive labels and each dependency pair's two labels. A label
+    that cannot be rendered becomes an inline record carrying an "error"
+    key, as does a dependency pair whose descendant or, failing that,
+    ancestor cannot; the run continues.
     """
     split = _split_name(config, "render")
     dataset = _load_split(config, split)
@@ -218,19 +221,30 @@ def cmd_render(config: dict, out_dir: Path) -> list[str]:
     def records():
         for instance in dataset:
             labels, deps = instance_positives(instance, vocab, template)
-            targets = [(build_type_pair, label, label.raw) for label in labels]
-            targets += [(build_dependency_pair, dep, dep.descendant.raw) for dep in deps]
-            for build, target, raw in targets:
-                try:
-                    record = pair_to_record(build(instance, target, template))
-                except EntailTypingError as exc:
-                    record = {
-                        "error": str(exc),
+            drawn = labels + [label for dep in deps for label in (dep.descendant, dep.ancestor)]
+            errors = []
+            candidates = type_candidates(instance, drawn, template,
+                                         lambda label, exc: errors.append(exc))
+            # each drawn label's type pair, or its rendering error
+            failed, pairs = dict(zip(candidates.failed, errors)), iter(candidates.pairs())
+            rendered = [failed.get(i) or next(pairs) for i in range(len(drawn))]
+            ends = rendered[len(labels):]
+            outcomes = rendered[:len(labels)] + [
+                descendant if isinstance(descendant, RenderingError) else
+                ancestor if isinstance(ancestor, RenderingError) else
+                dependency_pair(descendant, ancestor)
+                for descendant, ancestor in zip(ends[::2], ends[1::2])
+            ]
+            for label, outcome in zip(labels + [dep.descendant for dep in deps], outcomes):
+                if isinstance(outcome, RenderingError):
+                    yield {
+                        "error": str(outcome),
                         "instance_id": instance.id,
-                        "label": raw,
+                        "label": label.raw,
                         "template": template.value,
                     }
-                yield record
+                else:
+                    yield pair_to_record(outcome)
 
     atomic_write_jsonl(out_dir / "pairs.jsonl", records())
     return ["pairs.jsonl"]

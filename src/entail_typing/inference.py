@@ -15,6 +15,7 @@ not grow with the vocabulary.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -190,7 +191,7 @@ def rank_all_candidates(
     labels = vocab.labels
     if not labels:
         raise ValidationError("cannot rank against an empty vocabulary")
-    candidates = type_candidates(instance, labels, template, on_render_error)
+    candidates = type_candidates(instance, vocab, template, on_render_error)
     scores = check_scores(scorer.score_candidates(candidates), len(candidates.labels),
                           lambda i: candidates.labels[i].raw)
     # Ascending slots: each insert leaves the slots before it in place.
@@ -253,9 +254,14 @@ def dev_loose_macro(
 ) -> list[tuple[float, float, float]]:
     """Loose macro P/R/F1 of the dev split under each config, in config order.
 
-    Each instance is ranked once, under the template the configs share, and
-    thresholded under every config (:func:`predict`). Only its (gold hits,
-    chosen size, gold size) per config is kept, not its ranking.
+    Each instance is ranked once, under the template the configs share. The
+    labels clearing a threshold are the ranking's first ``cleared``, so a
+    config's chosen size is ``cleared`` and its gold hits are the gold
+    labels' positions below it, found once per instance and counted by
+    bisection; gold labels outside the vocabulary are never chosen. Only
+    where nothing clears the threshold does :func:`predict` apply the
+    fallback. Only the (gold hits, chosen size, gold size) per config is
+    kept, not the ranking.
     """
     if len({config.template for config in configs}) != 1:
         raise ValidationError("dev configs must share one template")
@@ -265,10 +271,18 @@ def dev_loose_macro(
         if not gold:
             raise EvaluationError(f"empty gold label set for instance {inst.id!r}")
         ranking = rank_all_candidates(inst, vocab, scorer, configs[0].template)
+        # A ranking holds the vocabulary's own label objects, so a gold label
+        # is found by identity, without comparing labels field by field.
+        ids = list(map(id, ranking.labels))
+        positions = sorted(ids.index(id(vocab.get(raw))) for raw in gold if raw in vocab)
         for config, column in zip(configs, counts):
-            chosen = predict(ranking, config).chosen
-            column.append((len(chosen & gold), len(chosen), len(gold)))
-        del ranking  # not kept alive while the next instance is ranked
+            cleared = ranking.count_at_least(config.threshold)
+            if cleared:
+                column.append((bisect_left(positions, cleared), cleared, len(gold)))
+            else:
+                chosen = predict(ranking, config).chosen
+                column.append((len(chosen & gold), len(chosen), len(gold)))
+        del ranking, ids  # not kept alive while the next instance is ranked
     return [loose_macro_from_counts(column) for column in counts]
 
 

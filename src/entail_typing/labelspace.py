@@ -132,6 +132,11 @@ class LabelVocabulary:
         """Every label in vocabulary order (ascending raw), built on first use."""
         return tuple(map(self._by_raw.__getitem__, self._sorted_raws))
 
+    @cached_property
+    def surfaces(self) -> tuple[str, ...]:
+        """Every label's surface in vocabulary order, built on first use."""
+        return tuple(label.surface for label in self.labels)
+
     @property
     def sorted_raws(self) -> tuple[str, ...]:
         return self._sorted_raws

@@ -657,6 +657,40 @@ def _checked_record(key, scores, where: str) -> list[float]:
         raise CacheError(f"{where}: bad cache record: {exc}") from None
 
 
+def _scores_json(scores: list[float]) -> str:
+    """The JSON text of a list of floats, as ``json.dumps`` writes it.
+
+    A mention holds few distinct scores, so each distinct value's repr is
+    rendered once. ``0.0 == -0.0`` would share one memo entry, so when a
+    zero is present each zero is rendered on its own.
+    """
+    reprs = {s: repr(s) for s in set(scores)}
+    if 0.0 in reprs:
+        return "[" + ", ".join([repr(s) if s == 0.0 else reprs[s] for s in scores]) + "]"
+    return "[" + ", ".join(map(reprs.__getitem__, scores)) + "]"
+
+
+# The surface tuple keyed last and its JSON text, swapped as one pair so a
+# reader never sees one tuple's text beside another.
+_last_surfaces: tuple[tuple[str, ...], str] = ((), "[]")
+
+
+def _surfaces_json(surfaces: Sequence[str]) -> str:
+    """``json.dumps(surfaces)``, encoded once for a vocabulary's surface tuple.
+
+    That tuple comes back for every mention. A tuple cannot change, so it is
+    remembered by identity, uncopied; a list can, so it is encoded each time.
+    """
+    global _last_surfaces
+    last, text = _last_surfaces
+    if surfaces is last:
+        return text
+    text = json.dumps(surfaces)
+    if type(surfaces) is tuple:
+        _last_surfaces = (surfaces, text)
+    return text
+
+
 class ScoreCache:
     """Append-only persistent cache of per-mention scores.
 
@@ -722,10 +756,13 @@ class ScoreCache:
         It is the SHA-256, in lowercase hex, of the JSON text of the tag, the
         premise, the head, the tail and the surface list, computed once per
         mention. A JSON array spells each string whole, so two inputs never
-        share a text.
+        share a text. The tag, premise and frame are encoded on every call;
+        the surface list's text is spliced in, encoded once per vocabulary
+        surface tuple, so the text hashed is still the ``json.dumps`` of the
+        whole list.
         """
-        text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail,
-                           candidates.surfaces])
+        text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail])
+        text = f"{text[:-1]}, {_surfaces_json(candidates.surfaces)}]"
         return hashlib.sha256(text.encode()).hexdigest()
 
     def get(self, key: str, size: int) -> list[float] | None:
@@ -745,12 +782,15 @@ class ScoreCache:
         """Record a mention's scores under ``key``, appending its line with one flush.
 
         A key already recorded is left as it is. A bad key, or a score failing
-        :func:`unit_score`, raises ``CacheError`` and nothing is recorded.
+        :func:`unit_score`, raises ``CacheError`` and nothing is recorded. The
+        line's bytes are those of ``json.dumps({"k": key, "s": scores})``; a
+        checked key is hex, which JSON spells as it is, and each distinct
+        score is rendered once (:func:`_scores_json`).
         """
         checked = _checked_record(key, scores, str(self.path))
         if key not in self._entries:
             self._entries[key] = array.array("d", checked)
-            self._handle.write(json.dumps({"k": key, "s": checked}) + "\n")
+            self._handle.write(f'{{"k": "{key}", "s": {_scores_json(checked)}}}\n')
             self._handle.flush()
 
     def __len__(self) -> int:

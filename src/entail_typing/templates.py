@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .corpus import MentionInstance, mention_span_in_premise, render_premise
 from .errors import RenderingError, UnsupportedTemplateError, ValidationError
-from .labelspace import DependencyPair, TypeLabel
+from .labelspace import DependencyPair, LabelVocabulary, TypeLabel
 
 
 class TemplateKind(enum.Enum):
@@ -94,7 +94,7 @@ def raise_render_error(label: TypeLabel, exc: RenderingError) -> None:
 
 def type_candidates(
     instance: MentionInstance,
-    labels: Sequence[TypeLabel],
+    labels: Sequence[TypeLabel] | LabelVocabulary,
     template: TemplateKind,
     on_render_error: Callable[[TypeLabel, RenderingError], None] | None = None,
 ) -> TypeCandidates:
@@ -103,6 +103,8 @@ def type_candidates(
     A label cannot be rendered when the mention is empty or, failing that,
     when its surface is empty. Such a label is left out and, when a handler
     is given, reported through ``on_render_error``, in the given order.
+    Given a vocabulary, its labels are taken in vocabulary order, and its
+    surface tuple is reused as it is whenever no surface needs changing.
     """
     premise = render_premise(instance)
     capitalize = False
@@ -114,7 +116,10 @@ def type_candidates(
         start, end = mention_span_in_premise(instance)
         head, tail = premise[:start], premise[end:]
         capitalize = start == 0
-    surfaces = [label.surface for label in labels]
+    if isinstance(labels, LabelVocabulary):
+        labels, surfaces = labels.labels, labels.surfaces
+    else:
+        surfaces = [label.surface for label in labels]
     # Without capitalization a label fails only for an empty mention or surface.
     if instance.mention and not capitalize and all(surfaces):
         kept, failed = labels, []

@@ -17,8 +17,9 @@ from entail_typing import (
     build_examples_for_instance,
     load_ufet_jsonl,
     load_vocabulary,
+    render_premise,
 )
-from entail_typing import cli
+from entail_typing import cli, templates
 from entail_typing.cli import load_run_config, main
 
 from conftest import _live_predictions, read_jsonl, record_live_predictions
@@ -287,6 +288,20 @@ class TestPinnedArtifacts:
     def test_render_is_pinned(self, pinned, template):
         assert run(pinned, "render", f'template="{template}"') == 0
         assert self._digest(pinned / "out" / "pairs.jsonl") == self.RENDER[template]
+
+    @pytest.mark.parametrize("template", ["taxonomic", "substitution"])
+    def test_render_renders_each_premise_once(self, pinned, template, monkeypatch):
+        rendered = []
+
+        def counting_render_premise(instance):
+            rendered.append(instance.id)
+            return render_premise(instance)
+
+        monkeypatch.setattr(templates, "render_premise", counting_render_premise)
+        assert run(pinned, "render", f'template="{template}"') == 0
+        assert rendered == [f"train-{i:06d}" for i in range(len(PIN_TRAIN))]
+        records = read_jsonl(pinned / "out" / "pairs.jsonl")
+        assert len(records) == (24 if template == "taxonomic" else 14)
 
     def test_train_is_pinned(self, pinned):
         assert run(pinned, "train", 'scorer="trainable-table"', "max_epochs=4", "eval_every=1",

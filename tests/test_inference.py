@@ -582,6 +582,95 @@ class TestTuneThreshold:
         expected = [loose_macro(predict_dataset(dev, flat_vocab, scorer, c), golds) for c in configs]
         assert dev_loose_macro(dev, flat_vocab, scorer, configs) == expected
 
+    @staticmethod
+    def _counts_and_predict_calls(dev, vocab, scorer, configs, monkeypatch):
+        """dev_loose_macro's (hits, chosen, gold) columns and its number of predict calls."""
+        columns, calls = [], []
+        from_counts = inference.loose_macro_from_counts
+
+        def keep_counts(column):
+            columns.append(list(column))
+            return from_counts(column)
+
+        def counted_predict(*args, **kwargs):
+            calls.append(args)
+            return predict(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(inference, "loose_macro_from_counts", keep_counts)
+            m.setattr(inference, "predict", counted_predict)
+            dev_loose_macro(dev, vocab, scorer, configs)
+        return columns, len(calls)
+
+    @staticmethod
+    def _predicted_counts(dev, vocab, scorer, configs):
+        """Each config's (hits, chosen, gold) per instance, from its own predict() sets."""
+        columns, fallbacks = [], 0
+        for config in configs:
+            column = []
+            for inst in dev:
+                ranking = rank_all_candidates(inst, vocab, scorer, config.template)
+                fallbacks += not ranking.count_at_least(config.threshold)
+                chosen = predict(ranking, config).chosen
+                column.append((len(chosen & inst.gold_labels), len(chosen),
+                               len(inst.gold_labels)))
+            columns.append(column)
+        return columns, fallbacks
+
+    def test_dev_loose_macro_counts_match_predict(self, monkeypatch):
+        """Gold hits counted by bisection equal each config's predict() counts."""
+        raws = ["athlete", "city", "entity", "event", "person", "team"]
+        vocab = LabelVocabulary.from_raws(raws)
+        just_above = 0.1 + 0.2  # 0.30000000000000004, one step above the grid's 0.3
+        maps = [
+            # a label exactly at the threshold 0.5; gold outside the vocabulary
+            (("person", "ghost"), {"person": 0.5, "athlete": 0.7, "team": 0.2}),
+            # a tie run at the grid value 0.3 mixing gold and not, one just above it
+            (("city", "event"), {"city": 0.3, "entity": 0.3, "event": 0.3, "team": just_above}),
+            # a tie run exactly at the grid value 0.35; the fallback label "entity" is gold
+            (("entity", "team"), {"athlete": 0.35, "entity": 0.35, "team": 0.35, "city": 0.1}),
+            # nothing above 0.1: every grid value above it falls back
+            (("athlete",), {"athlete": 0.1, "person": 0.05}),
+            # every label scores 0, and only out-of-vocabulary gold
+            (("ghost",), {}),
+        ]
+        dev = self._dev([(f"M{i}", gold) for i, (gold, _) in enumerate(maps)])
+        table = {(f"M{i} ran .", raw): per_label.get(raw, 0.0)
+                 for i, (_, per_label) in enumerate(maps) for raw in raws}
+        scorer = PremiseLabelScorer(table)
+        thresholds = (-0.5, 0.0, 0.05, 0.1, 0.3, just_above, 0.35, 0.5, 0.7, 1.0, 1.5)
+        for fallback in (FallbackPolicy.top1(), FallbackPolicy.empty(),
+                         FallbackPolicy.other("entity"), FallbackPolicy.other("ghost"),
+                         FallbackPolicy.other("nowhere")):
+            configs = [PredictionConfig(t, fallback) for t in thresholds]
+            expected, fallbacks = self._predicted_counts(dev, vocab, scorer, configs)
+            got, calls = self._counts_and_predict_calls(dev, vocab, scorer, configs, monkeypatch)
+            assert got == expected, fallback
+            # predict runs only where nothing clears the threshold
+            assert calls == fallbacks > 0
+
+    def test_dev_loose_macro_counts_match_predict_on_random_ties(self, monkeypatch):
+        rng = random.Random(23)
+        raws = [f"l{i:02d}" for i in range(12)]
+        vocab = LabelVocabulary.from_raws(raws)
+        values = [0.0, 0.05, 0.25, 0.3, 0.5, 0.5 + 1e-12, 0.75, 1.0]  # grid values among them
+        for trial in range(30):
+            rows, table = [], {}
+            for i in range(4):
+                gold = rng.sample(raws + ["ghost", "phantom"], rng.randint(1, 4))
+                rows.append((f"M{i}", tuple(gold)))
+                for raw in raws:
+                    table[(f"M{i} ran .", raw)] = rng.choice(values)
+            dev = self._dev(rows)
+            fallback = rng.choice([FallbackPolicy.top1(), FallbackPolicy.empty(),
+                                   FallbackPolicy.other(rng.choice(raws + ["ghost"]))])
+            grid = sorted(rng.sample([-0.25, 0.0, 0.25, 0.3, 0.5, 0.75, 1.0, 1.25], 4))
+            configs = [PredictionConfig(t, fallback) for t in grid]
+            scorer = PremiseLabelScorer(table)
+            expected, fallbacks = self._predicted_counts(dev, vocab, scorer, configs)
+            got, calls = self._counts_and_predict_calls(dev, vocab, scorer, configs, monkeypatch)
+            assert (got, calls) == (expected, fallbacks), trial
+
     def test_dev_configs_share_one_template(self, flat_vocab):
         dev = self._dev([("Sam", ("person",))])
         scorer = RawLabelScorer({"person": 0.9})

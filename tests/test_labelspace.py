@@ -181,6 +181,14 @@ class TestVocabulary:
         assert all(a is b for a, b in zip(vocab, labels))
         assert vocab.labels is labels
 
+    def test_surfaces_tuple_built_once_on_first_use(self):
+        vocab = LabelVocabulary.from_raws(["person", "/x/sports_team", "head of state"])
+        assert "surfaces" not in vars(vocab)
+        surfaces = vocab.surfaces
+        assert surfaces == ("sports team", "head of state", "person")
+        assert surfaces == tuple(label.surface for label in vocab.labels)
+        assert vocab.surfaces is surfaces
+
     def test_file_loading(self, tmp_path):
         vocab_file = tmp_path / "vocab.txt"
         vocab_file.write_text("person\nboxer\n\nsportsman\n", encoding="utf-8")

@@ -1164,6 +1164,52 @@ class TestCachedCandidates:
         expected = json.dumps({"k": key, "s": [float(s) for s in scores]}) + "\n"
         assert path.read_text(encoding="utf-8") == expected
 
+    @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0), (0.0,), (-0.0,), ()])
+    def test_long_record_line_equals_json_dumps(self, tmp_path, zeros):
+        rng = random.Random(74)
+        values = [1 / 3, 0.5, 1.0, 5e-324, 0.1 + 0.2, 1e-300, *zeros]
+        scores = list(zeros) + [rng.choice(values) for _ in range(5000)]
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            cache.put(KEY_A, scores)
+        assert path.read_text(encoding="utf-8") == json.dumps({"k": KEY_A, "s": scores}) + "\n"
+        with ScoreCache(path) as cache:
+            assert _hex(cache.get(KEY_A, len(scores))) == _hex(scores)
+
+    def test_key_is_the_digest_of_the_whole_text_as_surface_lists_alternate(self):
+        rng = random.Random(75)
+        vocabs = [LabelVocabulary(_fuzz_labels(rng, 40, prefix=f"v{n}-")) for n in range(2)]
+        # the mention opens the sentence in one: its substitution surfaces are capitalized
+        instances = [mk_instance(left=("then",), mention="Jay", right=("sang", ".")),
+                     mk_instance(mention="Jay", right=("sang", "."))]
+
+        def digest(tag, candidates):
+            text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail,
+                               list(candidates.surfaces)])
+            return scoring.hashlib.sha256(text.encode()).hexdigest()
+
+        keys = []
+        for _ in range(3):
+            for vocab in vocabs:
+                for instance in instances:
+                    for template in (TemplateKind.SUBSTITUTION, TemplateKind.TAXONOMIC):
+                        candidates = type_candidates(instance, vocab, template)
+                        key = ScoreCache.key("overlap v0", candidates)
+                        assert key == digest("overlap v0", candidates)
+                        keys.append(key)
+                        # a new list or tuple with equal contents gives the same key
+                        for copy in (list, tuple):
+                            same = dataclasses.replace(
+                                candidates, surfaces=copy(candidates.surfaces))
+                            assert ScoreCache.key("overlap v0", same) == key
+        assert len(set(keys)) == 8 and keys[:8] * 3 == keys
+        # a list changed in place between calls is keyed by what it holds now
+        candidates = type_candidates(instances[0], list(vocabs[0]), TemplateKind.TAXONOMIC)
+        before = ScoreCache.key("overlap v0", candidates)
+        candidates.surfaces[0] = "changed"
+        assert ScoreCache.key("overlap v0", candidates) == digest("overlap v0", candidates)
+        assert ScoreCache.key("overlap v0", candidates) != before
+
     @pytest.mark.parametrize(
         "bad, message",
         [(7.0, "score 7.0 outside"), (-0.5, "score -0.5 outside"), (float("nan"), "score nan"),

@@ -4,6 +4,7 @@ import pytest
 
 from entail_typing import (
     DependencyPair,
+    LabelVocabulary,
     PairKind,
     RenderingError,
     TemplateKind,
@@ -14,6 +15,7 @@ from entail_typing import (
     parse_label,
     render_description,
     render_premise,
+    type_candidates,
 )
 from entail_typing.templates import pair_to_record
 
@@ -132,6 +134,35 @@ class TestTypePairs:
                 label_raw="l",
                 template=TemplateKind.TAXONOMIC,
             )
+
+
+class TestVocabularyCandidates:
+    """``type_candidates`` given a vocabulary reuses its one surface tuple."""
+
+    VOCAB = ["athlete", "/x/sports_team", "head of state"]
+
+    @pytest.mark.parametrize("template", list(TemplateKind))
+    @pytest.mark.parametrize("left", [("The",), ()], ids=["inside", "opening"])
+    def test_same_as_the_label_tuple(self, template, left):
+        vocab = LabelVocabulary.from_raws(self.VOCAB)
+        instance = mk_instance(left=left, mention="champion", right=("won", "."))
+        given_vocab = type_candidates(instance, vocab, template)
+        given_labels = type_candidates(instance, vocab.labels, template)
+        assert given_vocab.pairs() == given_labels.pairs()
+        assert list(given_vocab.surfaces) == given_labels.surfaces
+        # only a capitalized substitution changes the surfaces
+        reused = not (template is TemplateKind.SUBSTITUTION and not left)
+        assert (given_vocab.labels is vocab.labels) is reused
+        assert (given_vocab.surfaces is vocab.surfaces) is reused
+
+    def test_failures_keep_the_vocabulary_order(self):
+        vocab = LabelVocabulary.from_raws(self.VOCAB)
+        instance = mk_instance(mention="")
+        failed = []
+        candidates = type_candidates(instance, vocab, TemplateKind.TAXONOMIC,
+                                     lambda label, exc: failed.append(label.raw))
+        assert failed == list(vocab.sorted_raws)
+        assert candidates.failed == (0, 1, 2) and not candidates.labels
 
 
 class TestDependencyPairs:
