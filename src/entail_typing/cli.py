@@ -208,7 +208,7 @@ def cmd_render(config: dict, out_dir: Path) -> list[str]:
     The positives are those training ranks (``instance_positives``): each
     instance's type pairs, then its dependency pairs; instances without gold
     labels have none. Each instance is rendered once (``type_candidates``)
-    for its positive labels and each dependency pair's two labels. A label
+    for each distinct label among its positives and dependency ends. A label
     that cannot be rendered becomes an inline record carrying an "error"
     key, as does a dependency pair whose descendant or, failing that,
     ancestor cannot; the run continues.
@@ -221,21 +221,18 @@ def cmd_render(config: dict, out_dir: Path) -> list[str]:
     def records():
         for instance in dataset:
             labels, deps = instance_positives(instance, vocab, template)
-            drawn = labels + [label for dep in deps for label in (dep.descendant, dep.ancestor)]
-            errors = []
-            candidates = type_candidates(instance, drawn, template,
-                                         lambda label, exc: errors.append(exc))
-            # each drawn label's type pair, or its rendering error
-            failed, pairs = dict(zip(candidates.failed, errors)), iter(candidates.pairs())
-            rendered = [failed.get(i) or next(pairs) for i in range(len(drawn))]
-            ends = rendered[len(labels):]
-            outcomes = rendered[:len(labels)] + [
-                descendant if isinstance(descendant, RenderingError) else
-                ancestor if isinstance(ancestor, RenderingError) else
-                dependency_pair(descendant, ancestor)
-                for descendant, ancestor in zip(ends[::2], ends[1::2])
-            ]
-            for label, outcome in zip(labels + [dep.descendant for dep in deps], outcomes):
+            ends = [end for dep in deps for end in (dep.descendant, dep.ancestor)]
+            drawn = {label.raw: label for label in labels + ends}
+            errors = {}
+            candidates = type_candidates(instance, list(drawn.values()), template,
+                                         lambda label, exc: errors.__setitem__(label.raw, exc))
+            pairs = {pair.label_raw: pair for pair in candidates.pairs()}
+            outcomes = [(label, errors.get(label.raw) or pairs[label.raw]) for label in labels]
+            for dep in deps:
+                descendant, ancestor = dep.descendant.raw, dep.ancestor.raw
+                outcomes.append((dep.descendant, errors.get(descendant) or errors.get(ancestor)
+                                 or dependency_pair(pairs[descendant], pairs[ancestor])))
+            for label, outcome in outcomes:
                 if isinstance(outcome, RenderingError):
                     yield {
                         "error": str(outcome),

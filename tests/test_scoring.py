@@ -1164,10 +1164,13 @@ class TestCachedCandidates:
         expected = json.dumps({"k": key, "s": [float(s) for s in scores]}) + "\n"
         assert path.read_text(encoding="utf-8") == expected
 
+    # few distinct scores are joined from a memo, mostly distinct ones go to json.dumps
+    @pytest.mark.parametrize("spread", [0, 2400, 50000])
     @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0), (0.0,), (-0.0,), ()])
-    def test_long_record_line_equals_json_dumps(self, tmp_path, zeros):
+    def test_long_record_line_equals_json_dumps(self, tmp_path, zeros, spread):
         rng = random.Random(74)
         values = [1 / 3, 0.5, 1.0, 5e-324, 0.1 + 0.2, 1e-300, *zeros]
+        values += [rng.random() for _ in range(spread)]
         scores = list(zeros) + [rng.choice(values) for _ in range(5000)]
         path = tmp_path / "cache.jsonl"
         with ScoreCache(path) as cache:
