@@ -50,6 +50,10 @@ from .scoring import CachedScorer, ScoreCache, TrainableScorer, scorer_from_spec
 from .templates import TemplateKind, dependency_pair, pair_to_record, type_candidates
 from .training import TrainingConfig, instance_positives, train
 
+# The config classes declare the prediction and training defaults; the
+# config keeps them as JSON values, so its hash is that of the plain values.
+_PREDICTION, _TRAINING = PredictionConfig(threshold=0.5), TrainingConfig()
+
 _DEFAULTS = {
     "train_path": None,
     "dev_path": None,
@@ -57,18 +61,13 @@ _DEFAULTS = {
     "vocab_path": None,
     "tier_path": None,
     "split": None,
-    "template": "taxonomic",
+    "template": _PREDICTION.template.value,
     "scorer": "overlap",
-    "threshold": 0.5,
-    "fallback": "top1",
-    "topk": 10,
-    "margin": 0.1,
-    "dependency_weight": 0.05,
-    "negatives_per_positive": 1,
-    "batch_size": 16,
-    "max_epochs": 30,
-    "eval_every": 30,
-    "seed": 0,
+    "threshold": _PREDICTION.threshold,
+    "fallback": _PREDICTION.fallback.spec(),
+    "topk": _PREDICTION.topk,
+    **{key: getattr(_TRAINING, key) for key in ("margin", "dependency_weight",
+       "negatives_per_positive", "batch_size", "max_epochs", "eval_every", "seed")},
     "grid": list(DEFAULT_GRID),
     "bucket_edges": None,
     "target_unseen_fraction": 0.4,

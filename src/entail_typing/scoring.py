@@ -29,7 +29,7 @@ import shlex
 import string
 import subprocess
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._util import has_lone_surrogate, json_number, numbered_jsonl
 from .errors import CacheError, ConfigError, ProtocolError, TransportError, ValidationError
@@ -155,17 +155,44 @@ def _content_tokens(text: str) -> set[str]:
     return tokens
 
 
-def overlap_score(pair: PremiseHypothesisPair) -> float:
-    """Fraction of the hypothesis's content tokens present in the premise.
+def _overlap_scores(
+    premise: str, head: str, tail: str, surfaces: Iterable[str], memo: dict[str, tuple[str, ...]]
+) -> list[float]:
+    """The overlap score of each hypothesis ``head + surface + tail`` against ``premise``.
 
-    Scaffold tokens are dropped from the hypothesis side first, so the
-    ratio reflects the mention and label words only. An empty effective
-    hypothesis set scores 0.
+    A score is |H ∩ P| / |H|, or 0.0 when H is empty: H is the hypothesis's
+    content tokens less the scaffold tokens, and P the premise's content
+    tokens. A hypothesis's boundaries are whitespace or a punctuation-only
+    tail, so H is the frame's tokens (head and tail) plus the surface's.
+    ``memo`` maps each surface seen to its scaffold-free tokens, so the
+    premise and frame are tokenized once per call, a surface once per memo.
     """
-    hyp_tokens = _content_tokens(pair.hypothesis) - SCAFFOLD_TOKENS
-    if not hyp_tokens:
-        return 0.0
-    return len(hyp_tokens & _content_tokens(pair.premise)) / len(hyp_tokens)
+    premise_tokens = _content_tokens(premise)
+    frame = (_content_tokens(head) | _content_tokens(tail)) - SCAFFOLD_TOKENS
+    frame_hits, frame_size = len(frame & premise_tokens), len(frame)
+    # one float per distinct (hits, size), shared by every surface with it
+    ratios: dict[tuple[int, int], float] = {}
+    scores = []
+    for surface in surfaces:
+        tokens = memo.get(surface)
+        if tokens is None:
+            tokens = memo[surface] = tuple(_content_tokens(surface) - SCAFFOLD_TOKENS)
+        hits, size = frame_hits, frame_size
+        for tok in tokens:
+            if tok not in frame:
+                size += 1
+                hits += tok in premise_tokens
+        key = (hits, size)
+        score = ratios.get(key)
+        if score is None:
+            score = ratios[key] = hits / size if size else 0.0
+        scores.append(score)
+    return scores
+
+
+def overlap_score(pair: PremiseHypothesisPair) -> float:
+    """The :func:`_overlap_scores` score of a pair: its hypothesis as head, one empty surface."""
+    return _overlap_scores(pair.premise, pair.hypothesis, "", ("",), {})[0]
 
 
 class OverlapScorer(EntailmentScorer):
@@ -186,38 +213,9 @@ class OverlapScorer(EntailmentScorer):
         return overlap_score(pair)
 
     def score_candidates(self, candidates: TypeCandidates) -> list[float]:
-        """``overlap_score`` of every candidate pair, without building the pairs.
-
-        A hypothesis is ``head + surface + tail``, and each boundary is
-        whitespace or a punctuation-only tail, so its content tokens are
-        the frame's (head and tail) plus the surface's. The premise and the
-        frame are tokenized once per call, each distinct surface once per
-        scorer; a label then adds only its surface tokens not in the frame.
-        """
-        premise = _content_tokens(candidates.premise)
-        frame = (
-            _content_tokens(candidates.head) | _content_tokens(candidates.tail)
-        ) - SCAFFOLD_TOKENS
-        frame_hits, frame_size = len(frame & premise), len(frame)
-        memo = self._surface_tokens
-        # one float per distinct (hits, size), shared by every label with it
-        ratios: dict[tuple[int, int], float] = {}
-        scores = []
-        for surface in candidates.surfaces:
-            tokens = memo.get(surface)
-            if tokens is None:
-                tokens = memo[surface] = tuple(_content_tokens(surface) - SCAFFOLD_TOKENS)
-            hits, size = frame_hits, frame_size
-            for tok in tokens:
-                if tok not in frame:
-                    size += 1
-                    hits += tok in premise
-            key = (hits, size)
-            score = ratios.get(key)
-            if score is None:
-                score = ratios[key] = hits / size if size else 0.0
-            scores.append(score)
-        return scores
+        """``overlap_score`` of every candidate pair, tokenizing each distinct surface once."""
+        return _overlap_scores(candidates.premise, candidates.head, candidates.tail,
+                               candidates.surfaces, self._surface_tokens)
 
 
 class TableScorer(EntailmentScorer):
@@ -275,8 +273,12 @@ class TableScorer(EntailmentScorer):
             table[(premise, hypothesis)] = value
         return cls(table, default=0.0 if default is None else default)
 
+    @staticmethod
+    def _key(pair: PremiseHypothesisPair) -> tuple[str, str]:
+        return (pair.premise, pair.hypothesis)
+
     def score(self, pair: PremiseHypothesisPair) -> float:
-        return self._table.get((pair.premise, pair.hypothesis), self.default)
+        return self._table.get(self._key(pair), self.default)
 
     def score_candidates(self, candidates: TypeCandidates) -> list[float]:
         """Look up ``(premise, head + surface + tail)`` for every label, building no pairs."""
@@ -315,9 +317,6 @@ class TrainableTableScorer(TableScorer, TrainableScorer):
         self.lr = lr
         self._pending: dict[tuple[str, str], float] = {}
         self._snapshots: dict[str, dict[tuple[str, str], float]] = {}
-
-    def _key(self, pair: PremiseHypothesisPair) -> tuple[str, str]:
-        return (pair.premise, pair.hypothesis)
 
     def accumulate_ranking_loss(
         self,
@@ -678,27 +677,6 @@ def _scores_json(scores: list[float]) -> str:
     return "[" + ", ".join(map(reprs.__getitem__, scores)) + "]"
 
 
-# The surface tuple keyed last and its JSON text, swapped as one pair so a
-# reader never sees one tuple's text beside another.
-_last_surfaces: tuple[tuple[str, ...], str] = ((), "[]")
-
-
-def _surfaces_json(surfaces: Sequence[str]) -> str:
-    """``json.dumps(surfaces)``, encoded once for a vocabulary's surface tuple.
-
-    That tuple comes back for every mention. A tuple cannot change, so it is
-    remembered by identity, uncopied; a list can, so it is encoded each time.
-    """
-    global _last_surfaces
-    last, text = _last_surfaces
-    if surfaces is last:
-        return text
-    text = json.dumps(surfaces)
-    if type(surfaces) is tuple:
-        _last_surfaces = (surfaces, text)
-    return text
-
-
 class ScoreCache:
     """Append-only persistent cache of per-mention scores.
 
@@ -719,6 +697,9 @@ class ScoreCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[str, array.array] = {}
+        # The surface list keyed last, as a tuple, and its JSON text, swapped
+        # as one pair so a reader never sees one list's text beside another.
+        self._surfaces: tuple[tuple[str, ...], str] = ((), "[]")
         last_line = self._load() if self.path.exists() else b""
         self._handle = open(self.path, "a", encoding="utf-8")
         if last_line and not last_line.endswith(b"\n"):
@@ -757,21 +738,25 @@ class ScoreCache:
             os.truncate(self.path, offset)
         return last_line
 
-    @staticmethod
-    def key(tag: str, candidates: TypeCandidates) -> str:
+    def key(self, tag: str, candidates: TypeCandidates) -> str:
         """The record key of ``candidates`` scored by the scorer named ``tag``.
 
         It is the SHA-256, in lowercase hex, of the JSON text of the tag, the
         premise, the head, the tail and the surface list, computed once per
         mention. A JSON array spells each string whole, so two inputs never
-        share a text. The tag, premise and frame are encoded on every call;
-        the surface list's text is spliced in, encoded once per vocabulary
-        surface tuple, so the text hashed is still the ``json.dumps`` of the
-        whole list.
+        share a text. The surface list's text is spliced in, and encoded only
+        when the list differs from the one keyed last: that one is known by
+        identity, or failing that by its contents, compared as a tuple.
         """
+        last, surfaces_text = self._surfaces
+        surfaces = candidates.surfaces
+        if surfaces is not last:
+            surfaces = tuple(surfaces)
+            if surfaces != last:
+                surfaces_text = json.dumps(surfaces)
+            self._surfaces = (surfaces, surfaces_text)
         text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail])
-        text = f"{text[:-1]}, {_surfaces_json(candidates.surfaces)}]"
-        return hashlib.sha256(text.encode()).hexdigest()
+        return hashlib.sha256(f"{text[:-1]}, {surfaces_text}]".encode()).hexdigest()
 
     def get(self, key: str, size: int) -> list[float] | None:
         """The scores recorded under ``key`` as a fresh list, else None.

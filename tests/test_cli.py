@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -746,6 +747,50 @@ class TestConfigHandling:
         monkeypatch.chdir(workdir.parent)
         assert run(workdir, "predict") == 0
         assert (workdir / "out" / "predictions.jsonl").exists()
+
+    def test_relative_out_and_set_paths_resolve_against_config_dir(self, workdir, monkeypatch):
+        cwd = workdir / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        sets = ('test_path="test.jsonl"', 'cache_path="cache.jsonl"')
+        assert run(workdir, "predict", *sets, out="rel") == 0
+        assert (workdir / "rel" / "predictions.jsonl").exists()
+        assert (workdir / "cache.jsonl").stat().st_size > 0
+        assert list(cwd.iterdir()) == []
+
+    def test_relative_paths_without_config_resolve_against_working_dir(
+            self, workdir, monkeypatch):
+        monkeypatch.chdir(workdir)
+        argv = ["predict", "--set", 'test_path="test.jsonl"', "--set", 'vocab_path="vocab.txt"',
+                "--out", "rel"]
+        assert main(argv) == 0
+        assert (workdir / "rel" / "predictions.jsonl").exists()
+
+    def test_readme_config_table_states_every_default(self):
+        readme = Path(__file__).parent.parent / "README.md"
+        lines = readme.read_text(encoding="utf-8").splitlines()
+        start = lines.index("### Config keys") + 1
+        rows = []
+        for line in lines[start:]:
+            if rows and not line.startswith("|"):
+                break
+            if line.startswith("| `"):
+                rows.append(line.split("|")[1:3])
+        # the cells that are not JSON; "per command" is split's alone
+        spelled = {"none": None, "per command": None, "0.05 .. 0.95": list(cli.DEFAULT_GRID)}
+        stated = {}
+        for key_cell, default_cell in rows:
+            keys, cell = re.findall(r"`([^`]+)`", key_cell), default_cell.strip()
+            if cell in spelled:
+                default = spelled[cell]
+                assert cell != "per command" or keys == ["split"]
+            else:
+                assert cell.startswith("`") and cell.endswith("`"), cell
+                default = json.loads(cell[1:-1])
+            for key in keys:
+                assert key not in stated, key
+                stated[key] = default
+        assert stated == cli._DEFAULTS
 
     def test_load_run_config_merges_layers(self, workdir):
         config = load_run_config(

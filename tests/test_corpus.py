@@ -181,6 +181,14 @@ class TestFewShotSplit:
         )
         return train, test
 
+    def test_empty_split_rejected(self):
+        train, test = self._datasets()
+        spec = FewShotSplitSpec(target_unseen_fraction=0.5, seed=11)
+        empty = {split: Dataset(name="t", split=split, instances=()) for split in ("train", "test")}
+        for empty_train, empty_test in ((train, empty["test"]), (empty["train"], test)):
+            with pytest.raises(ValidationError, match="requires nonempty train and test sets"):
+                make_fewshot_split(empty_train, empty_test, spec)
+
     def test_holds_out_target_fraction(self):
         train, test = self._datasets()
         spec = FewShotSplitSpec(target_unseen_fraction=0.5, seed=11)

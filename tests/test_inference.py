@@ -104,6 +104,10 @@ class TestFallbackPolicy:
         with pytest.raises(ConfigError):
             FallbackPolicy(kind="top1", label="entity")
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown fallback kind 'bogus'"):
+            FallbackPolicy(kind="bogus")
+
     def test_spec_round_trip(self):
         for text in ("top1", "empty", "other:entity"):
             assert FallbackPolicy.parse(text).spec() == text
@@ -240,6 +244,18 @@ class TestPredict:
 
 
 class TestRanking:
+    def test_equality_hash_and_parallel_lengths(self):
+        labels = [parse_label("a"), parse_label("b")]
+        ranking = Ranking(labels, [0.5, 0.25])
+        assert ranking == Ranking(tuple(labels), (0.5, 0.25))
+        assert hash(ranking) == hash(Ranking(tuple(labels), (0.5, 0.25)))
+        assert ranking != Ranking(labels, [0.5, 0.125])
+        # a sequence of the same entries is not a ranking
+        assert ranking.__eq__(list(ranking)) is NotImplemented
+        assert ranking != list(ranking)
+        with pytest.raises(ValidationError, match="2 labels but 1 scores"):
+            Ranking(labels, [0.5])
+
     def test_order_and_tie_break(self, flat_vocab):
         inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
         scorer = RawLabelScorer(

@@ -159,7 +159,19 @@ class TestDependencyPairs:
                 assert pair.descendant.tier.fineness < pair.ancestor.tier.fineness
 
 
+class TestTier:
+    def test_fineness_orders_the_comparable_tiers(self):
+        assert Tier.ULTRAFINE.fineness < Tier.FINE.fineness < Tier.GENERAL.fineness
+        assert not Tier.UNSPECIFIED.comparable
+        with pytest.raises(ValueError, match="unspecified tier has no fineness rank"):
+            Tier.UNSPECIFIED.fineness
+
+
 class TestVocabulary:
+    def test_get_unknown_label_raises(self, flat_vocab):
+        with pytest.raises(KeyError, match="label 'nowhere' not in vocabulary"):
+            flat_vocab.get("nowhere")
+
     def test_duplicate_rejected(self):
         with pytest.raises(ValidationError):
             LabelVocabulary.from_raws(["a", "a"])

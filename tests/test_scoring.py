@@ -17,6 +17,7 @@ from entail_typing import (
     CachedScorer,
     ConfigError,
     DatasetLoadError,
+    EntailmentScorer,
     ExternalScorer,
     ExternalTrainableScorer,
     LabelVocabulary,
@@ -182,7 +183,7 @@ def _fuzz_candidates(rng, template, empty_mention=False):
 
 
 class TestOverlapCandidates:
-    """``OverlapScorer.score_candidates`` against ``overlap_score`` of each pair."""
+    """``OverlapScorer.score_candidates`` against the oracle's overlap of each pair."""
 
     def test_equals_pair_scores_bit_for_bit(self):
         rng = random.Random(61)
@@ -192,7 +193,7 @@ class TestOverlapCandidates:
                 candidates = type_candidates(
                     _fuzz_instance(rng), _fuzz_labels(rng, rng.randint(1, 12)), template
                 )
-                expected = [overlap_score(p) for p in candidates.pairs()]
+                expected = [oracle_overlap(p.premise, p.hypothesis) for p in candidates.pairs()]
                 got = scorer.score_candidates(candidates)
                 assert list(map(float.hex, got)) == list(map(float.hex, expected))
 
@@ -213,7 +214,7 @@ class TestOverlapCandidates:
             for template in TemplateKind:
                 candidates = type_candidates(instance, labels, template)
                 assert scorer.score_candidates(candidates) == [
-                    overlap_score(p) for p in candidates.pairs()
+                    oracle_overlap(p.premise, p.hypothesis) for p in candidates.pairs()
                 ]
         capitalized = type_candidates(instances[0], labels, TemplateKind.SUBSTITUTION)
         assert capitalized.surfaces[0] == "SSoxer"
@@ -524,6 +525,24 @@ class TestExternalProtocol:
         endpoint.close()
         assert proc.returncode is not None and proc.returncode < 0
         assert proc.stdin.closed and proc.stdout.closed
+
+    def test_write_to_an_endpoint_that_closed_its_stdin_raises(self, monkeypatch):
+        # it answers one request, closes its stdin, and runs on until killed
+        code = (
+            "import json, os, sys, time\n"
+            "r = json.loads(sys.stdin.readline())\n"
+            "os.close(0)\n"
+            "print(json.dumps({'id': r['id'], 'entailment': 0.5}), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        monkeypatch.setattr(scoring.ExternalEndpoint, "CLOSE_WAIT_S", 0.2)
+        endpoint = scoring.ExternalEndpoint([sys.executable, "-c", code])
+        try:
+            assert endpoint.round_trip([{"id": "a"}]) == [{"id": "a", "entailment": 0.5}]
+            with pytest.raises(TransportError, match="not reachable for writes"):
+                endpoint.round_trip([{"id": "b"}])
+        finally:
+            endpoint.close()
 
     def test_unencodable_request_sends_nothing_and_keeps_the_endpoint(self):
         scorer = ExternalScorer(stub_command("ok"))
@@ -970,6 +989,41 @@ class TestScoreCache:
                 candidates)
         assert served == [0.875, 0.875]
 
+    def test_custom_scorers_are_named_by_module_and_class(self, tmp_path):
+        class Low(EntailmentScorer):
+            def score(self, pair):
+                return 0.25
+
+        class High(EntailmentScorer):
+            def score(self, pair):
+                return 0.75
+
+        assert Low().identity == f"{__name__}.{Low.__qualname__}"
+        assert High().identity != Low().identity
+        candidates, _ = _table_candidates({"a": 0.0, "b": 0.0})
+        path = tmp_path / "cache.jsonl"
+        # one file: each class is served its own record, never the other's
+        for inner, expected in [(Low(), 0.25), (High(), 0.75), (Low(), 0.25), (High(), 0.75)]:
+            with ScoreCache(path) as cache:
+                assert CachedScorer(inner, cache).score_candidates(candidates) == [expected] * 2
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_wrapper_shows_the_inner_version_and_passes_pairs_through(self, tmp_path):
+        candidates, table = _table_candidates({"a": 0.25, "b": 0.5})
+        inner = TrainableTableScorer(table)
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            scorer = CachedScorer(inner, cache)
+            assert scorer.version_tag == "v0"
+            assert scorer.score(candidates.pairs()[1]) == 0.5
+            assert path.read_bytes() == b""  # a pair call neither reads nor writes
+            scorer.score_candidates(candidates)
+            inner.apply_update()
+            assert scorer.version_tag == inner.version_tag == "v1"
+            # the new version is a new key, so the mention is scored again
+            scorer.score_candidates(candidates)
+        assert len(path.read_text().splitlines()) == 2
+
 
 class TestBatchedCache:
     def test_mixed_hits_and_misses(self, tmp_path):
@@ -1070,7 +1124,7 @@ class TestCachedCandidates:
                 part = sorted(rng.sample(range(len(candidates.labels)),
                                          rng.randint(0, len(candidates.labels))))
                 for each in (_subset(candidates, part), candidates):
-                    uncached = [overlap_score(p) for p in each.pairs()]
+                    uncached = [oracle_overlap(p.premise, p.hypothesis) for p in each.pairs()]
                     assert _hex(OverlapScorer().score_candidates(each)) == _hex(uncached)
                     cold = cached.score_candidates(each)
                     warm = cached.score_candidates(each)
@@ -1094,7 +1148,8 @@ class TestCachedCandidates:
         ]
         path = tmp_path / "cache.jsonl"
         batch = [type_candidates(i, labels, t) for i in instances for t in TemplateKind]
-        expected = [_hex(overlap_score(p) for p in c.pairs()) for c in batch]
+        expected = [_hex(oracle_overlap(p.premise, p.hypothesis) for p in c.pairs())
+                    for c in batch]
         for run in ("cold", "warm"):
             inner = RecordingOverlap()
             with ScoreCache(path) as cache:
@@ -1153,13 +1208,13 @@ class TestCachedCandidates:
         scores = [0.0, 1.0, 0.5, 1 / 3, 0.1 + 0.2, 5e-324, 1e-300, -0.0, 1, 0]
         labels = [_label(f"l{i}", f"Ünïcode label {i}") for i in range(len(scores))]
         candidates = type_candidates(mk_instance(), labels, TemplateKind.CONTEXTUAL)
-        key = ScoreCache.key(tag, candidates)
         text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail,
                            candidates.surfaces])
-        assert key == scoring.hashlib.sha256(text.encode("ascii")).hexdigest()
-        assert ScoreCache.key(tag + " ", candidates) != key
         path = tmp_path / "cache.jsonl"
         with ScoreCache(path) as cache:
+            key = cache.key(tag, candidates)
+            assert key == scoring.hashlib.sha256(text.encode("ascii")).hexdigest()
+            assert cache.key(tag + " ", candidates) != key
             cache.put(key, scores)
         expected = json.dumps({"k": key, "s": [float(s) for s in scores]}) + "\n"
         assert path.read_text(encoding="utf-8") == expected
@@ -1179,7 +1234,7 @@ class TestCachedCandidates:
         with ScoreCache(path) as cache:
             assert _hex(cache.get(KEY_A, len(scores))) == _hex(scores)
 
-    def test_key_is_the_digest_of_the_whole_text_as_surface_lists_alternate(self):
+    def test_key_is_the_digest_of_the_whole_text_as_surface_lists_alternate(self, tmp_path):
         rng = random.Random(75)
         vocabs = [LabelVocabulary(_fuzz_labels(rng, 40, prefix=f"v{n}-")) for n in range(2)]
         # the mention opens the sentence in one: its substitution surfaces are capitalized
@@ -1192,26 +1247,52 @@ class TestCachedCandidates:
             return scoring.hashlib.sha256(text.encode()).hexdigest()
 
         keys = []
-        for _ in range(3):
-            for vocab in vocabs:
+        with ScoreCache(tmp_path / "cache.jsonl") as cache:
+            for _ in range(3):
+                for vocab in vocabs:
+                    for instance in instances:
+                        for template in (TemplateKind.SUBSTITUTION, TemplateKind.TAXONOMIC):
+                            candidates = type_candidates(instance, vocab, template)
+                            key = cache.key("overlap v0", candidates)
+                            assert key == digest("overlap v0", candidates)
+                            keys.append(key)
+                            # a new list or tuple with equal contents gives the same key
+                            for copy in (list, tuple):
+                                same = dataclasses.replace(
+                                    candidates, surfaces=copy(candidates.surfaces))
+                                assert cache.key("overlap v0", same) == key
+            assert len(set(keys)) == 8 and keys[:8] * 3 == keys
+            # a list changed in place between calls is keyed by what it holds now
+            candidates = type_candidates(instances[0], list(vocabs[0]), TemplateKind.TAXONOMIC)
+            before = cache.key("overlap v0", candidates)
+            candidates.surfaces[0] = "changed"
+            assert cache.key("overlap v0", candidates) == digest("overlap v0", candidates)
+            assert cache.key("overlap v0", candidates) != before
+
+    def test_each_cache_encodes_a_surface_list_once_while_mentions_repeat_it(
+            self, tmp_path, monkeypatch):
+        rng = random.Random(76)
+        vocabs = [LabelVocabulary(_fuzz_labels(rng, 20, prefix=f"v{n}-")) for n in range(2)]
+        instances = [_fuzz_instance(rng) for _ in range(3)]
+        encoded = []
+        dumps = json.dumps
+
+        def recording(obj, *args, **kwargs):
+            if len(obj) > 4:  # a surface list, not the tag, premise and frame
+                encoded.append(len(obj))
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(scoring.json, "dumps", recording)
+        with ScoreCache(tmp_path / "a.jsonl") as a, ScoreCache(tmp_path / "b.jsonl") as b:
+            for cache, vocab in ((a, vocabs[0]), (b, vocabs[1]), (a, vocabs[0])):
                 for instance in instances:
-                    for template in (TemplateKind.SUBSTITUTION, TemplateKind.TAXONOMIC):
-                        candidates = type_candidates(instance, vocab, template)
-                        key = ScoreCache.key("overlap v0", candidates)
-                        assert key == digest("overlap v0", candidates)
-                        keys.append(key)
-                        # a new list or tuple with equal contents gives the same key
-                        for copy in (list, tuple):
-                            same = dataclasses.replace(
-                                candidates, surfaces=copy(candidates.surfaces))
-                            assert ScoreCache.key("overlap v0", same) == key
-        assert len(set(keys)) == 8 and keys[:8] * 3 == keys
-        # a list changed in place between calls is keyed by what it holds now
-        candidates = type_candidates(instances[0], list(vocabs[0]), TemplateKind.TAXONOMIC)
-        before = ScoreCache.key("overlap v0", candidates)
-        candidates.surfaces[0] = "changed"
-        assert ScoreCache.key("overlap v0", candidates) == digest("overlap v0", candidates)
-        assert ScoreCache.key("overlap v0", candidates) != before
+                    candidates = type_candidates(instance, vocab, TemplateKind.TAXONOMIC)
+                    cache.key("overlap v0", candidates)
+                    # an equal list is known by its contents and not encoded again
+                    cache.key("overlap v0", dataclasses.replace(
+                        candidates, surfaces=list(candidates.surfaces)))
+        # one encoding per cache: neither saw another list between its mentions
+        assert encoded == [20, 20]
 
     @pytest.mark.parametrize(
         "bad, message",

@@ -19,7 +19,7 @@ from entail_typing import (
 )
 from entail_typing.templates import pair_to_record
 
-from conftest import mk_instance
+from conftest import mk_instance, mk_pair
 
 
 JAY_RIGHT = (
@@ -89,6 +89,10 @@ class TestRenderDescription:
 
 
 class TestTypePairs:
+    def test_empty_hypothesis_rejected(self):
+        with pytest.raises(ValidationError, match="empty hypothesis for instance 'i-0'"):
+            mk_pair("p", "")
+
     def test_fields(self):
         inst = mk_instance(id="dev-000003", mention="Jay", right=JAY_RIGHT)
         pair = build_type_pair(inst, parse_label("producer"), TemplateKind.TAXONOMIC)

@@ -93,6 +93,8 @@ class TestConfig:
             TrainingConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainingConfig(eval_every=0)
+        with pytest.raises(ConfigError, match="max_epochs must be positive, got 0"):
+            TrainingConfig(max_epochs=0)
         with pytest.raises(ConfigError, match="margin"):
             TrainingConfig(margin=float("nan"))
         with pytest.raises(ConfigError, match="dependency_weight"):
@@ -154,6 +156,16 @@ class TestBuildExamples:
     def test_example_without_negatives_rejected(self):
         with pytest.raises(ValidationError, match="has no negatives"):
             RankedExample(positive=mk_pair("p", "pos"), negatives=(), kind=PairKind.TYPE)
+
+    def test_example_kind_must_be_the_positive_kind(self):
+        with pytest.raises(ValidationError, match="kind type does not match example kind"):
+            RankedExample(positive=mk_pair("p", "pos"), negatives=(mk_pair("p", "neg"),),
+                          kind=PairKind.DEPENDENCY)
+
+    def test_negative_with_another_premise_rejected(self):
+        negatives = (mk_pair("p", "neg"), mk_pair("q", "neg"))
+        with pytest.raises(ValidationError, match="negative premise differs"):
+            RankedExample(positive=mk_pair("p", "pos"), negatives=negatives, kind=PairKind.TYPE)
 
     def test_empty_gold_rejected(self, tier_vocab):
         inst = mk_instance(id="t-0", gold=())
@@ -484,6 +496,20 @@ class TestTrainLoop:
         config = TrainingConfig(max_epochs=4, eval_every=1, seed=3, batch_size=2)
         with pytest.raises(TrainingError) as err:
             train(train_set, dev_set, vocab, scorer, config, _predict_config())
+        assert err.value.best_tag == "ckpt-0000"
+
+    def test_update_failure_is_raised_when_restore_fails_too(self):
+        class Broken(TrainableTableScorer):
+            def apply_update(self):
+                raise RuntimeError("device lost")
+
+            def restore(self, tag):
+                raise RuntimeError("restore lost too")
+
+        vocab, train_set, dev_set = _toy_world()
+        config = TrainingConfig(max_epochs=2, eval_every=1, seed=3, batch_size=2)
+        with pytest.raises(TrainingError, match="update failed in epoch 1: device lost") as err:
+            train(train_set, dev_set, vocab, Broken(), config, _predict_config())
         assert err.value.best_tag == "ckpt-0000"
 
     def test_rejected_external_update_restores_best_tag(self):
