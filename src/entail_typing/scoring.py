@@ -29,7 +29,7 @@ import shlex
 import string
 import subprocess
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from ._util import has_lone_surrogate, json_number, numbered_jsonl
 from .errors import CacheError, ConfigError, ProtocolError, TransportError, ValidationError
@@ -52,6 +52,11 @@ class EntailmentScorer(abc.ABC):
     def version_tag(self) -> str:
         """Identity of the current parameter state; fixed scorers never change."""
         return "v0"
+
+    @property
+    def cache_tag(self) -> str:
+        """Names the scorer's current scores in score-cache keys."""
+        return f"{self.identity} {self.version_tag}"
 
     @abc.abstractmethod
     def score(self, pair: PremiseHypothesisPair) -> float:
@@ -114,13 +119,28 @@ class TrainableScorer(EntailmentScorer):
     ``version_tag`` is ``v<n>``, n counting every ``apply_update`` and every
     successful ``restore``: no tag names two parameter states, so a cache
     re-scores a restored state rather than serve another state's scores.
+    Two scorers built from the same start reach the same ``v<n>`` by
+    different training, so from ``v1`` on ``cache_tag`` also holds a token
+    drawn once per scorer instance.
     """
 
-    _changes = 0  # implementations add one per update and per restore
+    _changes = 0  # implementations call _changed once per update and per restore
+    _token = ""  # drawn at the first change
 
     @property
     def version_tag(self) -> str:
         return f"v{self._changes}"
+
+    @property
+    def cache_tag(self) -> str:
+        tag = super().cache_tag
+        return f"{tag} {self._token}" if self._changes else tag
+
+    def _changed(self) -> None:
+        """Count one update or restore; the first draws this instance's token."""
+        if not self._changes:
+            self._token = os.urandom(16).hex()
+        self._changes += 1
 
     @abc.abstractmethod
     def accumulate_ranking_loss(
@@ -155,44 +175,89 @@ def _content_tokens(text: str) -> set[str]:
     return tokens
 
 
-def _overlap_scores(
-    premise: str, head: str, tail: str, surfaces: Iterable[str], memo: dict[str, tuple[str, ...]]
-) -> list[float]:
+class _SurfaceIndex:
+    """An inverted index of one surface list, for :func:`_overlap_scores`.
+
+    ``sizes[i]`` counts surface ``i``'s scaffold-free content tokens, ``top``
+    is the largest count, and ``postings`` maps each such token to the
+    position of the one surface holding it, as an int, or to the list of
+    positions of several. A token spelled like its surface is keyed by the
+    surface string itself.
+    """
+
+    __slots__ = ("surfaces", "sizes", "top", "postings")
+
+    def __init__(self, surfaces: tuple[str, ...]):
+        sizes = []
+        postings: dict[str, int | list[int]] = {}
+        for i, surface in enumerate(surfaces):
+            tokens = _content_tokens(surface) - SCAFFOLD_TOKENS
+            sizes.append(len(tokens))
+            for tok in tokens:
+                held = postings.get(tok)
+                if held is None:
+                    postings[surface if tok == surface else tok] = i
+                elif type(held) is int:
+                    postings[tok] = [held, i]
+                else:
+                    held.append(i)
+        self.surfaces = surfaces
+        self.top = max(sizes, default=0)
+        # one byte per surface; a surface of over 255 tokens widens every entry
+        self.sizes = bytes(sizes) if self.top < 256 else array.array("L", sizes)
+        self.postings = postings
+
+
+def _overlap_scores(premise: str, head: str, tail: str, index: _SurfaceIndex) -> list[float]:
     """The overlap score of each hypothesis ``head + surface + tail`` against ``premise``.
 
     A score is |H ∩ P| / |H|, or 0.0 when H is empty: H is the hypothesis's
     content tokens less the scaffold tokens, and P the premise's content
     tokens. A hypothesis's boundaries are whitespace or a punctuation-only
     tail, so H is the frame's tokens (head and tail) plus the surface's.
-    ``memo`` maps each surface seen to its scaffold-free tokens, so the
-    premise and frame are tokenized once per call, a surface once per memo.
+    The premise and frame are tokenized once per call. A surface that shares
+    no token with P or the frame adds only its n tokens to |H|, so it scores
+    as its frame does with ``n`` more tokens; ``index`` finds the surfaces
+    that do share one, and only those are tokenized again and counted.
     """
     premise_tokens = _content_tokens(premise)
     frame = (_content_tokens(head) | _content_tokens(tail)) - SCAFFOLD_TOKENS
     frame_hits, frame_size = len(frame & premise_tokens), len(frame)
-    # one float per distinct (hits, size), shared by every surface with it
-    ratios: dict[tuple[int, int], float] = {}
-    scores = []
-    for surface in surfaces:
-        tokens = memo.get(surface)
-        if tokens is None:
-            tokens = memo[surface] = tuple(_content_tokens(surface) - SCAFFOLD_TOKENS)
-        hits, size = frame_hits, frame_size
-        for tok in tokens:
+
+    def ratio(hits: int, size: int) -> float:
+        """The score of H with ``hits`` and ``size`` beyond the frame's own."""
+        hits, size = frame_hits + hits, frame_size + size
+        return hits / size if size else 0.0
+
+    base = [ratio(0, n) for n in range(index.top + 1)]
+    scores = list(map(base.__getitem__, index.sizes))
+    touched: set[int] = set()
+    postings = index.postings
+    indexed = postings.keys()
+    for tok in (indexed & premise_tokens) | (indexed & frame):
+        held = postings[tok]
+        if type(held) is int:
+            touched.add(held)
+        else:
+            touched.update(held)
+    surfaces = index.surfaces
+    for i in touched:
+        hits = size = 0
+        for tok in _content_tokens(surfaces[i]) - SCAFFOLD_TOKENS:
             if tok not in frame:
                 size += 1
                 hits += tok in premise_tokens
-        key = (hits, size)
-        score = ratios.get(key)
-        if score is None:
-            score = ratios[key] = hits / size if size else 0.0
-        scores.append(score)
+        scores[i] = ratio(hits, size)
     return scores
+
+
+# The index of the one empty surface that a pair's hypothesis is framed around.
+_PAIR_INDEX = _SurfaceIndex(("",))
 
 
 def overlap_score(pair: PremiseHypothesisPair) -> float:
     """The :func:`_overlap_scores` score of a pair: its hypothesis as head, one empty surface."""
-    return _overlap_scores(pair.premise, pair.hypothesis, "", ("",), {})[0]
+    return _overlap_scores(pair.premise, pair.hypothesis, "", _PAIR_INDEX)[0]
 
 
 class OverlapScorer(EntailmentScorer):
@@ -200,22 +265,43 @@ class OverlapScorer(EntailmentScorer):
 
     Scores any label whose surface words appear in the premise, whether or
     not the label was ever seen in training, which is what makes it a
-    usable zero-shot toy scorer.
+    usable zero-shot toy scorer. It indexes each surface list it ranks
+    against on first use and keeps the two indexes used last, so a mention
+    visits only the labels its words touch.
     """
 
     identity = "overlap"
 
     def __init__(self):
-        # surface -> its content tokens, scaffold words dropped
-        self._surface_tokens: dict[str, tuple[str, ...]] = {}
+        # the two indexes used last, the latest first: a vocabulary's and,
+        # under the substitution template, its capitalized twin
+        self._indexes: list[_SurfaceIndex] = []
 
     def score(self, pair: PremiseHypothesisPair) -> float:
         return overlap_score(pair)
 
     def score_candidates(self, candidates: TypeCandidates) -> list[float]:
-        """``overlap_score`` of every candidate pair, tokenizing each distinct surface once."""
+        """``overlap_score`` of every candidate pair, from the index of ``candidates.surfaces``.
+
+        The list's index is built on the first call that ranks against it.
+        A list is known again by identity or, failing that, by its contents
+        compared as a tuple, so a list changed in place is indexed again.
+        A third list's index replaces the one used least recently.
+        """
         return _overlap_scores(candidates.premise, candidates.head, candidates.tail,
-                               candidates.surfaces, self._surface_tokens)
+                               self._index(candidates.surfaces))
+
+    def _index(self, surfaces: Sequence[str]) -> _SurfaceIndex:
+        indexes = self._indexes
+        index = next((known for known in indexes if known.surfaces is surfaces), None)
+        if index is None:
+            surfaces = tuple(surfaces)
+            index = next((known for known in indexes if known.surfaces == surfaces), None)
+            if index is None:
+                index = _SurfaceIndex(surfaces)
+        if not indexes or indexes[0] is not index:
+            self._indexes = [index, *indexes[:1]]
+        return index
 
 
 class TableScorer(EntailmentScorer):
@@ -342,7 +428,7 @@ class TrainableTableScorer(TableScorer, TrainableScorer):
             base = self._table.get(key, self.default)
             self._table[key] = min(1.0, max(0.0, base + delta))
         self._pending.clear()
-        self._changes += 1
+        self._changed()
 
     def snapshot(self) -> str:
         tag = f"ckpt-{len(self._snapshots):04d}"
@@ -354,7 +440,7 @@ class TrainableTableScorer(TableScorer, TrainableScorer):
             raise ValidationError(f"unknown checkpoint tag {tag!r}")
         self._table = dict(self._snapshots[tag])
         self._pending.clear()
-        self._changes += 1
+        self._changed()
 
 
 class ExternalEndpoint:
@@ -624,7 +710,7 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
 
     def apply_update(self) -> None:
         self._control({"op": "update"}, "ok")
-        self._changes += 1
+        self._changed()
 
     def snapshot(self) -> str:
         tag = self._control({"op": "snapshot"}, "tag")
@@ -635,7 +721,7 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
 
     def restore(self, tag: str) -> None:
         self._control({"op": "restore", "tag": tag}, "ok")
-        self._changes += 1
+        self._changed()
 
 
 # A record key: a SHA-256 digest in lowercase hex.
@@ -804,10 +890,10 @@ class CachedScorer(EntailmentScorer):
     """Wrap any scorer with a ScoreCache around its per-mention ranking.
 
     Only ``score_candidates`` reads or writes the cache, one record per
-    mention under the wrapped scorer's ``identity`` and ``version_tag``: a
-    cached mention is served whole, any other is scored whole by the
-    wrapped scorer's ``score_candidates`` and recorded. A reply with the
-    wrong number of scores, or a score failing :func:`unit_score`, raises
+    mention under the wrapped scorer's ``cache_tag``: a cached mention is
+    served whole, any other is scored whole by the wrapped scorer's
+    ``score_candidates`` and recorded. A reply with the wrong number of
+    scores, or a score failing :func:`unit_score`, raises
     :class:`ValidationError` before anything is written. ``score`` and
     ``score_batch`` pass straight through to the wrapped scorer, uncached;
     ranking never calls them.
@@ -829,7 +915,7 @@ class CachedScorer(EntailmentScorer):
 
     def score_candidates(self, candidates: TypeCandidates) -> list[float]:
         inner, labels = self.inner, candidates.labels
-        key = self.cache.key(f"{inner.identity} {inner.version_tag}", candidates)
+        key = self.cache.key(inner.cache_tag, candidates)
         scores = self.cache.get(key, len(labels))
         if scores is None:
             scores = check_scores(inner.score_candidates(candidates), len(labels),

@@ -43,7 +43,7 @@ from entail_typing import (
 from entail_typing.scoring import scorer_from_spec
 
 from conftest import mk_instance, mk_pair
-from oracles import oracle_overlap
+from oracles import SCAFFOLD, oracle_overlap, oracle_tokens
 
 STUB = str(Path(__file__).parent / "external_stub.py")
 
@@ -219,6 +219,44 @@ class TestOverlapCandidates:
         capitalized = type_candidates(instances[0], labels, TemplateKind.SUBSTITUTION)
         assert capitalized.surfaces[0] == "SSoxer"
 
+    def test_dense_fuzz_where_nearly_every_label_is_touched(self):
+        # the premise and mention hold most label words, so nearly every
+        # label shares one with them; surfaces of scaffold words only,
+        # punctuation only, a word repeated, the case-mapping letters, and
+        # one of more distinct words than a byte counts
+        words = ["jay", "Producer", "boxer,", "head", "state", "ßoxer", "SS", "İstanbul",
+                 "i̇stanbul", "(tyson)", "ΑΣ", "σ"]
+        rng = random.Random(65)
+        surfaces = ["is a", "this context", "...", "--", "jay jay", "Boxer boxer.",
+                    " ".join(f"w{i}" for i in range(300)) + " jay"]
+        pool = words * 3 + sorted(SCAFFOLD)
+        surfaces += [" ".join(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+                     for _ in range(60)]
+        vocab = LabelVocabulary([_label(f"l{i:02d}", s) for i, s in enumerate(surfaces)])
+        scorer = OverlapScorer()
+        touched = labels = 0
+        for n in range(150):
+            # now and then a mention of scaffold words only: an empty frame
+            mention = "this" if n % 10 == 0 else " ".join(rng.sample(words, rng.randint(1, 3)))
+            context = tuple(rng.sample(words, rng.randint(9, 12)))
+            instance = mk_instance(left=context[:n % 3], mention=mention, right=context[n % 3:])
+            # a frame may hold label words that the premise lacks
+            absent = [w for w in words if w not in context and w not in mention.split()]
+            framed = type_candidates(instance, vocab, TemplateKind.TAXONOMIC)
+            assert_oracle_scores(scorer, dataclasses.replace(
+                framed, head=f"{' '.join(absent[:2])} is a {framed.head}"))
+            for template in TemplateKind:
+                candidates = type_candidates(instance, vocab, template)
+                assert_oracle_scores(scorer, candidates)
+                words_in = oracle_tokens(candidates.premise + " " + candidates.head
+                                         + " " + candidates.tail)
+                for surface in candidates.surfaces:
+                    labels += 1
+                    touched += bool((oracle_tokens(surface) - SCAFFOLD) & words_in)
+        assert touched > 0.8 * labels
+        assert 0.0 in scorer.score_candidates(type_candidates(
+            mk_instance(mention="this", right=("jay",)), vocab, TemplateKind.TAXONOMIC))
+
     def test_reused_scorer_matches_fresh_ones(self):
         rng = random.Random(62)
         vocabs = [LabelVocabulary(_fuzz_labels(rng, 30, prefix=f"v{n}-")) for n in range(2)]
@@ -235,6 +273,85 @@ class TestOverlapCandidates:
     def test_empty_candidates(self):
         candidates = type_candidates(mk_instance(), [], TemplateKind.TAXONOMIC)
         assert OverlapScorer().score_candidates(candidates) == []
+
+
+def assert_oracle_scores(scorer, candidates):
+    """``scorer``'s scores of ``candidates`` equal the oracle's overlap of each pair, bit for bit."""
+    expected = [oracle_overlap(p.premise, p.hypothesis) for p in candidates.pairs()]
+    got = scorer.score_candidates(candidates)
+    assert list(map(float.hex, got)) == list(map(float.hex, expected))
+
+
+def recorded_index_builds(monkeypatch):
+    """Record the surface tuple of every surface index the overlap scorer builds."""
+    built = []
+    real = scoring._SurfaceIndex
+
+    def recording(surfaces):
+        built.append(surfaces)
+        return real(surfaces)
+
+    monkeypatch.setattr(scoring, "_SurfaceIndex", recording)
+    return built
+
+
+class TestOverlapIndex:
+    """The overlap scorer's surface indexes: when they are built, reused and dropped."""
+
+    LABELS = [_label(f"l{i}", s) for i, s in enumerate(
+        ["jay", "producer", "head of state", "ßoxer", "İstanbul", "boxer jay", "..."])]
+    STARTS = mk_instance(mention="Jay", right=("the", "producer", "of", "state"))
+    INSIDE = mk_instance(left=("İstanbul", "'s"), mention="ßoxer", right=("head", "jay"))
+
+    def test_a_list_and_its_capitalized_twin_are_each_indexed_once(self, monkeypatch):
+        built = recorded_index_builds(monkeypatch)
+        vocab = LabelVocabulary(self.LABELS)
+        scorer = OverlapScorer()
+        for _ in range(3):
+            for instance in (self.STARTS, self.INSIDE):
+                for template in TemplateKind:
+                    assert_oracle_scores(scorer, type_candidates(instance, vocab, template))
+        twin = type_candidates(self.STARTS, vocab, TemplateKind.SUBSTITUTION).surfaces
+        assert twin[3] == "SSoxer" and twin[4] == "İstanbul"
+        assert built == [vocab.surfaces, tuple(twin)]
+
+    def test_a_third_list_drops_the_index_used_least_recently(self, monkeypatch):
+        built = recorded_index_builds(monkeypatch)
+        lists = [self.LABELS, self.LABELS[:4], self.LABELS[2:]]
+        scorer = OverlapScorer()
+        for n in (0, 1, 0, 2, 0, 1):
+            assert_oracle_scores(scorer, type_candidates(
+                self.INSIDE, lists[n], TemplateKind.TAXONOMIC))
+        # the third list replaced the second, so the second is indexed again
+        assert [len(surfaces) for surfaces in built] == [7, 4, 5, 4]
+
+    def test_a_list_changed_in_place_is_indexed_again(self, monkeypatch):
+        built = recorded_index_builds(monkeypatch)
+        scorer = OverlapScorer()
+        candidates = type_candidates(self.INSIDE, self.LABELS, TemplateKind.TAXONOMIC)
+        surfaces = list(candidates.surfaces)
+        candidates = dataclasses.replace(candidates, surfaces=surfaces)
+        assert_oracle_scores(scorer, candidates)
+        before = scorer.score_candidates(candidates)
+        surfaces[1], surfaces[6] = "state jay", "producer"
+        assert_oracle_scores(scorer, candidates)
+        assert scorer.score_candidates(candidates) != before
+        assert len(built) == 2
+
+    def test_one_empty_surface_still_builds_one_index(self, monkeypatch):
+        built = recorded_index_builds(monkeypatch)
+        vocab = LabelVocabulary(self.LABELS + [_label("empty", "")])
+        scorer = OverlapScorer()
+        rng = random.Random(64)
+        lists = []
+        for _ in range(20):
+            candidates = type_candidates(_fuzz_instance(rng), vocab, TemplateKind.TAXONOMIC)
+            assert len(candidates.failed) == 1
+            lists.append(candidates.surfaces)
+            assert_oracle_scores(scorer, candidates)
+        # each mention rendered a list of its own, and one index served them all
+        assert len({id(surfaces) for surfaces in lists}) == 20
+        assert len(built) == 1
 
 
 class TestTableScorer:
@@ -703,6 +820,25 @@ class TestExternalProtocol:
         finally:
             scorer.close()
 
+    def test_endpoints_trained_apart_from_one_command_do_not_share_entries(self, tmp_path):
+        candidates = self._batch()[0]
+        pairs = candidates.pairs()
+        scorers = [ExternalTrainableScorer(stub_command("trainable")) for _ in range(2)]
+        try:
+            with ScoreCache(tmp_path / "cache.jsonl") as cache:
+                served, direct = [], []
+                for scorer, positive in zip(scorers, (0, 1)):
+                    negatives = [p for i, p in enumerate(pairs) if i != positive]
+                    scorer.accumulate_ranking_loss(pairs[positive], negatives, margin=1.0)
+                    scorer.apply_update()
+                    served.append(CachedScorer(scorer, cache).score_candidates(candidates))
+                    direct.append(scorer.score_candidates(candidates))
+                assert [s.version_tag for s in scorers] == ["v1", "v1"]
+                assert served == direct and direct[0] != direct[1]
+        finally:
+            for scorer in scorers:
+                scorer.close()
+
     # ``score_candidates``: one request line per mention
     SURFACES = ["ßoxer", "İstanbul", "ΑΣ σ", "head of state", "€ 😀", "jay", "..."]
 
@@ -947,6 +1083,25 @@ class TestScoreCache:
             # the restore and this update each took a tag of their own
             assert inner.version_tag == "v3"
             assert len(cache) == 4  # both labels at v1 and at v3
+
+    def test_scorers_trained_apart_from_one_start_do_not_share_entries(self, tmp_path):
+        candidates, table = _table_candidates({"a": 0.5, "b": 0.5})
+        a, b = candidates.pairs()
+        first, second = TrainableTableScorer(table, lr=0.1), TrainableTableScorer(table, lr=0.1)
+        first.accumulate_ranking_loss(a, [b], 0.1)
+        second.accumulate_ranking_loss(b, [a], 0.1)
+        first.apply_update()
+        second.apply_update()
+        assert first.version_tag == second.version_tag == "v1"
+        direct = [first.score_candidates(candidates), second.score_candidates(candidates)]
+        assert direct == [[0.6, 0.4], [0.4, 0.6]]
+        with ScoreCache(tmp_path / "cache.jsonl") as cache:
+            served = [CachedScorer(inner, cache).score_candidates(candidates)
+                      for inner in (first, second)]
+            assert served == direct
+            assert len(cache) == 4
+        # a v0 key is the identity and the version alone, as it always was
+        assert TrainableTableScorer(table).cache_tag == f"{first.identity} v0"
 
     def test_append_only_file(self, tmp_path):
         path = tmp_path / "cache.jsonl"
