@@ -5,26 +5,34 @@ scored; labels at or above the threshold form the prediction set. When
 nothing clears the threshold a fallback policy decides between the
 top-ranked label, a designated catch-all label, or an empty set.
 
-A ranking is a :class:`Ranking`: the labels in best-first order beside
-their scores, with :class:`ScoredLabel` entries built only when read.
-Since it is sorted, the labels clearing a threshold are a prefix of it,
-found by bisection, which is what makes re-thresholding during tuning
-cheap. A prediction keeps its chosen labels and the first ``topk``
-entries of its ranking, never the whole ranking, so what it retains does
-not grow with the vocabulary.
+A ranking is a :class:`Ranking`, which holds vocabulary positions rather
+than entries. A scorer's :class:`ScoreGroups` (a default score per group of
+labels, plus exceptions) become runs, one per distinct score, best first,
+each listing its positions as a few ascending sequences, without visiting
+every label. A plain list of scores is checked once, unless a cache already
+did, and its positions are sorted by score. Either way the labels clearing
+a threshold are a prefix, counted by bisection, which is what makes
+re-thresholding during tuning cheap, and entries, like the ``labels`` and
+``scores`` tuples, are built only when read. A prediction keeps its chosen
+labels and the first ``topk`` entries of its ranking, never the whole
+ranking, so what it retains does not grow with the vocabulary.
 """
 
+import array
+import heapq
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from itertools import accumulate, islice, repeat
+from operator import neg
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import Dataset, MentionInstance
 from .errors import ConfigError, EvaluationError, RenderingError, ValidationError
 # loose_macro stays importable from here: bench/tracer.py wraps it by name.
 from .evaluation import loose_macro, loose_macro_from_counts  # noqa: F401
 from .labelspace import LabelVocabulary, TypeLabel
-from .scoring import EntailmentScorer, check_scores, unit_score
+from .scoring import EntailmentScorer, ScoreGroups, check_count, check_scores, unit_score
 # build_type_pair stays importable from here: bench/tracer.py wraps it by name.
 from .templates import TemplateKind, build_type_pair, type_candidates  # noqa: F401
 
@@ -110,31 +118,137 @@ class ScoredLabel:
             raise ValidationError(f"{exc} for label {self.label.raw!r}") from None
 
 
+class _Order:
+    """Entries as one list of table positions, best first, ties in table order."""
+
+    __slots__ = ("positions", "score_of")
+
+    def __init__(self, positions: Sequence[int], score_of: Callable[[int], float]):
+        self.positions, self.score_of = positions, score_of
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def _key(self, position: int) -> float:
+        return -self.score_of(position)
+
+    def head(self, k: int) -> tuple[Sequence[int], Iterable[float]]:
+        positions = self.positions[:k]
+        return positions, map(self.score_of, positions)
+
+    def count_at_least(self, threshold: float) -> int:
+        return bisect_right(self.positions, -threshold, key=self._key)
+
+    def rank_of(self, position: int) -> int:
+        key = self._key(position)
+        start = bisect_left(self.positions, key, key=self._key)
+        end = bisect_right(self.positions, key, start, key=self._key)
+        return bisect_left(self.positions, position, start, end)
+
+
+class _Runs:
+    """Entries as runs, best first: each run the table positions of one score.
+
+    A run's positions are a few ascending sequences, read merged.
+    """
+
+    __slots__ = ("scores", "parts", "starts", "score_of")
+
+    def __init__(self, runs: dict[float, list[Sequence[int]]], score_of: Callable[[int], float]):
+        self.scores = sorted(runs, reverse=True)
+        self.parts = list(map(runs.__getitem__, self.scores))
+        self.starts = list(accumulate((sum(map(len, parts)) for parts in self.parts), initial=0))
+        self.score_of = score_of
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def head(self, k: int) -> tuple[Sequence[int], Iterable[float]]:
+        positions, scores = [], []
+        for score, parts in zip(self.scores, self.parts):
+            if len(positions) >= k:
+                break
+            merged = parts[0] if len(parts) == 1 else heapq.merge(*parts)
+            taken = list(islice(merged, k - len(positions)))
+            positions += taken
+            # a zero run may hold both zeros; each keeps its own sign
+            scores += map(self.score_of, taken) if score == 0.0 else repeat(score, len(taken))
+        return positions, scores
+
+    def count_at_least(self, threshold: float) -> int:
+        return self.starts[bisect_right(self.scores, -threshold, key=neg)]
+
+    def rank_of(self, position: int) -> int:
+        run = bisect_left(self.scores, -self.score_of(position), key=neg)
+        return self.starts[run] + sum(bisect_left(part, position) for part in self.parts[run])
+
+
 class Ranking(Sequence[ScoredLabel]):
     """Labels in best-first order with their scores; immutable.
 
-    ``labels`` and ``scores`` are parallel tuples. Reading an entry builds
-    its :class:`ScoredLabel`; slicing gives a :class:`Ranking`.
+    A ranking holds its entries as positions in ``table``, the labels by
+    position: as runs, one per distinct score, when ranked from
+    :class:`ScoreGroups`, else as one sorted list. Ties keep table order.
+    ``labels`` and ``scores`` are parallel tuples, built when first read;
+    reading an entry builds its :class:`ScoredLabel`; slicing gives a
+    :class:`Ranking`; ``count_at_least`` bisects.
     """
 
-    __slots__ = ("labels", "scores")
+    __slots__ = ("_table", "_entries", "_labels", "_scores")
 
     def __init__(self, labels: Sequence[TypeLabel], scores: Sequence[float]):
+        labels, scores = tuple(labels), tuple(scores)
         if len(labels) != len(scores):
             raise ValidationError(f"{len(labels)} labels but {len(scores)} scores")
-        self.labels = tuple(labels)
-        self.scores = tuple(scores)
+        self._table, self._entries = labels, _Order(range(len(scores)), scores.__getitem__)
+        self._labels, self._scores = labels, scores
+
+    @classmethod
+    def _of(cls, table: Sequence[TypeLabel], entries: "_Order | _Runs") -> "Ranking":
+        ranking = cls.__new__(cls)
+        ranking._table, ranking._entries = table, entries
+        ranking._labels = ranking._scores = None
+        return ranking
+
+    def _head(self, k: int) -> tuple[tuple[TypeLabel, ...], tuple[float, ...]]:
+        """The labels and scores of the first ``k`` entries, reading only those."""
+        if self._labels is not None:
+            return self._labels[:k], self._scores[:k]
+        positions, scores = self._entries.head(k)
+        return tuple(map(self._table.__getitem__, positions)), tuple(scores)
+
+    def _rank_of(self, position: int) -> int:
+        """The index of the entry at ``position`` of the table, found by bisection."""
+        return self._entries.rank_of(position)
+
+    @property
+    def labels(self) -> tuple[TypeLabel, ...]:
+        if self._labels is None:
+            self._labels, self._scores = self._head(len(self))
+        return self._labels
+
+    @property
+    def scores(self) -> tuple[float, ...]:
+        if self._scores is None:
+            self._labels, self._scores = self._head(len(self))
+        return self._scores
 
     def __len__(self) -> int:
-        return len(self.scores)
+        return len(self._entries)
 
     def __getitem__(self, index):
+        span = range(len(self))[index]
         if isinstance(index, slice):
-            return Ranking(self.labels[index], self.scores[index])
-        return ScoredLabel(label=self.labels[index], score=self.scores[index])
+            if span.step != 1:
+                return Ranking(self.labels[index], self.scores[index])
+            labels, scores = self._head(span.stop)
+            return Ranking(labels[span.start:], scores[span.start:])
+        labels, scores = self._head(span + 1)
+        return ScoredLabel(label=labels[span], score=scores[span])
 
     def __iter__(self) -> Iterator[ScoredLabel]:
-        return map(ScoredLabel, self.labels, self.scores)
+        # an unread ranking's tuples are built for the loop, not kept
+        return map(ScoredLabel, *self._head(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Ranking):
@@ -146,14 +260,7 @@ class Ranking(Sequence[ScoredLabel]):
 
     def count_at_least(self, threshold: float) -> int:
         """How many leading entries score at or above the threshold (bisection)."""
-        lo, hi = 0, len(self.scores)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.scores[mid] >= threshold:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return self._entries.count_at_least(threshold)
 
 
 @dataclass(frozen=True)
@@ -187,20 +294,54 @@ def rank_all_candidates(
     :func:`unit_score`, raises :class:`ValidationError`, the latter naming
     the first such label in vocabulary order. The result is best-first:
     descending score (as floats), ties broken by ascending raw label.
+
+    :class:`ScoreGroups` are ranked as runs, visiting only their groups and
+    exceptions, each distinct score checked once; with render failures they
+    are read as a list. A list is checked by :func:`check_scores` and its
+    positions sorted by score.
     """
     labels = vocab.labels
     if not labels:
         raise ValidationError("cannot rank against an empty vocabulary")
     candidates = type_candidates(instance, vocab, template, on_render_error)
-    scores = check_scores(scorer.score_candidates(candidates), len(candidates.labels),
-                          lambda i: candidates.labels[i].raw)
+    kept = candidates.labels
+    served = scorer.score_candidates(candidates)
+    if type(served) is ScoreGroups and not candidates.failed:
+        check_count(served, len(kept))
+        return Ranking._of(labels, _grouped_runs(served.checked(lambda i: kept[i].raw)))
+    scores = check_scores(served, len(kept), lambda i: kept[i].raw)
     # Ascending slots: each insert leaves the slots before it in place.
     for i in candidates.failed:
         scores.insert(i, 0.0)
     # Vocabulary order is ascending raw label, and a reversed sort is still
-    # stable, so ties keep that order.
-    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
-    return Ranking([labels[i] for i in order], [scores[i] for i in order])
+    # stable, so ties keep that order. An array holds no int per position.
+    order = array.array("I", sorted(range(len(scores)), key=scores.__getitem__, reverse=True))
+    return Ranking._of(labels, _Order(order, scores.__getitem__))
+
+
+def _grouped_runs(groups: ScoreGroups) -> _Runs:
+    """The runs of checked groups: each group's members less its exceptions, as
+    the pieces between them, and the exceptions of each score as one more piece."""
+    group_of, members = groups.group_of, groups.members
+    cut: dict[int, list[int]] = {}
+    touched: dict[float, list[int]] = {}
+    for i, score in groups.exceptions.items():
+        cut.setdefault(group_of[i], []).append(i)
+        touched.setdefault(score, []).append(i)
+    runs: dict[float, list[Sequence[int]]] = {}
+    for g, score in enumerate(groups.defaults):
+        start, pieces = 0, []
+        for i in sorted(cut.get(g, ())):
+            end = bisect_left(members[g], i)
+            pieces.append(members[g][start:end])
+            start = end + 1
+        pieces.append(members[g][start:])
+        pieces = [piece for piece in pieces if len(piece)]
+        if pieces:
+            runs.setdefault(score, []).extend(pieces)
+    for score, positions in touched.items():
+        runs.setdefault(score, []).append(sorted(positions))
+    return _Runs(runs, groups.__getitem__)
 
 
 def predict(
@@ -212,20 +353,23 @@ def predict(
 
     The labels at or above the threshold are a prefix of the best-first
     ranking, found by bisection. The prediction keeps only the ranking's
-    first ``config.topk`` entries.
+    first ``config.topk`` entries, and reads at most as many entries as
+    that, the cleared labels, or one.
     """
     if not ranking:
         raise ValidationError("cannot predict from an empty ranking")
     cleared = ranking.count_at_least(config.threshold)
+    labels, scores = ranking._head(max(cleared, config.topk, 1))
     if cleared:
-        chosen = frozenset([label.raw for label in ranking.labels[:cleared]])
+        chosen = frozenset([label.raw for label in labels[:cleared]])
     elif config.fallback.kind == "top1":
-        chosen = frozenset([ranking.labels[0].raw])
+        chosen = frozenset([labels[0].raw])
     elif config.fallback.kind == "other":
         chosen = frozenset([config.fallback.label])
     else:
         chosen = frozenset()
-    return PredictionSet(instance_id=instance_id, chosen=chosen, top=ranking[:config.topk])
+    top = Ranking(labels[:config.topk], scores[:config.topk])
+    return PredictionSet(instance_id=instance_id, chosen=chosen, top=top)
 
 
 def predict_dataset(
@@ -266,15 +410,15 @@ def dev_loose_macro(
     if len({config.template for config in configs}) != 1:
         raise ValidationError("dev configs must share one template")
     counts: list[list[tuple[int, int, int]]] = [[] for _ in configs]
+    raws = vocab.sorted_raws
     for inst in dev:
         gold = inst.gold_labels
         if not gold:
             raise EvaluationError(f"empty gold label set for instance {inst.id!r}")
         ranking = rank_all_candidates(inst, vocab, scorer, configs[0].template)
-        # A ranking holds the vocabulary's own label objects, so a gold label
-        # is found by identity, without comparing labels field by field.
-        ids = list(map(id, ranking.labels))
-        positions = sorted(ids.index(id(vocab.get(raw))) for raw in gold if raw in vocab)
+        # Vocabulary order is ascending raw label, so a gold label's position
+        # there is found by bisection, and its run gives its place in the ranking.
+        positions = sorted(ranking._rank_of(bisect_left(raws, raw)) for raw in gold if raw in vocab)
         for config, column in zip(configs, counts):
             cleared = ranking.count_at_least(config.threshold)
             if cleared:
@@ -282,7 +426,7 @@ def dev_loose_macro(
             else:
                 chosen = predict(ranking, config).chosen
                 column.append((len(chosen & gold), len(chosen), len(gold)))
-        del ranking, ids  # not kept alive while the next instance is ranked
+        del ranking  # not kept alive while the next instance is ranked
     return [loose_macro_from_counts(column) for column in counts]
 
 

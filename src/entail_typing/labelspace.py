@@ -51,6 +51,11 @@ class TypeLabel:
         return self.raw.startswith("/")
 
 
+def capitalize(surface: str) -> str:
+    """A surface with its first character upper-cased, as a sentence starts."""
+    return surface[:1].upper() + surface[1:]
+
+
 @dataclass(frozen=True)
 class DependencyPair:
     """A (finer, coarser) label pair whose descriptions entail one another."""
@@ -136,6 +141,16 @@ class LabelVocabulary:
     def surfaces(self) -> tuple[str, ...]:
         """Every label's surface in vocabulary order, built on first use."""
         return tuple(label.surface for label in self.labels)
+
+    @cached_property
+    def has_empty_surface(self) -> bool:
+        """Whether some label's surface is empty, found on first use."""
+        return not all(self.surfaces)
+
+    @cached_property
+    def capitalized_surfaces(self) -> tuple[str, ...]:
+        """:func:`capitalize` of every surface in vocabulary order, built on first use."""
+        return tuple(map(capitalize, self.surfaces))
 
     @property
     def sorted_raws(self) -> tuple[str, ...]:

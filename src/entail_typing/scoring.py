@@ -12,7 +12,9 @@ against every label's hypothesis through ``score_candidates``, which by
 default builds the pairs and calls ``score_batch``; a scorer that can reuse
 the shared premise and template frame across labels overrides it, as
 :class:`OverlapScorer` and :class:`TableScorer` do and
-:class:`ExternalScorer` does with one request line per mention.
+:class:`ExternalScorer` does with one request line per mention. It
+returns a list of scores or, as the overlap scorer does, :class:`ScoreGroups`:
+a default score per group of labels plus exceptions.
 :class:`CachedScorer` caches only that call, one record per mention: a
 mention is served whole from the cache, or scored whole by the wrapped
 scorer's ``score_candidates``.
@@ -20,7 +22,9 @@ scorer's ``score_candidates``.
 
 import abc
 import array
+import bisect
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -66,8 +70,12 @@ class EntailmentScorer(abc.ABC):
         """Order-preserving batch scoring; semantically identical to a score loop."""
         return [self.score(p) for p in pairs]
 
-    def score_candidates(self, candidates: TypeCandidates) -> list[float]:
-        """Score one mention's type hypotheses: one score per ``candidates.pairs()``."""
+    def score_candidates(self, candidates: TypeCandidates) -> "list[float] | ScoreGroups":
+        """Score one mention's type hypotheses: one score per ``candidates.pairs()``.
+
+        The scores come as a list or, from a scorer that knows them in a few
+        groups, as :class:`ScoreGroups`.
+        """
         return self.score_batch(candidates.pairs())
 
     def close(self) -> None:
@@ -83,15 +91,113 @@ def unit_score(value) -> float:
     return value
 
 
-def check_scores(scores, expected: int, label_raw: Callable[[int], str]) -> list[float]:
-    """``expected`` scores as a fresh list of floats, each passing :func:`unit_score`.
+class ScoreGroups(Sequence[float]):
+    """One mention's scores as groups plus exceptions: a sparse return of ``score_candidates``.
 
-    Otherwise raises :class:`ValidationError`; ``label_raw(i)`` names the
-    label of score ``i``, and the first bad one is named.
+    Every position lies in one group: ``group_of[i]`` is position ``i``'s
+    group, and ``members[g]`` lists group ``g``'s positions in ascending
+    order. Position ``i`` scores ``exceptions[i]`` when it has one, else its
+    group's entry of ``defaults``. It reads as the list of scores it stands
+    for: indexing, slicing, iteration, ``len`` and ``==`` with a list all see
+    that list, which is built only when iterated or sliced.
     """
-    scores = list(scores)
+
+    __slots__ = ("defaults", "group_of", "members", "exceptions")
+
+    def __init__(self, defaults: Sequence[float], group_of: Sequence[int],
+                 members: Sequence[Sequence[int]], exceptions: dict[int, float]):
+        self.defaults = defaults
+        self.group_of = group_of
+        self.members = members
+        self.exceptions = exceptions
+
+    def __len__(self) -> int:
+        return len(self.group_of)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        i = range(len(self.group_of))[index]
+        score = self.exceptions.get(i)
+        return self.defaults[self.group_of[i]] if score is None else score
+
+    def __iter__(self):
+        scores = list(map(self.defaults.__getitem__, self.group_of))
+        for i, score in self.exceptions.items():
+            scores[i] = score
+        return iter(scores)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, ScoreGroups)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # as a list's
+
+    def __repr__(self) -> str:
+        return f"ScoreGroups({list(self)!r})"
+
+    def checked(self, label_raw: Callable[[int], str]) -> "ScoreGroups":
+        """These groups with every score served passed through :func:`unit_score`.
+
+        Each default and each exception is checked once. A bad one raises
+        :class:`ValidationError` naming ``label_raw(i)`` of the first position
+        ``i`` it serves; a default that serves no position is left as it is.
+        """
+        bad = []
+        defaults = list(self.defaults)
+        for g, score in enumerate(defaults):
+            try:
+                defaults[g] = unit_score(score)
+            except ValueError as exc:
+                served = next((i for i in self.members[g] if i not in self.exceptions), None)
+                if served is not None:
+                    bad.append((served, str(exc)))
+        exceptions = {}
+        for i, score in self.exceptions.items():
+            try:
+                exceptions[i] = unit_score(score)
+            except ValueError as exc:
+                bad.append((i, str(exc)))
+        if bad:
+            i, message = min(bad)
+            raise ValidationError(f"{message} for label {label_raw(i)!r}")
+        return ScoreGroups(defaults, self.group_of, self.members, exceptions)
+
+
+class CheckedScores(list):
+    """A list of scores known to pass :func:`unit_score`, so never checked again.
+
+    :func:`check_scores` and the score cache make them: the cache checks a
+    record's scores as it loads or stores them, and serves them as these.
+    """
+
+    __slots__ = ()
+
+
+def check_count(scores: Sequence[float], expected: int) -> None:
+    """Raise :class:`ValidationError` unless there are ``expected`` scores."""
     if len(scores) != expected:
         raise ValidationError(f"scorer returned {len(scores)} scores for {expected} pairs")
+
+
+def check_scores(scores, expected: int, label_raw: Callable[[int], str]) -> CheckedScores:
+    """``expected`` scores as a list of floats, each passing :func:`unit_score`.
+
+    Otherwise raises :class:`ValidationError`; ``label_raw(i)`` names the
+    label of score ``i``, and the first bad one is named. The list is a
+    fresh one, unless ``scores`` is already :class:`CheckedScores`, which
+    is only counted. Of :class:`ScoreGroups`, each distinct score is
+    checked once.
+    """
+    if type(scores) is CheckedScores:
+        check_count(scores, expected)
+        return scores
+    if type(scores) is ScoreGroups:
+        check_count(scores, expected)
+        return CheckedScores(scores.checked(label_raw))
+    scores = CheckedScores(scores)
+    check_count(scores, expected)
     if not [s for s in scores if type(s) is not float or not 0.0 <= s <= 1.0]:
         return scores  # the common case: in-range floats, checked in one pass
     for i, value in enumerate(scores):
@@ -179,13 +285,15 @@ class _SurfaceIndex:
     """An inverted index of one surface list, for :func:`_overlap_scores`.
 
     ``sizes[i]`` counts surface ``i``'s scaffold-free content tokens, ``top``
-    is the largest count, and ``postings`` maps each such token to the
+    is the largest count, and ``members[n]`` lists the positions of the
+    surfaces of ``n`` tokens in ascending order, as a view of one array
+    ordered by (size, position). ``postings`` maps each such token to the
     position of the one surface holding it, as an int, or to the list of
     positions of several. A token spelled like its surface is keyed by the
     surface string itself.
     """
 
-    __slots__ = ("surfaces", "sizes", "top", "postings")
+    __slots__ = ("surfaces", "sizes", "top", "members", "postings")
 
     def __init__(self, surfaces: tuple[str, ...]):
         sizes = []
@@ -205,10 +313,16 @@ class _SurfaceIndex:
         self.top = max(sizes, default=0)
         # one byte per surface; a surface of over 255 tokens widens every entry
         self.sizes = bytes(sizes) if self.top < 256 else array.array("L", sizes)
+        # a stable sort keeps each size's positions ascending
+        by_size = array.array("I", sorted(range(len(sizes)), key=sizes.__getitem__))
+        starts = [bisect.bisect_left(by_size, n, key=sizes.__getitem__)
+                  for n in range(self.top + 2)]
+        view = memoryview(by_size)
+        self.members = [view[a:b] for a, b in itertools.pairwise(starts)]
         self.postings = postings
 
 
-def _overlap_scores(premise: str, head: str, tail: str, index: _SurfaceIndex) -> list[float]:
+def _overlap_scores(premise: str, head: str, tail: str, index: _SurfaceIndex) -> ScoreGroups:
     """The overlap score of each hypothesis ``head + surface + tail`` against ``premise``.
 
     A score is |H ∩ P| / |H|, or 0.0 when H is empty: H is the hypothesis's
@@ -217,8 +331,10 @@ def _overlap_scores(premise: str, head: str, tail: str, index: _SurfaceIndex) ->
     tail, so H is the frame's tokens (head and tail) plus the surface's.
     The premise and frame are tokenized once per call. A surface that shares
     no token with P or the frame adds only its n tokens to |H|, so it scores
-    as its frame does with ``n`` more tokens; ``index`` finds the surfaces
-    that do share one, and only those are tokenized again and counted.
+    as its frame does with ``n`` more tokens: the scores are grouped by n,
+    each group's default being that score. ``index`` finds the surfaces that
+    do share one, and only those are tokenized again, counted, and given an
+    exception.
     """
     premise_tokens = _content_tokens(premise)
     frame = (_content_tokens(head) | _content_tokens(tail)) - SCAFFOLD_TOKENS
@@ -229,8 +345,6 @@ def _overlap_scores(premise: str, head: str, tail: str, index: _SurfaceIndex) ->
         hits, size = frame_hits + hits, frame_size + size
         return hits / size if size else 0.0
 
-    base = [ratio(0, n) for n in range(index.top + 1)]
-    scores = list(map(base.__getitem__, index.sizes))
     touched: set[int] = set()
     postings = index.postings
     indexed = postings.keys()
@@ -241,14 +355,16 @@ def _overlap_scores(premise: str, head: str, tail: str, index: _SurfaceIndex) ->
         else:
             touched.update(held)
     surfaces = index.surfaces
+    exceptions = {}
     for i in touched:
         hits = size = 0
         for tok in _content_tokens(surfaces[i]) - SCAFFOLD_TOKENS:
             if tok not in frame:
                 size += 1
                 hits += tok in premise_tokens
-        scores[i] = ratio(hits, size)
-    return scores
+        exceptions[i] = ratio(hits, size)
+    defaults = [ratio(0, n) for n in range(index.top + 1)]
+    return ScoreGroups(defaults, index.sizes, index.members, exceptions)
 
 
 # The index of the one empty surface that a pair's hypothesis is framed around.
@@ -280,8 +396,10 @@ class OverlapScorer(EntailmentScorer):
     def score(self, pair: PremiseHypothesisPair) -> float:
         return overlap_score(pair)
 
-    def score_candidates(self, candidates: TypeCandidates) -> list[float]:
+    def score_candidates(self, candidates: TypeCandidates) -> ScoreGroups:
         """``overlap_score`` of every candidate pair, from the index of ``candidates.surfaces``.
+
+        The scores come as :class:`ScoreGroups`, one group per token count.
 
         The list's index is built on the first call that ranks against it.
         A list is known again by identity or, failing that, by its contents
@@ -729,10 +847,15 @@ _KEY = re.compile(r"[0-9a-f]{64}")
 
 
 def _checked_record(key, scores, where: str) -> list[float]:
-    """A record's scores as a list of floats; a bad key or score raises naming ``where``."""
+    """A record's scores as a list of floats; a bad key or score raises naming ``where``.
+
+    :class:`CheckedScores` are taken as they are.
+    """
     if type(key) is not str or not _KEY.fullmatch(key):
         raise CacheError(
             f'{where}: bad cache record: "k" must be a SHA-256 hex digest, got {key!r}')
+    if type(scores) is CheckedScores:
+        return scores
     if type(scores) is not list:
         raise CacheError(f'{where}: bad cache record: "s" must be a list of scores, '
                          f"got {type(scores).__name__}")
@@ -844,7 +967,7 @@ class ScoreCache:
         text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail])
         return hashlib.sha256(f"{text[:-1]}, {surfaces_text}]".encode()).hexdigest()
 
-    def get(self, key: str, size: int) -> list[float] | None:
+    def get(self, key: str, size: int) -> CheckedScores | None:
         """The scores recorded under ``key`` as a fresh list, else None.
 
         A record holding other than ``size`` scores raises ``CacheError``.
@@ -855,13 +978,14 @@ class ScoreCache:
         if len(scores) != size:
             raise CacheError(
                 f"{self.path}: record {key} holds {len(scores)} scores for {size} surfaces")
-        return scores.tolist()
+        return CheckedScores(scores)
 
     def put(self, key: str, scores: list[float]) -> None:
         """Record a mention's scores under ``key``, appending its line with one flush.
 
         A key already recorded is left as it is. A bad key, or a score failing
-        :func:`unit_score`, raises ``CacheError`` and nothing is recorded. The
+        :func:`unit_score`, raises ``CacheError`` and nothing is recorded;
+        :class:`CheckedScores` are not checked again. The
         line's bytes are those of ``json.dumps({"k": key, "s": scores})``; a
         checked key is hex, which JSON spells as it is, and the scores are
         written by :func:`_scores_json`.
@@ -892,7 +1016,8 @@ class CachedScorer(EntailmentScorer):
     Only ``score_candidates`` reads or writes the cache, one record per
     mention under the wrapped scorer's ``cache_tag``: a cached mention is
     served whole, any other is scored whole by the wrapped scorer's
-    ``score_candidates`` and recorded. A reply with the wrong number of
+    ``score_candidates``, checked and recorded. Either is served as
+    :class:`CheckedScores`, a fresh list. A reply with the wrong number of
     scores, or a score failing :func:`unit_score`, raises
     :class:`ValidationError` before anything is written. ``score`` and
     ``score_batch`` pass straight through to the wrapped scorer, uncached;
@@ -913,7 +1038,7 @@ class CachedScorer(EntailmentScorer):
     def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> list[float]:
         return self.inner.score_batch(pairs)
 
-    def score_candidates(self, candidates: TypeCandidates) -> list[float]:
+    def score_candidates(self, candidates: TypeCandidates) -> CheckedScores:
         inner, labels = self.inner, candidates.labels
         key = self.cache.key(inner.cache_tag, candidates)
         scores = self.cache.get(key, len(labels))

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .corpus import MentionInstance, mention_span_in_premise, render_premise
 from .errors import RenderingError, UnsupportedTemplateError, ValidationError
-from .labelspace import DependencyPair, LabelVocabulary, TypeLabel
+from .labelspace import DependencyPair, LabelVocabulary, TypeLabel, capitalize
 
 
 class TemplateKind(enum.Enum):
@@ -104,10 +104,12 @@ def type_candidates(
     when its surface is empty. Such a label is left out and, when a handler
     is given, reported through ``on_render_error``, in the given order.
     Given a vocabulary, its labels are taken in vocabulary order, and its
-    surface tuple is reused as it is whenever no surface needs changing.
+    surface tuple, or its capitalized twin for a mention that starts the
+    sentence under the substitution template, is reused as it is whenever
+    no label fails.
     """
     premise = render_premise(instance)
-    capitalize = False
+    starts = False
     if template is TemplateKind.TAXONOMIC:
         head, tail = f"{instance.mention} is a ", "."
     elif template is TemplateKind.CONTEXTUAL:
@@ -115,13 +117,18 @@ def type_candidates(
     else:
         start, end = mention_span_in_premise(instance)
         head, tail = premise[:start], premise[end:]
-        capitalize = start == 0
+        starts = start == 0
     if isinstance(labels, LabelVocabulary):
-        labels, surfaces = labels.labels, labels.surfaces
+        vocab, labels = labels, labels.labels
+        whole = not vocab.has_empty_surface
+        surfaces = vocab.capitalized_surfaces if starts else vocab.surfaces
     else:
         surfaces = [label.surface for label in labels]
-    # Without capitalization a label fails only for an empty mention or surface.
-    if instance.mention and not capitalize and all(surfaces):
+        whole = all(surfaces)
+        if starts:
+            surfaces = list(map(capitalize, surfaces))
+    # A label fails only for an empty mention or surface.
+    if instance.mention and whole:
         kept, failed = labels, []
     else:
         kept, surfaces, failed = [], [], []
@@ -133,7 +140,7 @@ def type_candidates(
                 error = f"label {label.raw!r} has an empty surface form"
             else:
                 kept.append(label)
-                surfaces.append(surface[0].upper() + surface[1:] if capitalize else surface)
+                surfaces.append(capitalize(surface) if starts else surface)
                 continue
             failed.append(i)
             if on_render_error is not None:

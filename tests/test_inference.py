@@ -1,6 +1,8 @@
 """Ranking, threshold selection, fallbacks, and grid tuning."""
 
+import dataclasses
 import gc
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +21,7 @@ from entail_typing import (
     PredictionConfig,
     Ranking,
     ScoredLabel,
+    ScoreGroups,
     TableScorer,
     TemplateKind,
     Tier,
@@ -34,12 +37,13 @@ from entail_typing import (
     prediction_to_record,
     rank_all_candidates,
     tune_threshold,
+    type_candidates,
 )
 
 import entail_typing.inference as inference
 import entail_typing.templates as templates
 from conftest import mk_instance
-from oracles import oracle_predict, oracle_rank, oracle_tune
+from oracles import oracle_overlap, oracle_predict, oracle_rank, oracle_tune
 
 
 class RawLabelScorer(EntailmentScorer):
@@ -754,6 +758,265 @@ class TestTuneThreshold:
                 grid=grid,
             )
             assert got == oracle_tune(score_maps, gold_sets, grid, fallback="top1")
+
+
+class ListScorer(EntailmentScorer):
+    """Serves one fixed value per vocabulary label from ``score_candidates``, as given."""
+
+    def __init__(self, scores):
+        self.scores = list(scores)
+
+    def score(self, pair):
+        raise AssertionError("ranking scores a mention at once")
+
+    def score_candidates(self, candidates):
+        return list(self.scores)
+
+
+class GroupsScorer(ListScorer):
+    """Serves ``scores`` as :class:`ScoreGroups`: a random group per label, the group's
+    default taken from one of its labels, and an exception for each label that differs
+    from it or, now and then, one that does not."""
+
+    def __init__(self, scores, rng, groups=4):
+        super().__init__(scores)
+        group_of = [rng.randrange(groups) for _ in scores]
+        members = [[i for i, g in enumerate(group_of) if g == n] for n in range(groups)]
+        defaults = [scores[rng.choice(m)] if m else rng.choice([0.0, 1.0]) for m in members]
+        exceptions = {i: value for i, value in enumerate(scores)
+                      if float.hex(float(value)) != float.hex(float(defaults[group_of[i]]))
+                      or type(value) is not type(defaults[group_of[i]]) or rng.random() < 0.1}
+        self.groups = ScoreGroups(defaults, bytes(group_of), members, exceptions)
+
+    def score_candidates(self, candidates):
+        return self.groups
+
+
+def _hex_entries(ranking):
+    return [(entry.label.raw, float.hex(entry.score)) for entry in ranking]
+
+
+def _oracle_entries(raws, scores):
+    """The oracle's ranking of one score per raw label, each keeping its own float."""
+    by_raw = dict(zip(raws, scores))
+    return [(raw, float.hex(float(by_raw[raw]))) for raw in oracle_rank(by_raw)]
+
+
+class TestGroupedBuild:
+    """Rankings from a list of scores and from :class:`ScoreGroups` against the oracle."""
+
+    RAWS = [f"g{i:03d}" for i in range(120)]
+    VALUES = [0.0, -0.0, 1.0, 0.5, 1 / 3, 0.1 + 0.2, 0.3, 5e-324, 1e-300, 0.75]
+
+    def test_heavy_ties_match_the_oracle_bit_for_bit(self):
+        rng = random.Random(261)
+        vocab = LabelVocabulary.from_raws(self.RAWS)
+        inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
+        for trial in range(120):
+            distinct = rng.sample(self.VALUES, rng.randint(1, len(self.VALUES)))
+            scores = [rng.choice(distinct) if rng.random() < 0.9 else rng.random()
+                      for _ in self.RAWS]
+            expected = _oracle_entries(vocab.sorted_raws, scores)
+            for scorer in (ListScorer(scores), GroupsScorer(scores, rng)):
+                ranking = rank_all_candidates(inst, vocab, scorer, TemplateKind.TAXONOMIC)
+                assert _hex_entries(ranking) == expected, trial
+                assert [(l.raw, float.hex(x)) for l, x in zip(ranking.labels, ranking.scores)] \
+                    == expected
+                for threshold in {*distinct, -0.0, 0.2, 1.5}:
+                    assert ranking.count_at_least(threshold) == sum(
+                        x >= threshold for x in scores)
+
+    def test_both_zeros_tie_and_keep_their_signs(self):
+        vocab = LabelVocabulary.from_raws(["a", "b", "c", "d", "e"])
+        inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
+        scores = [0.0, -0.0, 0.5, -0.0, 0.0]
+        groups = ScoreGroups([-0.0, 0.5], bytes([0, 0, 1, 0, 0]), [[0, 1, 3, 4], [2]],
+                             {0: 0.0, 4: 0.0})
+        for served in (scores, groups):
+            scorer = ListScorer(scores)
+            scorer.score_candidates = lambda candidates: served
+            ranking = rank_all_candidates(inst, vocab, scorer, TemplateKind.TAXONOMIC)
+            assert [x.label.raw for x in ranking] == ["c", "a", "b", "d", "e"]
+            assert list(map(float.hex, ranking.scores)) == list(map(float.hex, [
+                0.5, 0.0, -0.0, -0.0, 0.0]))
+            pred = predict(ranking, PredictionConfig(threshold=0.0, topk=5), instance_id="x")
+            assert pred.chosen == frozenset("abcde")
+            assert json.dumps(prediction_to_record(pred)["topk"]) == (
+                '[{"label": "c", "score": 0.5}, {"label": "a", "score": 0.0}, '
+                '{"label": "b", "score": -0.0}, {"label": "d", "score": -0.0}, '
+                '{"label": "e", "score": 0.0}]')
+            assert ranking.count_at_least(0.0) == ranking.count_at_least(-0.0) == 5
+
+    def test_a_bool_among_ones_names_its_label(self):
+        vocab = LabelVocabulary.from_raws(["a", "b", "c", "d"])
+        inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
+        groups = ScoreGroups([1.0], bytes(4), [[0, 1, 2, 3]], {2: True})
+        for served in ([1.0, 1.0, True, 1.0], groups):
+            scorer = ListScorer([])
+            scorer.score_candidates = lambda candidates: served
+            with pytest.raises(ValidationError, match="^not a JSON number: True for label 'c'$"):
+                rank_all_candidates(inst, vocab, scorer, TemplateKind.TAXONOMIC)
+
+    def test_the_first_bad_score_is_named_whichever_form(self):
+        vocab = LabelVocabulary.from_raws(["a", "b", "c", "d"])
+        inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
+        # a bad default named by the first label it serves, before a later bad exception
+        groups = ScoreGroups([0.5, 1.5], bytes([0, 1, 1, 0]), [[0, 3], [1, 2]],
+                             {1: 0.25, 3: float("nan")})
+        scorer = ListScorer([])
+        scorer.score_candidates = lambda candidates: groups
+        with pytest.raises(ValidationError, match="^score 1.5 outside \\[0, 1\\] for label 'c'$"):
+            rank_all_candidates(inst, vocab, scorer, TemplateKind.TAXONOMIC)
+        # a bad default that serves no label is never read
+        served = ScoreGroups([0.5, 7], bytes([0, 1, 0, 0]), [[0, 2, 3], [1]], {1: 0.25})
+        scorer.score_candidates = lambda candidates: served
+        ranking = rank_all_candidates(inst, vocab, scorer, TemplateKind.TAXONOMIC)
+        assert [x.label.raw for x in ranking] == ["a", "c", "d", "b"]
+
+    def test_ints_become_floats_whichever_form(self):
+        vocab = LabelVocabulary.from_raws(["a", "b", "c"])
+        inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
+        groups = ScoreGroups([0, 1], bytes([0, 1, 0]), [[0, 2], [1]], {2: 1})
+        for served in ([0, 1, 1], groups):
+            scorer = ListScorer([])
+            scorer.score_candidates = lambda candidates: served
+            ranking = rank_all_candidates(inst, vocab, scorer, TemplateKind.TAXONOMIC)
+            assert [x.label.raw for x in ranking] == ["b", "c", "a"]
+            assert ranking.scores == (1.0, 1.0, 0.0)
+            assert {type(score) for score in ranking.scores} == {float}
+
+    def test_a_render_failure_scores_zero_at_its_vocabulary_position(self):
+        surfaces = {"ant": "ant", "bee": "", "cat": "cat sat", "dog": "", "eel": "eel"}
+        vocab = LabelVocabulary([TypeLabel(raw=raw, segments=(raw,), tier=Tier.UNSPECIFIED,
+                                           surface=surface) for raw, surface in surfaces.items()])
+        inst = mk_instance(id="t-0", mention="Sam", right=("sat", "by", "an", "eel", "."))
+        failed = []
+        ranking = rank_all_candidates(inst, vocab, OverlapScorer(), TemplateKind.TAXONOMIC,
+                                      lambda label, exc: failed.append(label.raw))
+        assert failed == ["bee", "dog"]
+        premise = "Sam sat by an eel ."
+        expected = {raw: oracle_overlap(premise, f"Sam is a {surface}.") if surface else 0.0
+                    for raw, surface in surfaces.items()}
+        assert _hex_entries(ranking) == _oracle_entries(list(expected), list(expected.values()))
+
+    def test_a_frame_without_premise_hits_merges_every_size_into_one_zero_run(self):
+        # surfaces of one, two and three tokens; only "kavo" and "drummer" are in the premise
+        raws = ["alp", "bass drummer", "cod elk fig", "drummer", "emu gnu", "kavo",
+                "yak", "zebu ox owl"]
+        vocab = LabelVocabulary.from_raws(raws)
+        inst = mk_instance(left=("the", "drummer"), mention="this", right=("met", "kavo"))
+        candidates = type_candidates(inst, vocab, TemplateKind.TAXONOMIC)
+        for head in (candidates.head, "ghost is a "):  # an empty frame, then one of a word
+            framed = dataclasses.replace(candidates, head=head)
+            groups = OverlapScorer().score_candidates(framed)
+            assert set(groups.defaults) == {0.0}
+            scorer = ListScorer([])
+            scorer.score_candidates = lambda c: groups
+            ranking = rank_all_candidates(inst, vocab, scorer, TemplateKind.TAXONOMIC)
+            expected = [oracle_overlap(p.premise, p.hypothesis) for p in framed.pairs()]
+            assert _hex_entries(ranking) == _oracle_entries(raws, expected)
+            assert ranking.count_at_least(5e-324) == 3  # drummer, kavo, bass drummer
+            # the zero run holds the untouched labels of all three sizes
+            assert [x.label.raw for x in ranking[3:]] == [
+                "alp", "cod elk fig", "emu gnu", "yak", "zebu ox owl"]
+
+    def test_a_touched_label_leaves_the_rest_of_its_size_untouched(self):
+        raws = [f"w{i:03d}" for i in range(300)]
+        vocab = LabelVocabulary.from_raws(raws)
+        for touched in ("w000", "w137", "w299"):
+            inst = mk_instance(mention="Sam", right=("saw", touched, "."),
+                               gold=(touched, "w001", "w150", "w298"))
+            ranking = rank_all_candidates(inst, vocab, OverlapScorer(), TemplateKind.TAXONOMIC)
+            expected = [oracle_overlap(f"Sam saw {touched} .", f"Sam is a {raw}.")
+                        for raw in raws]
+            assert _hex_entries(ranking) == _oracle_entries(raws, expected)
+            assert ranking[0].label.raw == touched and ranking.count_at_least(0.75) == 1
+            for raw in raws:
+                assert ranking._rank_of(raws.index(raw)) == ranking.labels.index(vocab.get(raw))
+
+
+class TestRankingRuns:
+    """A ranking built from runs or a sorted list against one built from its tuples."""
+
+    def _rankings(self):
+        raws = [f"r{i:03d}" for i in range(200)]
+        vocab = LabelVocabulary.from_raws(raws)
+        inst = mk_instance(mention="Sam", right=("saw", "r007", "r100", "r007", "."))
+        overlap = rank_all_candidates(inst, vocab, OverlapScorer(), TemplateKind.TAXONOMIC)
+        rng = random.Random(5)
+        listed = rank_all_candidates(
+            inst, vocab, ListScorer([rng.choice([0.0, 0.25, 0.5, -0.0]) for _ in raws]),
+            TemplateKind.TAXONOMIC)
+        return [overlap, listed]
+
+    def test_equal_to_the_ranking_of_its_tuples(self):
+        for built in self._rankings():
+            tupled = Ranking(built.labels, built.scores)
+            assert built == tupled and hash(built) == hash(tupled)
+            assert len(built) == len(tupled) == 200
+            assert list(built) == list(tupled)
+            assert _hex_entries(built) == _hex_entries(tupled)
+
+    def test_reads_agree_with_the_ranking_of_its_tuples(self):
+        for built in self._rankings():
+            fresh = lambda: Ranking._of(built._table, built._entries)  # nothing read yet
+            tupled = Ranking(built.labels, built.scores)
+            for index in (0, 1, 57, 199, -1, -200):
+                assert fresh()[index] == tupled[index]
+            for index in (200, -201):
+                with pytest.raises(IndexError):
+                    fresh()[index]
+            for part in (slice(None, 0), slice(None, 3), slice(None, 150), slice(2, 9),
+                         slice(-5, None), slice(None, None, 2), slice(None, None, -1),
+                         slice(190, 3), slice(None, 500)):
+                got = fresh()[part]
+                assert isinstance(got, Ranking) and got == tupled[part]
+                assert got.labels == tupled.labels[part] and got.scores == tupled.scores[part]
+            distinct = sorted(set(built.scores))
+            for threshold in [*distinct, 0.1, 0.9, -1.0, 1.5]:
+                assert fresh().count_at_least(threshold) == tupled.count_at_least(threshold)
+            for position in range(200):
+                label = built._table[position]
+                assert fresh()._rank_of(position) == tupled.labels.index(label)
+
+    def test_predict_reads_only_the_entries_it_keeps(self):
+        for built in self._rankings():
+            tupled = Ranking(built.labels, built.scores)
+            for threshold in (0.0, 0.3, 0.9):
+                for topk in (0, 1, 10, 300):
+                    config = PredictionConfig(threshold=threshold, topk=topk)
+                    fresh = Ranking._of(built._table, built._entries)
+                    pred = predict(fresh, config)
+                    assert pred == predict(tupled, config)
+                    assert fresh._labels is None  # no whole tuple was built
+
+    def test_dev_loose_macro_in_a_large_tied_run_matches_the_dense_path(self, monkeypatch):
+        class DenseOverlap(OverlapScorer):
+            def score_candidates(self, candidates):
+                return list(super().score_candidates(candidates))
+
+        raws = [f"v{i:03d}" for i in range(400)] + ["v150 v151", "v300 pod"]
+        vocab = LabelVocabulary.from_raws(raws)
+        rng = random.Random(17)
+        instances = []
+        for i in range(12):
+            said = rng.sample(raws[:400], 2)
+            # gold mostly inside the untouched run of one-token labels
+            gold = rng.sample(raws[:400], 3) + said[:1] + ["ghost"]
+            instances.append(mk_instance(id=f"dev-{i}", mention="Sam",
+                                         right=("saw", *said, "."), gold=gold))
+        dev = Dataset(name="dev", split="dev", instances=tuple(instances))
+        configs = [PredictionConfig(t, fallback) for t in (*DEFAULT_GRID, 0.0, 1.0)
+                   for fallback in (FallbackPolicy.top1(), FallbackPolicy.empty())]
+        counts = [TestTuneThreshold._counts_and_predict_calls(dev, vocab, scorer, configs,
+                                                              monkeypatch)
+                  for scorer in (OverlapScorer(), DenseOverlap())]
+        assert counts[0] == counts[1]
+        assert any(hits for column in counts[0][0] for hits, _, _ in column)
+        assert dev_loose_macro(dev, vocab, OverlapScorer(), configs) == dev_loose_macro(
+            dev, vocab, DenseOverlap(), configs)
+        assert tune_threshold(dev, vocab, OverlapScorer(), TemplateKind.TAXONOMIC) == (
+            tune_threshold(dev, vocab, DenseOverlap(), TemplateKind.TAXONOMIC))
 
 
 class TestSerialization:

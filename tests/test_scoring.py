@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import entail_typing.inference as inference
 import entail_typing.scoring as scoring
 import entail_typing.templates as templates
 from entail_typing import (
@@ -25,6 +26,7 @@ from entail_typing import (
     PredictionConfig,
     ProtocolError,
     ScoreCache,
+    ScoreGroups,
     TableScorer,
     TemplateKind,
     Tier,
@@ -40,7 +42,7 @@ from entail_typing import (
     rank_all_candidates,
     type_candidates,
 )
-from entail_typing.scoring import scorer_from_spec
+from entail_typing.scoring import CheckedScores, scorer_from_spec
 
 from conftest import mk_instance, mk_pair
 from oracles import SCAFFOLD, oracle_overlap, oracle_tokens
@@ -352,6 +354,59 @@ class TestOverlapIndex:
         # each mention rendered a list of its own, and one index served them all
         assert len({id(surfaces) for surfaces in lists}) == 20
         assert len(built) == 1
+
+    def test_each_size_lists_its_positions_in_ascending_order(self):
+        rng = random.Random(66)
+        surfaces = tuple(_fuzz_surface(rng) for _ in range(200)) + ("", "is a", "a b c d e")
+        index = scoring._SurfaceIndex(surfaces)
+        assert len(index.members) == index.top + 1 == 5
+        for n, members in enumerate(index.members):
+            assert list(members) == [i for i, size in enumerate(index.sizes) if size == n]
+        for i, surface in enumerate(surfaces):
+            assert index.sizes[i] == len(oracle_tokens(surface) - SCAFFOLD)
+
+
+class TestScoreGroups:
+    """``ScoreGroups`` reads as the list of scores it stands for."""
+
+    GROUPS = ScoreGroups([0.25, 0.5], bytes([1, 0, 1, 0, 1]), [[1, 3], [0, 2, 4]], {2: 1.0})
+    LIST = [0.5, 0.25, 1.0, 0.25, 0.5]
+
+    def test_reads_as_its_list(self):
+        groups = self.GROUPS
+        assert len(groups) == 5 and list(groups) == self.LIST
+        assert groups == self.LIST and self.LIST == groups and groups != self.LIST[:4]
+        assert groups == ScoreGroups([0.5, 0.25], bytes([0, 1, 1, 1, 0]), [[0, 4], [1, 2, 3]],
+                                     {2: 1.0})
+        assert groups.__eq__(tuple(self.LIST)) is NotImplemented
+        assert [groups[i] for i in range(-5, 5)] == self.LIST * 2
+        assert groups[1:4] == self.LIST[1:4] and groups[::-1] == self.LIST[::-1]
+        assert 1.0 in groups and 0.75 not in groups
+        with pytest.raises(IndexError):
+            groups[5]
+        with pytest.raises(TypeError):
+            hash(groups)
+        assert repr(groups) == "ScoreGroups([0.5, 0.25, 1.0, 0.25, 0.5])"
+
+    def test_checked_makes_floats_and_names_the_first_bad_label(self):
+        name = "l{}".format
+        checked = ScoreGroups([0, 1], bytes([1, 0, 1]), [[1], [0, 2]], {2: 0}).checked(name)
+        assert list(checked) == [1.0, 0.0, 0.0]
+        assert {type(score) for score in checked} == {float}
+        cases = [
+            # a bad exception before the first label its bad default serves
+            (ScoreGroups([0.5, -1.0], bytes([1, 0, 1]), [[1], [0, 2]], {0: True}),
+             "^not a JSON number: True for label 'l0'$"),
+            # a bad default first serves its second member, the first being an exception
+            (ScoreGroups([0.5, 2], bytes([1, 1, 0]), [[2], [0, 1]], {0: 0.5}),
+             "^score 2.0 outside \\[0, 1\\] for label 'l1'$"),
+        ]
+        for groups, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                groups.checked(name)
+        # a bad default that serves no position is never read
+        unserved = ScoreGroups([0.5, "x"], bytes([1, 0]), [[1], [0]], {0: 0.5})
+        assert list(unserved.checked(name)) == [0.5, 0.5]
 
 
 class TestTableScorer:
@@ -1542,6 +1597,66 @@ class TestCachedScorerChecksReplies:
             with pytest.raises(ValidationError, match="outside"):
                 rank_all_candidates(mk_instance(), vocab, CachedScorer(WrongReply(1.5), cache),
                                     TemplateKind.SUBSTITUTION)
+
+
+class TestCheckedOnce:
+    """Cache-served scores were checked when loaded or stored, and are not checked again."""
+
+    def test_ranking_checks_only_what_no_cache_checked(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(name, real):
+            def check(scores, *args):
+                calls.append((name, type(scores).__name__))
+                return real(scores, *args)
+            return check
+
+        monkeypatch.setattr(inference, "check_scores",
+                            counting("rank", inference.check_scores))
+        monkeypatch.setattr(scoring, "check_scores", counting("cache", scoring.check_scores))
+        vocab = LabelVocabulary([_label(raw, raw) for raw in ("athlete", "city", "person")])
+        instance = mk_instance(right=("toured", "the", "city", "."))
+        table = {(p.premise, p.hypothesis): 0.75 for p in type_candidates(
+            instance, vocab, TemplateKind.TAXONOMIC).pairs()}
+        path = tmp_path / "cache.jsonl"
+        rankings = []
+        with ScoreCache(path) as cache:
+            for _ in range(2):  # cold, then warm
+                rankings.append(rank_all_candidates(
+                    instance, vocab, CachedScorer(TableScorer(table), cache),
+                    TemplateKind.TAXONOMIC))
+            assert type(cache.get(cache.key(TableScorer(table).cache_tag, type_candidates(
+                instance, vocab, TemplateKind.TAXONOMIC)), 3)) is CheckedScores
+        # ranking is handed what the cache checked, cold and warm alike
+        assert calls == [("cache", "list"), ("rank", "CheckedScores"), ("rank", "CheckedScores")]
+        calls.clear()
+        with ScoreCache(path) as cache:  # reopened: each record checked as it loads
+            rankings.append(rank_all_candidates(
+                instance, vocab, CachedScorer(TableScorer(table), cache), TemplateKind.TAXONOMIC))
+        rankings.append(rank_all_candidates(instance, vocab, TableScorer(table),
+                                            TemplateKind.TAXONOMIC))
+        assert calls == [("rank", "CheckedScores"), ("rank", "list")]
+        assert rankings[0] == rankings[1] == rankings[2] == rankings[3]
+        assert rankings[0].scores == (0.75, 0.75, 0.75)
+
+    def test_a_stored_checked_list_is_not_checked_again(self, tmp_path):
+        checked = scoring.check_scores([0.5, 1, 0.0], 3, str)
+        assert type(checked) is CheckedScores and checked == [0.5, 1.0, 0.0]
+        with ScoreCache(tmp_path / "cache.jsonl") as cache:
+            cache.put(KEY_A, checked)
+            # this one breaks the promise of its type, which shows that neither
+            # check_scores nor put looks again
+            broken = CheckedScores([2.0])
+            assert scoring.check_scores(broken, 1, str) is broken
+            with pytest.raises(ValidationError, match="2 scores for 1 pairs"):
+                scoring.check_scores(CheckedScores([0.5, 0.5]), 1, str)
+            cache.put(KEY_B, broken)
+            with pytest.raises(CacheError, match="score 2.0 outside"):
+                cache.put(KEY_C, [2.0])
+            assert cache.get(KEY_A, 3) == [0.5, 1.0, 0.0] and cache.get(KEY_B, 1) == [2.0]
+        assert (tmp_path / "cache.jsonl").read_text() == "".join(
+            json.dumps({"k": key, "s": scores}) + "\n"
+            for key, scores in ((KEY_A, [0.5, 1.0, 0.0]), (KEY_B, [2.0])))
 
 
 class TestCacheCorruption:

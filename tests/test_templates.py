@@ -8,6 +8,8 @@ from entail_typing import (
     PairKind,
     RenderingError,
     TemplateKind,
+    Tier,
+    TypeLabel,
     UnsupportedTemplateError,
     ValidationError,
     build_dependency_pair,
@@ -154,10 +156,34 @@ class TestVocabularyCandidates:
         given_labels = type_candidates(instance, vocab.labels, template)
         assert given_vocab.pairs() == given_labels.pairs()
         assert list(given_vocab.surfaces) == given_labels.surfaces
-        # only a capitalized substitution changes the surfaces
-        reused = not (template is TemplateKind.SUBSTITUTION and not left)
-        assert (given_vocab.labels is vocab.labels) is reused
-        assert (given_vocab.surfaces is vocab.surfaces) is reused
+        # a capitalized substitution takes the vocabulary's capitalized twin
+        capitalized = template is TemplateKind.SUBSTITUTION and not left
+        assert given_vocab.labels is vocab.labels
+        assert given_vocab.surfaces is (
+            vocab.capitalized_surfaces if capitalized else vocab.surfaces)
+
+    def test_sentence_start_mentions_share_one_capitalized_tuple(self):
+        vocab = LabelVocabulary.from_raws(self.VOCAB)
+        first, second = (
+            type_candidates(mk_instance(mention=mention, right=("won", ".")), vocab,
+                            TemplateKind.SUBSTITUTION)
+            for mention in ("Champion", "Kavo"))
+        assert first.surfaces is second.surfaces is vocab.capitalized_surfaces
+        assert first.surfaces == ("Sports team", "Athlete", "Head of state")
+        assert first.labels is second.labels is vocab.labels
+        assert not vocab.has_empty_surface
+
+    def test_an_empty_surface_fails_under_the_capitalized_twin(self):
+        labels = [parse_label(raw) for raw in self.VOCAB]
+        blank = TypeLabel(raw="blank", segments=("blank",), tier=Tier.UNSPECIFIED, surface="")
+        vocab = LabelVocabulary(labels + [blank])
+        assert vocab.has_empty_surface
+        failed = []
+        candidates = type_candidates(mk_instance(mention="Kavo", right=("won", ".")), vocab,
+                                     TemplateKind.SUBSTITUTION,
+                                     lambda label, exc: failed.append(label.raw))
+        assert failed == ["blank"] and candidates.failed == (2,)
+        assert candidates.surfaces == ["Sports team", "Athlete", "Head of state"]
 
     def test_failures_keep_the_vocabulary_order(self):
         vocab = LabelVocabulary.from_raws(self.VOCAB)
