@@ -22,9 +22,7 @@ scorer's ``score_candidates``.
 
 import abc
 import array
-import bisect
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -286,8 +284,8 @@ class _SurfaceIndex:
 
     ``sizes[i]`` counts surface ``i``'s scaffold-free content tokens, ``top``
     is the largest count, and ``members[n]`` lists the positions of the
-    surfaces of ``n`` tokens in ascending order, as a view of one array
-    ordered by (size, position). ``postings`` maps each such token to the
+    surfaces of ``n`` tokens in ascending order, as a view of an array of
+    C ints. ``postings`` maps each such token to the
     position of the one surface holding it, as an int, or to the list of
     positions of several. A token spelled like its surface is keyed by the
     surface string itself.
@@ -313,12 +311,10 @@ class _SurfaceIndex:
         self.top = max(sizes, default=0)
         # one byte per surface; a surface of over 255 tokens widens every entry
         self.sizes = bytes(sizes) if self.top < 256 else array.array("L", sizes)
-        # a stable sort keeps each size's positions ascending
-        by_size = array.array("I", sorted(range(len(sizes)), key=sizes.__getitem__))
-        starts = [bisect.bisect_left(by_size, n, key=sizes.__getitem__)
-                  for n in range(self.top + 2)]
-        view = memoryview(by_size)
-        self.members = [view[a:b] for a, b in itertools.pairwise(starts)]
+        by_size: list[list[int]] = [[] for _ in range(self.top + 1)]
+        for i, n in enumerate(sizes):
+            by_size[n].append(i)
+        self.members = [memoryview(array.array("I", members)) for members in by_size]
         self.postings = postings
 
 
