@@ -188,7 +188,8 @@ class Ranking(Sequence[ScoredLabel]):
 
     A ranking holds its entries as positions in ``table``, the labels by
     position: as runs, one per distinct score, when ranked from
-    :class:`ScoreGroups`, else as one sorted list. Ties keep table order.
+    :class:`ScoreGroups`, else as one sequence sorted by score. Ties keep
+    table order.
     ``labels`` and ``scores`` are parallel tuples, built when first read;
     reading an entry builds its :class:`ScoredLabel`; slicing gives a
     :class:`Ranking`; ``count_at_least`` bisects.
