@@ -218,7 +218,10 @@ class TrainableScorer(EntailmentScorer):
     positive pair against its sampled negatives; ``apply_update`` folds all
     accumulated bookkeeping into the parameters as one step. ``weight``
     scales the example's contribution inside a batch (used for per-instance
-    normalization and the dependency-term weight).
+    normalization and the dependency-term weight). ``accumulate_batch``
+    takes a whole batch's examples at once: no loss depends on the
+    parameters before the next ``apply_update``, so an implementation may
+    send them all before it reads any loss.
 
     ``version_tag`` is ``v<n>``, n counting every ``apply_update`` and every
     successful ``restore``: no tag names two parameter states, so a cache
@@ -255,6 +258,15 @@ class TrainableScorer(EntailmentScorer):
         weight: float = 1.0,
     ) -> float:
         raise NotImplementedError
+
+    def accumulate_batch(
+        self,
+        examples: Sequence[tuple[PremiseHypothesisPair, Sequence[PremiseHypothesisPair], float]],
+        margin: float,
+    ) -> list[float]:
+        """The ``accumulate_ranking_loss`` of each (positive, negatives, weight) example, in order."""
+        return [self.accumulate_ranking_loss(pos_pair, neg_pairs, margin, weight=weight)
+                for pos_pair, neg_pairs, weight in examples]
 
     @abc.abstractmethod
     def apply_update(self) -> None:
@@ -297,7 +309,12 @@ class _SurfaceIndex:
         sizes = []
         postings: dict[str, int | list[int]] = {}
         for i, surface in enumerate(surfaces):
-            tokens = _content_tokens(surface) - SCAFFOLD_TOKENS
+            if surface.isalnum():
+                # no whitespace or punctuation: one token, the surface lowercased
+                tok = surface.lower()
+                tokens = () if tok in SCAFFOLD_TOKENS else (tok,)
+            else:
+                tokens = _content_tokens(surface) - SCAFFOLD_TOKENS
             sizes.append(len(tokens))
             for tok in tokens:
                 held = postings.get(tok)
@@ -798,13 +815,18 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
     non-empty string raises ``ProtocolError``.
     """
 
-    def _control(self, request: dict, key: str):
-        """Send one control op and return its reply's ``key`` value."""
-        [response] = self.endpoint.round_trip([request])
+    @staticmethod
+    def _reply_value(request: dict, response: dict, key: str):
+        """The ``key`` value of a control op's reply, checked."""
         value = response.get(key)
         if value is None or (key == "ok" and value is not True):
             raise ProtocolError(f"{request['op']} reply has no valid {key!r}: {response!r}")
         return value
+
+    def _control(self, request: dict, key: str):
+        """Send one control op and return its reply's ``key`` value."""
+        [response] = self.endpoint.round_trip([request])
+        return self._reply_value(request, response, key)
 
     def accumulate_ranking_loss(
         self,
@@ -813,14 +835,39 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
         margin: float,
         weight: float = 1.0,
     ) -> float:
-        request = {
-            "op": "accumulate",
-            "margin": margin,
-            "weight": weight,
-            "positive": {"premise": pos_pair.premise, "hypothesis": pos_pair.hypothesis},
-            "negatives": [{"premise": n.premise, "hypothesis": n.hypothesis} for n in neg_pairs],
-        }
-        return _reply_number(self._control(request, "loss"), "accumulate loss")
+        # this class's batch, not an override's, which may loop over this method
+        [loss] = ExternalTrainableScorer.accumulate_batch(
+            self, [(pos_pair, neg_pairs, weight)], margin)
+        return loss
+
+    def accumulate_batch(
+        self,
+        examples: Sequence[tuple[PremiseHypothesisPair, Sequence[PremiseHypothesisPair], float]],
+        margin: float,
+    ) -> list[float]:
+        """One ``accumulate`` op per example, all sent in one :meth:`ExternalEndpoint.round_trip`.
+
+        Every reply is read before any is checked, so the endpoint stays in
+        step when one is bad: the first bad reply raises, and the examples
+        sent after it were accumulated all the same.
+        """
+        if not examples:
+            return []
+        requests = [
+            {
+                "op": "accumulate",
+                "margin": margin,
+                "weight": weight,
+                "positive": {"premise": pos_pair.premise, "hypothesis": pos_pair.hypothesis},
+                "negatives": [{"premise": n.premise, "hypothesis": n.hypothesis}
+                              for n in neg_pairs],
+            }
+            for pos_pair, neg_pairs, weight in examples
+        ]
+        return [
+            _reply_number(self._reply_value(request, response, "loss"), "accumulate loss")
+            for request, response in zip(requests, self.endpoint.round_trip(requests))
+        ]
 
     def apply_update(self) -> None:
         self._control({"op": "update"}, "ok")

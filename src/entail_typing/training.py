@@ -6,8 +6,9 @@ label-dependency pair, each positive contrasted against k sampled negatives.
 The joint objective per instance, the mean type-example loss plus the
 weighted mean dependency-example loss, is defined in one place: :func:`train`
 folds both means and the weight into each example's batch weight, and the
-scorer's ``accumulate_ranking_loss`` takes the margin loss. Batches keep each
-instance's examples together, and the best dev F1 picks the checkpoint.
+scorer's ``accumulate_batch`` takes the margin loss of a whole batch's
+examples in one call. Batches keep each instance's examples together, and the
+best dev F1 picks the checkpoint.
 """
 
 import math
@@ -179,9 +180,9 @@ def train(
     Negatives are resampled fresh each epoch. The order of instances is
     shuffled, each instance's examples stay together, and the examples are
     cut into batches of ``batch_size``; each batch accumulates weighted
-    losses and applies one update. Every ``eval_every`` epochs the dev split is
-    scored (:func:`dev_loose_macro`), and the scorer is snapshotted when the
-    loose macro F1 improves.
+    losses in one ``accumulate_batch`` call and applies one update. Every
+    ``eval_every`` epochs the dev split is scored (:func:`dev_loose_macro`),
+    and the scorer is snapshotted when the loose macro F1 improves.
     """
     if len(train_set) == 0 or len(dev_set) == 0:
         raise ValidationError("training requires nonempty train and dev sets")
@@ -213,13 +214,11 @@ def train(
         for start in range(0, len(weighted), config.batch_size):
             batch = weighted[start : start + config.batch_size]
             batch_instances = len({idx for _, _, idx in batch})
-            for example, weight, idx in batch:
-                loss = scorer.accumulate_ranking_loss(
-                    example.positive,
-                    example.negatives,
-                    config.margin,
-                    weight=weight / batch_instances,
-                )
+            losses = scorer.accumulate_batch(
+                [(e.positive, e.negatives, weight / batch_instances) for e, weight, _ in batch],
+                config.margin,
+            )
+            for (example, _, idx), loss in zip(batch, losses, strict=True):
                 total = totals.setdefault((idx, example.kind), [0.0, 0])
                 total[0] += loss
                 total[1] += 1

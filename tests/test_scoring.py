@@ -365,6 +365,66 @@ class TestOverlapIndex:
         for i, surface in enumerate(surfaces):
             assert index.sizes[i] == len(oracle_tokens(surface) - SCAFFOLD)
 
+    # one-token spellings (the build's fast path) and words that edge or inner
+    # punctuation, spaces or a scaffold word turn into other tokens
+    PIECES = ["İ", "İstanbul", "i̇", "Σ", "ς", "σ", "ΑΣ", "ας", "ß", "ßoxer", "SS", "ss",
+              "jay", "Jay", "JAY", "is", "Is", "A", "in", "Context", "referring", "to",
+              "7", "2024", "b52", "state"]
+    PUNCTUATION = [".", "'s", "-", "(", ")", '"', "...", "/", "!?"]
+
+    def _surface(self, rng, made):
+        roll = rng.random()
+        if made and roll < 0.1:
+            return "".join(rng.choice(made))  # an equal string, not the same object
+        if made and roll < 0.2:
+            return rng.choice([str.upper, str.lower, str.capitalize, str.swapcase])(
+                rng.choice(made))
+        if roll < 0.25:
+            return rng.choice(["", " ", ".", "..."])
+        words = []
+        for _ in range(rng.choice([1, 1, 1, 2, 3])):
+            word = rng.choice(self.PIECES)
+            if rng.random() < 0.2:
+                word = rng.choice(self.PUNCTUATION) + word
+            if rng.random() < 0.2:
+                word += rng.choice(self.PUNCTUATION)
+            if rng.random() < 0.1:
+                word += rng.choice(self.PUNCTUATION) + rng.choice(self.PIECES)
+            words.append(word)
+        return " ".join(words)
+
+    def test_build_equals_a_per_surface_oracle_on_fuzzed_lists(self):
+        rng = random.Random(67)
+        seen = set()
+        for _ in range(60):
+            surfaces = []
+            for _ in range(rng.randint(0, 120)):
+                surfaces.append(self._surface(rng, surfaces))
+            surfaces = tuple(surfaces)
+            sizes, held = [], {}
+            for i, surface in enumerate(surfaces):
+                tokens = scoring._content_tokens(surface) - scoring.SCAFFOLD_TOKENS
+                sizes.append(len(tokens))
+                for tok in tokens:
+                    held.setdefault(tok, []).append(i)
+                seen.add("one token" if surface.isalnum() and tokens else
+                         "scaffold" if surface.isalnum() else
+                         "" if not surface else "tokenized")
+            index = scoring._SurfaceIndex(surfaces)
+            assert list(index.sizes) == sizes
+            assert index.top == max(sizes, default=0)
+            assert [list(members) for members in index.members] == [
+                [i for i, size in enumerate(sizes) if size == n] for n in range(index.top + 1)]
+            assert index.postings == {
+                tok: positions[0] if len(positions) == 1 else positions
+                for tok, positions in held.items()}
+            # a token spelled like the first surface holding it is keyed by that surface
+            keys = {key: key for key in index.postings}
+            for tok, positions in held.items():
+                if surfaces[positions[0]] == tok:
+                    assert keys[tok] is surfaces[positions[0]]
+        assert seen == {"one token", "scaffold", "", "tokenized"}
+
 
 class TestScoreGroups:
     """``ScoreGroups`` reads as the list of scores it stands for."""
@@ -1068,6 +1128,98 @@ class TestExternalProtocol:
             '"head": "In this context, ßoxer is referring to ", "tail": ".", '
             '"surfaces": ["ΑΣ", "\\"q\\" \\\\ €"]}\n'
         ).encode("utf-8")
+
+
+class TestPipelinedAccumulate:
+    """``ExternalTrainableScorer.accumulate_batch``: one round trip, replies checked in order."""
+
+    @staticmethod
+    def _examples(n):
+        return [(mk_pair("p", f"pos {i}"), [mk_pair("p", f"neg {i}"), mk_pair("p", f"neg {i + 1}")],
+                 (i + 1) / 8) for i in range(n)]
+
+    def test_a_batch_over_one_window_is_one_trip_with_losses_in_request_order(self):
+        examples = self._examples(300)
+        assert len(examples) > scoring.ExternalEndpoint.WINDOW
+        scorer = ExternalTrainableScorer(reply_command('{"loss": r["weight"]}'))
+        try:
+            sent = recorded_requests(scorer.endpoint)
+            assert scorer.accumulate_batch(examples, 0.2) == [weight for *_, weight in examples]
+        finally:
+            scorer.close()
+        assert [len(trip) for trip in sent] == [300]
+        assert [r["positive"]["hypothesis"] for r in sent[0]] == [f"pos {i}" for i in range(300)]
+
+    def test_batch_sends_and_accumulates_what_one_call_per_example_does(self):
+        examples = self._examples(40)
+        scorers = [ExternalTrainableScorer(stub_command("trainable")) for _ in range(2)]
+        pairs = [pair for pos, negs, _ in examples for pair in (pos, *negs)]
+        try:
+            sent = [recorded_requests(scorer.endpoint) for scorer in scorers]
+            batched = scorers[0].accumulate_batch(examples, 0.6)
+            one_by_one = [scorers[1].accumulate_ranking_loss(pos, negs, 0.6, weight=weight)
+                          for pos, negs, weight in examples]
+            assert _hex(batched) == _hex(one_by_one)
+            assert any(batched) and not all(batched)
+            for scorer in scorers:
+                scorer.apply_update()
+            assert _hex(scorers[0].score_batch(pairs)) == _hex(scorers[1].score_batch(pairs))
+        finally:
+            for scorer in scorers:
+                scorer.close()
+        assert [len(trip) for trip in sent[0]] == [40, 1, len(pairs)]
+        assert [len(trip) for trip in sent[1]] == [1] * 41 + [len(pairs)]
+        assert [r for trip in sent[0] for r in trip] == [r for trip in sent[1] for r in trip]
+
+    @pytest.mark.parametrize("bad, message", [
+        ('"high"', "^non-numeric accumulate loss 'high'$"),
+        ("True", "^non-numeric accumulate loss True$"),
+        ('float("nan")', "^non-finite accumulate loss nan$"),
+        ('float("inf")', "^non-finite accumulate loss inf$"),
+        ("10**400", "^non-numeric accumulate loss 10{400}$"),
+        ("None", "^accumulate reply has no valid 'loss': {'loss': None}$"),
+    ], ids=["string", "bool", "nan", "inf", "huge", "null"])
+    def test_bad_loss_mid_batch_raises_as_one_call_does_and_keeps_ids_in_step(self, bad, message):
+        scorer = ExternalTrainableScorer(reply_command(
+            '{"id": r["id"], "entailments": [0.5] * len(r["surfaces"])} if "id" in r else '
+            f'{{"loss": {bad} if r["positive"]["hypothesis"] == "bad" else 0.25}}'))
+        candidates = type_candidates(
+            mk_instance(), [_label("a", "jay"), _label("b", "state")], TemplateKind.CONTEXTUAL)
+        good, bad_example = ((mk_pair("p", h), [mk_pair("p", "neg")], 1.0) for h in ("good", "bad"))
+        try:
+            sent = recorded_requests(scorer.endpoint)
+            with pytest.raises(ProtocolError, match=message) as one_call:
+                scorer.accumulate_ranking_loss(*bad_example[:2], 0.1)
+            with pytest.raises(ProtocolError, match=message) as in_batch:
+                scorer.accumulate_batch([good, good, bad_example, good, bad_example, good], 0.1)
+            assert str(in_batch.value) == str(one_call.value)
+            assert scorer.accumulate_batch([good], 0.1) == [0.25]
+            assert scorer.score_candidates(candidates) == [0.5, 0.5]
+        finally:
+            scorer.close()
+        assert [len(trip) for trip in sent] == [1, 6, 1, 1]
+
+    def test_bad_loss_in_a_batch_raises_after_the_whole_batch_was_answered(self):
+        scorer = ExternalTrainableScorer(stub_command("bad-loss"))
+        candidates = type_candidates(
+            mk_instance(), [_label("a", "jay"), _label("b", "state")], TemplateKind.CONTEXTUAL)
+        example = (mk_pair("p", "pos"), [mk_pair("p", "neg")], 1.0)
+        try:
+            # the stub answers "high", true, NaN, Infinity, then 10**400, and again
+            with pytest.raises(ProtocolError, match="^non-numeric accumulate loss 'high'$"):
+                scorer.accumulate_batch([example] * 7, 0.1)
+            # all seven were answered, so the eighth reply is the third bad loss
+            with pytest.raises(ProtocolError, match="^non-finite accumulate loss nan$"):
+                scorer.accumulate_ranking_loss(*example[:2], 0.1)
+            assert _hex(scorer.score_candidates(candidates)) == _hex(
+                scorer.score_batch(candidates.pairs()))
+        finally:
+            scorer.close()
+
+    def test_empty_batch_starts_no_process(self):
+        scorer = ExternalTrainableScorer(stub_command("trainable"))
+        assert scorer.accumulate_batch([], 0.1) == []
+        assert scorer.endpoint._proc is None
 
 
 def _table_candidates(scores):

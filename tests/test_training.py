@@ -20,6 +20,7 @@ from entail_typing import (
     RankedExample,
     TemplateKind,
     Tier,
+    TrainableScorer,
     TrainableTableScorer,
     TrainingConfig,
     TrainingError,
@@ -27,6 +28,8 @@ from entail_typing import (
     build_dependency_pair,
     build_examples_for_instance,
     margin_ranking_loss,
+    predict_dataset,
+    prediction_to_record,
     render_description,
     train,
 )
@@ -564,3 +567,64 @@ class TestTrainLoop:
         scorer = TrainableTableScorer()
         with pytest.raises(ValidationError):
             train(train_set, empty, vocab, scorer, TrainingConfig(), _predict_config())
+
+
+class PerExample(ExternalTrainableScorer):
+    """An external scorer that sends one accumulate op per round trip, as the base class loops."""
+
+    def accumulate_batch(self, examples, margin):
+        return TrainableScorer.accumulate_batch(self, examples, margin)
+
+
+class TestPipelinedTraining:
+    """``train`` through the external stub sends each batch's accumulate ops in one round trip."""
+
+    @staticmethod
+    def _world(vocab):
+        rng = random.Random(43)
+        return [_dataset(split, _random_golds(vocab, n, rng))
+                for split, n in (("train", 12), ("dev", 3), ("test", 4))]
+
+    @pytest.mark.parametrize("batch_size", [4, 16])
+    def test_one_accumulate_trip_per_batch(self, tier_vocab, batch_size):
+        train_set, dev_set, _ = self._world(tier_vocab)
+        config = TrainingConfig(max_epochs=2, eval_every=1, batch_size=batch_size, seed=6)
+        scorer = ExternalTrainableScorer([sys.executable, STUB, "trainable"])
+        try:
+            sent = recorded_requests(scorer.endpoint)
+            train(train_set, dev_set, tier_vocab, scorer, config, _predict_config())
+        finally:
+            scorer.close()
+        expected = []
+        for epoch in range(1, config.max_epochs + 1):
+            n = sum(len(build_examples_for_instance(
+                instance, tier_vocab, config,
+                substream(config.seed, "sampling", str(epoch), instance.id),
+            )) for instance in train_set)
+            expected += [batch_size] * (n // batch_size) + [n % batch_size] * (n % batch_size > 0)
+        assert len(expected) > 2 * config.max_epochs
+        ops = [[r.get("op") for r in trip] for trip in sent]
+        accumulating = [i for i, trip in enumerate(ops) if "accumulate" in trip]
+        assert [len(ops[i]) for i in accumulating] == expected
+        assert all(set(ops[i]) == {"accumulate"} and ops[i + 1] == ["update"] for i in accumulating)
+
+    def test_equals_the_per_example_loop(self, tier_vocab):
+        train_set, dev_set, test_set = self._world(tier_vocab)
+        config = TrainingConfig(max_epochs=4, eval_every=1, batch_size=5, seed=8)
+        results, sent = [], []
+        for cls in (ExternalTrainableScorer, PerExample):
+            scorer = cls([sys.executable, STUB, "trainable"])
+            try:
+                sent.append(recorded_requests(scorer.endpoint))
+                best_tag, log = train(train_set, dev_set, tier_vocab, scorer, config,
+                                      _predict_config())
+                predictions = predict_dataset(test_set, tier_vocab, scorer, _predict_config())
+            finally:
+                scorer.close()
+            results.append((best_tag, log, [prediction_to_record(p) for p in predictions]))
+        assert results[0] == results[1]
+        assert len({r["type_loss"] for r in results[0][1]}) == config.max_epochs
+        # the same requests, paced differently
+        assert [r for trip in sent[0] for r in trip] == [r for trip in sent[1] for r in trip]
+        trips = [len([t for t in sent_by if t[0].get("op") == "accumulate"]) for sent_by in sent]
+        assert trips[0] < trips[1]
