@@ -6,16 +6,17 @@ nothing clears the threshold a fallback policy decides between the
 top-ranked label, a designated catch-all label, or an empty set.
 
 A ranking is a :class:`Ranking`, which holds vocabulary positions rather
-than entries. A scorer's :class:`ScoreGroups` (a default score per group of
+than entries. A scorer's reply is checked once, by :func:`check_scores`.
+:class:`ScoreGroups` it passes as they are (a default score per group of
 labels, plus exceptions) become runs, one per distinct score, best first,
 each listing its positions as a few ascending sequences, without visiting
-every label. A plain list of scores is checked once, unless a cache already
-did, and its positions are sorted by score. Either way the labels clearing
-a threshold are a prefix, counted by bisection, which is what makes
-re-thresholding during tuning cheap, and entries, like the ``labels`` and
-``scores`` tuples, are built only when read. A prediction keeps its chosen
-labels and the first ``topk`` entries of its ranking, never the whole
-ranking, so what it retains does not grow with the vocabulary.
+every label. Any other reply is a list, its positions sorted by score.
+Either way the labels clearing a threshold are a prefix, counted by
+bisection, and are those scoring at or above it, so tuning re-thresholds
+cheaply, bisecting each mention's gold scores. Entries, like the ``labels``
+and ``scores`` tuples, are built only when read. A prediction keeps its
+chosen labels and the first ``topk`` entries of its ranking, never the
+whole ranking, so what it retains does not grow with the vocabulary.
 """
 
 import array
@@ -24,7 +25,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, repeat
-from operator import neg
+from operator import ge, neg
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import Dataset, MentionInstance
@@ -32,7 +33,7 @@ from .errors import ConfigError, EvaluationError, RenderingError, ValidationErro
 # loose_macro stays importable from here: bench/tracer.py wraps it by name.
 from .evaluation import loose_macro, loose_macro_from_counts  # noqa: F401
 from .labelspace import LabelVocabulary, TypeLabel
-from .scoring import EntailmentScorer, ScoreGroups, check_count, check_scores, unit_score
+from .scoring import EntailmentScorer, ScoreGroups, check_scores, unit_score
 # build_type_pair stays importable from here: bench/tracer.py wraps it by name.
 from .templates import TemplateKind, build_type_pair, type_candidates  # noqa: F401
 
@@ -139,26 +140,40 @@ class _Order:
     def count_at_least(self, threshold: float) -> int:
         return bisect_right(self.positions, -threshold, key=self._key)
 
-    def rank_of(self, position: int) -> int:
-        key = self._key(position)
-        start = bisect_left(self.positions, key, key=self._key)
-        end = bisect_right(self.positions, key, start, key=self._key)
-        return bisect_left(self.positions, position, start, end)
-
 
 class _Runs:
     """Entries as runs, best first: each run the table positions of one score.
 
-    A run's positions are a few ascending sequences, read merged.
+    A run's positions are a few ascending sequences, read merged: each
+    group's members less its exceptions, and the exceptions of each score.
     """
 
     __slots__ = ("scores", "parts", "starts", "score_of")
 
-    def __init__(self, runs: dict[float, list[Sequence[int]]], score_of: Callable[[int], float]):
+    def __init__(self, groups: ScoreGroups):
+        group_of, members = groups.group_of, groups.members
+        cut: dict[int, list[int]] = {}
+        touched: dict[float, list[int]] = {}
+        for i, score in groups.exceptions.items():
+            cut.setdefault(group_of[i], []).append(i)
+            touched.setdefault(score, []).append(i)
+        runs: dict[float, list[Sequence[int]]] = {}
+        for g, score in enumerate(groups.defaults):
+            start, pieces = 0, []
+            for i in sorted(cut.get(g, ())):
+                end = bisect_left(members[g], i)
+                pieces.append(members[g][start:end])
+                start = end + 1
+            pieces.append(members[g][start:])
+            pieces = [piece for piece in pieces if len(piece)]
+            if pieces:
+                runs.setdefault(score, []).extend(pieces)
+        for score, positions in touched.items():
+            runs.setdefault(score, []).append(sorted(positions))
         self.scores = sorted(runs, reverse=True)
         self.parts = list(map(runs.__getitem__, self.scores))
         self.starts = list(accumulate((sum(map(len, parts)) for parts in self.parts), initial=0))
-        self.score_of = score_of
+        self.score_of = groups.__getitem__
 
     def __len__(self) -> int:
         return self.starts[-1]
@@ -178,10 +193,6 @@ class _Runs:
     def count_at_least(self, threshold: float) -> int:
         return self.starts[bisect_right(self.scores, -threshold, key=neg)]
 
-    def rank_of(self, position: int) -> int:
-        run = bisect_left(self.scores, -self.score_of(position), key=neg)
-        return self.starts[run] + sum(bisect_left(part, position) for part in self.parts[run])
-
 
 class Ranking(Sequence[ScoredLabel]):
     """Labels in best-first order with their scores; immutable.
@@ -189,7 +200,8 @@ class Ranking(Sequence[ScoredLabel]):
     A ranking holds its entries as positions in ``table``, the labels by
     position: as runs, one per distinct score, when ranked from
     :class:`ScoreGroups`, else as one sequence sorted by score. Ties keep
-    table order.
+    table order. ``Ranking(labels, scores)`` takes entries already best
+    first: each score at least the next, else :class:`ValidationError`.
     ``labels`` and ``scores`` are parallel tuples, built when first read;
     reading an entry builds its :class:`ScoredLabel`; slicing gives a
     :class:`Ranking`; ``count_at_least`` bisects.
@@ -201,6 +213,8 @@ class Ranking(Sequence[ScoredLabel]):
         labels, scores = tuple(labels), tuple(scores)
         if len(labels) != len(scores):
             raise ValidationError(f"{len(labels)} labels but {len(scores)} scores")
+        if not all(map(ge, scores, scores[1:])):
+            raise ValidationError("ranking scores are not in best-first order")
         self._table, self._entries = labels, _Order(range(len(scores)), scores.__getitem__)
         self._labels, self._scores = labels, scores
 
@@ -217,10 +231,6 @@ class Ranking(Sequence[ScoredLabel]):
             return self._labels[:k], self._scores[:k]
         positions, scores = self._entries.head(k)
         return tuple(map(self._table.__getitem__, positions)), tuple(scores)
-
-    def _rank_of(self, position: int) -> int:
-        """The index of the entry at ``position`` of the table, found by bisection."""
-        return self._entries.rank_of(position)
 
     @property
     def labels(self) -> tuple[TypeLabel, ...]:
@@ -296,21 +306,21 @@ def rank_all_candidates(
     the first such label in vocabulary order. The result is best-first:
     descending score (as floats), ties broken by ascending raw label.
 
-    :class:`ScoreGroups` are ranked as runs, visiting only their groups and
-    exceptions, each distinct score checked once; with render failures they
-    are read as a list. A list is checked by :func:`check_scores` and its
-    positions sorted by score.
+    The reply is checked once, by :func:`check_scores`. :class:`ScoreGroups`
+    that pass unchanged are ranked as runs, visiting only their groups and
+    exceptions; with render failures they are read as a list. A list's
+    positions are sorted by score.
     """
     labels = vocab.labels
     if not labels:
         raise ValidationError("cannot rank against an empty vocabulary")
     candidates = type_candidates(instance, vocab, template, on_render_error)
     kept = candidates.labels
-    served = scorer.score_candidates(candidates)
-    if type(served) is ScoreGroups and not candidates.failed:
-        check_count(served, len(kept))
-        return Ranking._of(labels, _grouped_runs(served.checked(lambda i: kept[i].raw)))
-    scores = check_scores(served, len(kept), lambda i: kept[i].raw)
+    scores = check_scores(scorer.score_candidates(candidates), len(kept), lambda i: kept[i].raw)
+    if type(scores) is ScoreGroups:
+        if not candidates.failed:
+            return Ranking._of(labels, _Runs(scores))
+        scores = list(scores)
     # Ascending slots: each insert leaves the slots before it in place.
     for i in candidates.failed:
         scores.insert(i, 0.0)
@@ -318,31 +328,6 @@ def rank_all_candidates(
     # stable, so ties keep that order. An array holds no int per position.
     order = array.array("I", sorted(range(len(scores)), key=scores.__getitem__, reverse=True))
     return Ranking._of(labels, _Order(order, scores.__getitem__))
-
-
-def _grouped_runs(groups: ScoreGroups) -> _Runs:
-    """The runs of checked groups: each group's members less its exceptions, as
-    the pieces between them, and the exceptions of each score as one more piece."""
-    group_of, members = groups.group_of, groups.members
-    cut: dict[int, list[int]] = {}
-    touched: dict[float, list[int]] = {}
-    for i, score in groups.exceptions.items():
-        cut.setdefault(group_of[i], []).append(i)
-        touched.setdefault(score, []).append(i)
-    runs: dict[float, list[Sequence[int]]] = {}
-    for g, score in enumerate(groups.defaults):
-        start, pieces = 0, []
-        for i in sorted(cut.get(g, ())):
-            end = bisect_left(members[g], i)
-            pieces.append(members[g][start:end])
-            start = end + 1
-        pieces.append(members[g][start:])
-        pieces = [piece for piece in pieces if len(piece)]
-        if pieces:
-            runs.setdefault(score, []).extend(pieces)
-    for score, positions in touched.items():
-        runs.setdefault(score, []).append(sorted(positions))
-    return _Runs(runs, groups.__getitem__)
 
 
 def predict(
@@ -400,9 +385,10 @@ def dev_loose_macro(
     """Loose macro P/R/F1 of the dev split under each config, in config order.
 
     Each instance is ranked once, under the template the configs share. The
-    labels clearing a threshold are the ranking's first ``cleared``, so a
-    config's chosen size is ``cleared`` and its gold hits are the gold
-    labels' positions below it, found once per instance and counted by
+    labels clearing a threshold are the ranking's first ``cleared``, which
+    are exactly the labels scoring at or above it. So a config's chosen size
+    is ``cleared`` and its gold hits are the gold labels scoring at or above
+    the threshold, their scores read once per instance and counted by
     bisection; gold labels outside the vocabulary are never chosen. Only
     where nothing clears the threshold does :func:`predict` apply the
     fallback. Only the (gold hits, chosen size, gold size) per config is
@@ -417,13 +403,15 @@ def dev_loose_macro(
         if not gold:
             raise EvaluationError(f"empty gold label set for instance {inst.id!r}")
         ranking = rank_all_candidates(inst, vocab, scorer, configs[0].template)
-        # Vocabulary order is ascending raw label, so a gold label's position
-        # there is found by bisection, and its run gives its place in the ranking.
-        positions = sorted(ranking._rank_of(bisect_left(raws, raw)) for raw in gold if raw in vocab)
+        # A gold label's score is read at its vocabulary position, found by
+        # bisection: vocabulary order is ascending raw label.
+        score_of = ranking._entries.score_of
+        gold_scores = sorted(score_of(bisect_left(raws, raw)) for raw in gold if raw in vocab)
         for config, column in zip(configs, counts):
             cleared = ranking.count_at_least(config.threshold)
             if cleared:
-                column.append((bisect_left(positions, cleared), cleared, len(gold)))
+                hits = len(gold_scores) - bisect_left(gold_scores, config.threshold)
+                column.append((hits, cleared, len(gold)))
             else:
                 chosen = predict(ranking, config).chosen
                 column.append((len(chosen & gold), len(chosen), len(gold)))

@@ -97,7 +97,9 @@ class ScoreGroups(Sequence[float]):
     order. Position ``i`` scores ``exceptions[i]`` when it has one, else its
     group's entry of ``defaults``. It reads as the list of scores it stands
     for: indexing, slicing, iteration, ``len`` and ``==`` with a list all see
-    that list, which is built only when iterated or sliced.
+    that list, which is built only when iterated or sliced. :func:`check_scores`
+    rejects groups whose member lists, one per default, do not add up to
+    ``len(group_of)``, or with an exception not keyed by a position.
     """
 
     __slots__ = ("defaults", "group_of", "members", "exceptions")
@@ -135,33 +137,6 @@ class ScoreGroups(Sequence[float]):
     def __repr__(self) -> str:
         return f"ScoreGroups({list(self)!r})"
 
-    def checked(self, label_raw: Callable[[int], str]) -> "ScoreGroups":
-        """These groups with every score served passed through :func:`unit_score`.
-
-        Each default and each exception is checked once. A bad one raises
-        :class:`ValidationError` naming ``label_raw(i)`` of the first position
-        ``i`` it serves; a default that serves no position is left as it is.
-        """
-        bad = []
-        defaults = list(self.defaults)
-        for g, score in enumerate(defaults):
-            try:
-                defaults[g] = unit_score(score)
-            except ValueError as exc:
-                served = next((i for i in self.members[g] if i not in self.exceptions), None)
-                if served is not None:
-                    bad.append((served, str(exc)))
-        exceptions = {}
-        for i, score in self.exceptions.items():
-            try:
-                exceptions[i] = unit_score(score)
-            except ValueError as exc:
-                bad.append((i, str(exc)))
-        if bad:
-            i, message = min(bad)
-            raise ValidationError(f"{message} for label {label_raw(i)!r}")
-        return ScoreGroups(defaults, self.group_of, self.members, exceptions)
-
 
 class CheckedScores(list):
     """A list of scores known to pass :func:`unit_score`, so never checked again.
@@ -173,31 +148,40 @@ class CheckedScores(list):
     __slots__ = ()
 
 
-def check_count(scores: Sequence[float], expected: int) -> None:
-    """Raise :class:`ValidationError` unless there are ``expected`` scores."""
+def _unit_floats(scores: Sequence[float]) -> bool:
+    """Whether every score is a float in [0, 1]: the common case, checked in one pass."""
+    return not [s for s in scores if type(s) is not float or not 0.0 <= s <= 1.0]
+
+
+def check_scores(scores, expected: int,
+                 label_raw: Callable[[int], str]) -> "CheckedScores | ScoreGroups":
+    """``expected`` scores, each passing :func:`unit_score`, else :class:`ValidationError`.
+
+    ``label_raw(i)`` names the label of score ``i``, and the first bad one is
+    named. :class:`CheckedScores` are returned as they are, and so are
+    well-formed :class:`ScoreGroups` whose every default and exception is a
+    float in [0, 1]. Other scores are checked as a fresh
+    :class:`CheckedScores`, which of groups reads no default serving no label.
+    """
+    if type(scores) is ScoreGroups:
+        size, held = len(scores.group_of), sum(map(len, scores.members))
+        if held != size or len(scores.members) != len(scores.defaults):
+            raise ValidationError(f"ScoreGroups has {len(scores.defaults)} defaults and "
+                                  f"{len(scores.members)} member lists holding {held} "
+                                  f"positions for {size} labels")
+        bad = [i for i in scores.exceptions if type(i) is not int or not 0 <= i < size]
+        if bad:
+            raise ValidationError(f"ScoreGroups exception key {bad[0]!r} is not one of "
+                                  f"its {size} positions")
+        fresh = not _unit_floats([*scores.defaults, *scores.exceptions.values()])
+    else:
+        fresh = type(scores) is not CheckedScores
+    if fresh:
+        scores = CheckedScores(scores)
     if len(scores) != expected:
         raise ValidationError(f"scorer returned {len(scores)} scores for {expected} pairs")
-
-
-def check_scores(scores, expected: int, label_raw: Callable[[int], str]) -> CheckedScores:
-    """``expected`` scores as a list of floats, each passing :func:`unit_score`.
-
-    Otherwise raises :class:`ValidationError`; ``label_raw(i)`` names the
-    label of score ``i``, and the first bad one is named. The list is a
-    fresh one, unless ``scores`` is already :class:`CheckedScores`, which
-    is only counted. Of :class:`ScoreGroups`, each distinct score is
-    checked once.
-    """
-    if type(scores) is CheckedScores:
-        check_count(scores, expected)
+    if not fresh or _unit_floats(scores):
         return scores
-    if type(scores) is ScoreGroups:
-        check_count(scores, expected)
-        return CheckedScores(scores.checked(label_raw))
-    scores = CheckedScores(scores)
-    check_count(scores, expected)
-    if not [s for s in scores if type(s) is not float or not 0.0 <= s <= 1.0]:
-        return scores  # the common case: in-range floats, checked in one pass
     for i, value in enumerate(scores):
         try:
             scores[i] = unit_score(value)
@@ -1086,8 +1070,8 @@ class CachedScorer(EntailmentScorer):
         key = self.cache.key(inner.cache_tag, candidates)
         scores = self.cache.get(key, len(labels))
         if scores is None:
-            scores = check_scores(inner.score_candidates(candidates), len(labels),
-                                  lambda i: labels[i].raw)
+            scores = CheckedScores(check_scores(inner.score_candidates(candidates), len(labels),
+                                                lambda i: labels[i].raw))
             self.cache.put(key, scores)
         return scores
 

@@ -450,8 +450,11 @@ class TestScoreGroups:
 
     def test_checked_makes_floats_and_names_the_first_bad_label(self):
         name = "l{}".format
-        checked = ScoreGroups([0, 1], bytes([1, 0, 1]), [[1], [0, 2]], {2: 0}).checked(name)
-        assert list(checked) == [1.0, 0.0, 0.0]
+        clean = ScoreGroups([0.5, 1.0], bytes([1, 0, 1]), [[1], [0, 2]], {2: 0.0})
+        assert scoring.check_scores(clean, 3, name) is clean
+        checked = scoring.check_scores(
+            ScoreGroups([0, 1], bytes([1, 0, 1]), [[1], [0, 2]], {2: 0}), 3, name)
+        assert type(checked) is CheckedScores and checked == [1.0, 0.0, 0.0]
         assert {type(score) for score in checked} == {float}
         cases = [
             # a bad exception before the first label its bad default serves
@@ -463,10 +466,39 @@ class TestScoreGroups:
         ]
         for groups, message in cases:
             with pytest.raises(ValidationError, match=message):
-                groups.checked(name)
+                scoring.check_scores(groups, 3, name)
         # a bad default that serves no position is never read
         unserved = ScoreGroups([0.5, "x"], bytes([1, 0]), [[1], [0]], {0: 0.5})
-        assert list(unserved.checked(name)) == [0.5, 0.5]
+        checked = scoring.check_scores(unserved, 2, name)
+        assert type(checked) is CheckedScores and checked == [0.5, 0.5]
+        with pytest.raises(ValidationError, match="^scorer returned 3 scores for 2 pairs$"):
+            scoring.check_scores(ScoreGroups([0.5], bytes(3), [[0, 1, 2]], {}), 2, name)
+
+    def test_malformed_groups_raise(self):
+        """Member lists must add up to the labels, and exceptions be keyed by positions."""
+        cases = [
+            # too few members: a 2-entry ranking of 3 labels
+            (ScoreGroups([0.5], bytes(3), [[0, 1]], {}), "holding 2 positions for 3 labels"),
+            # too many: "c" twice
+            (ScoreGroups([0.5, 0.25], bytes([0, 0, 1]), [[0, 1, 2], [2]], {}),
+             "holding 4 positions for 3 labels"),
+            # a member list short of the defaults
+            (ScoreGroups([0.5, 0.25], bytes(3), [[0, 1, 2]], {}), "2 defaults and 1 member"),
+            # an exception past the last label, or keyed by no position at all
+            (ScoreGroups([0.5], bytes(3), [[0, 1, 2]], {5: 1.0}),
+             "key 5 is not one of its 3 positions"),
+            (ScoreGroups([0.5], bytes(3), [[0, 1, 2]], {-1: 1.0}), "key -1 is not one of"),
+            (ScoreGroups([0.5], bytes(3), [[0, 1, 2]], {True: 1.0}), "key True is not one of"),
+        ]
+        vocab = LabelVocabulary.from_raws(["a", "b", "c"])
+        inst = mk_instance(id="t-0", mention="Sam", right=("ran", "."))
+        for groups, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                scoring.check_scores(groups, 3, str)
+            scorer = OverlapScorer()
+            scorer.score_candidates = lambda candidates: groups
+            with pytest.raises(ValidationError, match=message):
+                rank_all_candidates(inst, vocab, scorer, TemplateKind.TAXONOMIC)
 
 
 class TestTableScorer:
