@@ -153,6 +153,25 @@ def _unit_floats(scores: Sequence[float]) -> bool:
     return not [s for s in scores if type(s) is not float or not 0.0 <= s <= 1.0]
 
 
+def _sound_groups(groups: ScoreGroups) -> bool:
+    """Whether ``groups`` hold only floats in [0, 1] as defaults and exceptions.
+
+    Groups whose member lists, one per default, do not add up to
+    ``len(group_of)``, or with an exception not keyed by a position, raise
+    :class:`ValidationError`.
+    """
+    size, held = len(groups.group_of), sum(map(len, groups.members))
+    if held != size or len(groups.members) != len(groups.defaults):
+        raise ValidationError(f"ScoreGroups has {len(groups.defaults)} defaults and "
+                              f"{len(groups.members)} member lists holding {held} "
+                              f"positions for {size} labels")
+    bad = [i for i in groups.exceptions if type(i) is not int or not 0 <= i < size]
+    if bad:
+        raise ValidationError(f"ScoreGroups exception key {bad[0]!r} is not one of "
+                              f"its {size} positions")
+    return _unit_floats([*groups.defaults, *groups.exceptions.values()])
+
+
 def check_scores(scores, expected: int,
                  label_raw: Callable[[int], str]) -> "CheckedScores | ScoreGroups":
     """``expected`` scores, each passing :func:`unit_score`, else :class:`ValidationError`.
@@ -164,16 +183,7 @@ def check_scores(scores, expected: int,
     :class:`CheckedScores`, which of groups reads no default serving no label.
     """
     if type(scores) is ScoreGroups:
-        size, held = len(scores.group_of), sum(map(len, scores.members))
-        if held != size or len(scores.members) != len(scores.defaults):
-            raise ValidationError(f"ScoreGroups has {len(scores.defaults)} defaults and "
-                                  f"{len(scores.members)} member lists holding {held} "
-                                  f"positions for {size} labels")
-        bad = [i for i in scores.exceptions if type(i) is not int or not 0 <= i < size]
-        if bad:
-            raise ValidationError(f"ScoreGroups exception key {bad[0]!r} is not one of "
-                                  f"its {size} positions")
-        fresh = not _unit_floats([*scores.defaults, *scores.exceptions.values()])
+        fresh = not _sound_groups(scores)
     else:
         fresh = type(scores) is not CheckedScores
     if fresh:
@@ -280,8 +290,10 @@ class _SurfaceIndex:
 
     ``sizes[i]`` counts surface ``i``'s scaffold-free content tokens, ``top``
     is the largest count, and ``members[n]`` lists the positions of the
-    surfaces of ``n`` tokens in ascending order, as a view of an array of
-    C ints. ``postings`` maps each such token to the
+    surfaces of ``n`` tokens in ascending order, as a read-only view of an
+    array of C ints. ``sizes`` is read-only too, so the :class:`ScoreGroups`
+    built on them, and the score cache holding those, share them safely.
+    ``postings`` maps each such token to the
     position of the one surface holding it, as an int, or to the list of
     positions of several. A token spelled like its surface is keyed by the
     surface string itself.
@@ -311,11 +323,13 @@ class _SurfaceIndex:
         self.surfaces = surfaces
         self.top = max(sizes, default=0)
         # one byte per surface; a surface of over 255 tokens widens every entry
-        self.sizes = bytes(sizes) if self.top < 256 else array.array("L", sizes)
+        self.sizes = (bytes(sizes) if self.top < 256
+                      else memoryview(array.array("L", sizes)).toreadonly())
         by_size: list[list[int]] = [[] for _ in range(self.top + 1)]
         for i, n in enumerate(sizes):
             by_size[n].append(i)
-        self.members = [memoryview(array.array("I", members)) for members in by_size]
+        self.members = tuple(memoryview(array.array("I", members)).toreadonly()
+                             for members in by_size)
         self.postings = postings
 
 
@@ -873,15 +887,16 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
 _KEY = re.compile(r"[0-9a-f]{64}")
 
 
-def _checked_record(key, scores, where: str) -> list[float]:
+def _checked_record(key, scores, where: str) -> "list[float] | ScoreGroups":
     """A record's scores as a list of floats; a bad key or score raises naming ``where``.
 
-    :class:`CheckedScores` are taken as they are.
+    :class:`CheckedScores`, and :class:`ScoreGroups` that :func:`_sound_groups`
+    passed, are taken as they are.
     """
     if type(key) is not str or not _KEY.fullmatch(key):
         raise CacheError(
             f'{where}: bad cache record: "k" must be a SHA-256 hex digest, got {key!r}')
-    if type(scores) is CheckedScores:
+    if type(scores) is CheckedScores or type(scores) is ScoreGroups:
         return scores
     if type(scores) is not list:
         raise CacheError(f'{where}: bad cache record: "s" must be a list of scores, '
@@ -913,6 +928,21 @@ def _scores_json(scores: list[float]) -> str:
     return "[" + ", ".join(map(reprs.__getitem__, scores)) + "]"
 
 
+def _groups_json(groups: ScoreGroups) -> str:
+    """The JSON text of the list ``groups`` stand for, as ``json.dumps`` writes it.
+
+    Each default's repr is rendered once and spread over its group's
+    positions, each exception's put in its place, and the whole joined. The
+    defaults and exceptions are floats, so repr spells each as ``json.dumps``
+    does, a zero with its sign.
+    """
+    reprs = list(map(repr, groups.defaults))
+    texts = [reprs[g] for g in groups.group_of]
+    for i, score in groups.exceptions.items():
+        texts[i] = repr(score)
+    return "[" + ", ".join(texts) + "]"
+
+
 class ScoreCache:
     """Append-only persistent cache of per-mention scores.
 
@@ -921,8 +951,12 @@ class ScoreCache:
     (:meth:`key`) is a SHA-256 of the scorer's tag, the premise, the frame
     and the whole surface list, so a mention ranked by another scorer or
     state, or against another vocabulary or label order, misses in full.
-    Records of the earlier per-pair format are refused. Each record's scores
-    are held as one array of doubles; ``len`` counts the scores held.
+    Records of the earlier per-pair format are refused. A record put as
+    :class:`ScoreGroups` is held as groups: its defaults and exceptions
+    copied, its ``group_of`` and ``members`` kept by reference, so a mention
+    holds a few floats rather than one per label. A record put as a list,
+    and every record loaded from the file, is held as one array of doubles.
+    ``len`` counts the scores held, one per surface.
 
     :meth:`put` appends one record with one flush, so a crash loses at most
     the mention in flight and may leave a torn final line. On load an
@@ -932,7 +966,7 @@ class ScoreCache:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._entries: dict[str, array.array] = {}
+        self._entries: dict[str, array.array | ScoreGroups] = {}
         # The surface list keyed last, as a tuple, and its JSON text, swapped
         # as one pair so a reader never sees one list's text beside another.
         self._surfaces: tuple[tuple[str, ...], str] = ((), "[]")
@@ -994,34 +1028,58 @@ class ScoreCache:
         text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail])
         return hashlib.sha256(f"{text[:-1]}, {surfaces_text}]".encode()).hexdigest()
 
-    def get(self, key: str, size: int) -> CheckedScores | None:
-        """The scores recorded under ``key`` as a fresh list, else None.
+    def get(self, key: str, size: int) -> CheckedScores | ScoreGroups | None:
+        """The scores recorded under ``key``, else None.
 
-        A record holding other than ``size`` scores raises ``CacheError``.
+        A record held as groups is served as fresh :class:`ScoreGroups`, with
+        an ``exceptions`` dict of their own; one held as an array of doubles
+        as a fresh :class:`CheckedScores`. A record holding other than
+        ``size`` scores raises ``CacheError``.
         """
-        scores = self._entries.get(key)
-        if scores is None:
+        record = self._entries.get(key)
+        if record is None:
             return None
-        if len(scores) != size:
+        if len(record) != size:
             raise CacheError(
-                f"{self.path}: record {key} holds {len(scores)} scores for {size} surfaces")
-        return CheckedScores(scores)
+                f"{self.path}: record {key} holds {len(record)} scores for {size} surfaces")
+        if type(record) is ScoreGroups:
+            return ScoreGroups(record.defaults, record.group_of, record.members,
+                               dict(record.exceptions))
+        return CheckedScores(record)
 
-    def put(self, key: str, scores: list[float]) -> None:
+    def put(self, key: str, scores: "list[float] | ScoreGroups") -> None:
         """Record a mention's scores under ``key``, appending its line with one flush.
 
         A key already recorded is left as it is. A bad key, or a score failing
         :func:`unit_score`, raises ``CacheError`` and nothing is recorded;
-        :class:`CheckedScores` are not checked again. The
-        line's bytes are those of ``json.dumps({"k": key, "s": scores})``; a
+        :class:`CheckedScores` are not checked again. :class:`ScoreGroups`
+        whose defaults and exceptions are all floats in [0, 1] are recorded
+        as groups, copying only those; malformed groups raise ``CacheError``,
+        and any others are checked as the list they stand for. The line's
+        bytes are those of ``json.dumps({"k": key, "s": list(scores)})``; a
         checked key is hex, which JSON spells as it is, and the scores are
-        written by :func:`_scores_json`.
+        written by :func:`_groups_json` or :func:`_scores_json`.
         """
-        checked = _checked_record(key, scores, str(self.path))
-        if key not in self._entries:
-            self._entries[key] = array.array("d", checked)
-            self._handle.write(f'{{"k": "{key}", "s": {_scores_json(checked)}}}\n')
-            self._handle.flush()
+        where = str(self.path)
+        if type(scores) is ScoreGroups:
+            try:
+                sound = _sound_groups(scores)
+            except ValidationError as exc:
+                raise CacheError(f"{where}: bad cache record: {exc}") from None
+            if not sound:
+                scores = list(scores)
+        checked = _checked_record(key, scores, where)
+        if key in self._entries:
+            return
+        if type(checked) is ScoreGroups:
+            record = ScoreGroups(tuple(checked.defaults), checked.group_of, checked.members,
+                                 dict(checked.exceptions))
+            text = _groups_json(record)
+        else:
+            record, text = array.array("d", checked), _scores_json(checked)
+        self._entries[key] = record
+        self._handle.write(f'{{"k": "{key}", "s": {text}}}\n')
+        self._handle.flush()
 
     def __len__(self) -> int:
         return sum(map(len, self._entries.values()))
@@ -1043,12 +1101,15 @@ class CachedScorer(EntailmentScorer):
     Only ``score_candidates`` reads or writes the cache, one record per
     mention under the wrapped scorer's ``cache_tag``: a cached mention is
     served whole, any other is scored whole by the wrapped scorer's
-    ``score_candidates``, checked and recorded. Either is served as
-    :class:`CheckedScores`, a fresh list. A reply with the wrong number of
-    scores, or a score failing :func:`unit_score`, raises
-    :class:`ValidationError` before anything is written. ``score`` and
-    ``score_batch`` pass straight through to the wrapped scorer, uncached;
-    ranking never calls them.
+    ``score_candidates``, checked by :func:`check_scores`, recorded, and
+    returned as checked. :class:`ScoreGroups` that pass that check are
+    recorded and served as groups, so ranking builds runs from a cold
+    mention and a warm one alike; any other reply is recorded as an array
+    of doubles, a hit on it served as a fresh :class:`CheckedScores`. A
+    reply with the wrong number of scores, or a score failing
+    :func:`unit_score`, raises :class:`ValidationError` before anything is
+    written. ``score`` and ``score_batch`` pass straight through to the
+    wrapped scorer, uncached; ranking never calls them.
     """
 
     def __init__(self, inner: EntailmentScorer, cache: ScoreCache):
@@ -1065,13 +1126,13 @@ class CachedScorer(EntailmentScorer):
     def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> list[float]:
         return self.inner.score_batch(pairs)
 
-    def score_candidates(self, candidates: TypeCandidates) -> CheckedScores:
+    def score_candidates(self, candidates: TypeCandidates) -> CheckedScores | ScoreGroups:
         inner, labels = self.inner, candidates.labels
         key = self.cache.key(inner.cache_tag, candidates)
         scores = self.cache.get(key, len(labels))
         if scores is None:
-            scores = CheckedScores(check_scores(inner.score_candidates(candidates), len(labels),
-                                                lambda i: labels[i].raw))
+            scores = check_scores(inner.score_candidates(candidates), len(labels),
+                                  lambda i: labels[i].raw)
             self.cache.put(key, scores)
         return scores
 

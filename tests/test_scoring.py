@@ -1589,13 +1589,13 @@ class TestCachedCandidates:
             assert path.stat().st_size == size and len(inner.calls) == calls == 3
 
     def test_served_list_is_a_copy(self, tmp_path):
-        candidates, _ = _table_candidates({"a": 0.25, "b": 0.5})
+        # a list-returning scorer's record is served as a list (groups: TestGroupRecords)
+        candidates, table = _table_candidates({"a": 0.25, "b": 0.5})
         with ScoreCache(tmp_path / "cache.jsonl") as cache:
-            scorer = CachedScorer(OverlapScorer(), cache)
+            scorer = CachedScorer(TableScorer(table), cache)
             for _ in range(2):
                 scorer.score_candidates(candidates).append(1.0)
-            assert scorer.score_candidates(candidates) == OverlapScorer().score_candidates(
-                candidates)
+            assert scorer.score_candidates(candidates) == [0.25, 0.5]
 
     @pytest.mark.parametrize("tag", ["v0", 'v"1\\', "vé\u2028ΑΣ", "v\n\t"])
     def test_record_lines_equal_json_dumps(self, tmp_path, tag):
@@ -1843,8 +1843,178 @@ class TestCheckedOnce:
             for key, scores in ((KEY_A, [0.5, 1.0, 0.0]), (KEY_B, [2.0])))
 
 
+class GroupsScorer(EntailmentScorer):
+    """Answers every mention with a fresh copy of one set of groups."""
+
+    def __init__(self, groups):
+        self.groups = groups
+        self.replies = []
+
+    def score(self, pair):
+        raise AssertionError("ranking scores whole mentions")
+
+    def score_candidates(self, candidates):
+        g = self.groups
+        self.replies.append(ScoreGroups(list(g.defaults), g.group_of, g.members,
+                                        dict(g.exceptions)))
+        return self.replies[-1]
+
+
+def _random_groups(rng, size):
+    """Seeded groups over ``size`` (at least 6) positions with every awkward case.
+
+    Both zeros serve labels as defaults and stand as exceptions, one
+    exception equals its group's default, every member of the 0.25 group is
+    an exception (its default serves no label), and the last group has no
+    members at all.
+    """
+    pool = [0.0, -0.0, 1.0, 0.5, 1 / 3, 0.1 + 0.2, 5e-324, 1e-300]
+    defaults = [0.0, -0.0, 0.25, *(rng.choice(pool + [rng.random()])
+                                   for _ in range(rng.randint(0, 4))), 0.75]
+    group_of = [0, 1, 2, 3 % (len(defaults) - 1)]
+    group_of += [rng.randrange(len(defaults) - 1) for _ in range(size - len(group_of))]
+    members = [[i for i, g in enumerate(group_of) if g == n] for n in range(len(defaults))]
+    exceptions = {2: -0.0, 3: 0.0, 4: defaults[group_of[4]]}
+    for i in rng.sample(range(5, size), (size - 5) // 3):
+        exceptions[i] = rng.choice(pool + [rng.random()])
+    for i in members[2]:
+        exceptions.setdefault(i, rng.choice(pool))
+    return ScoreGroups(defaults, bytes(group_of), members, exceptions)
+
+
+class TestGroupRecords:
+    """Records put as :class:`ScoreGroups` are held and served as groups."""
+
+    @staticmethod
+    def _ranked(instance, vocab, scorer, template):
+        """The raw labels and the hex scores of ``scorer``'s ranking."""
+        ranking = rank_all_candidates(instance, vocab, scorer, template)
+        return [label.raw for label in ranking.labels], _hex(ranking.scores)
+
+    def test_overlap_miss_and_hit_return_groups_ranked_as_runs(self, tmp_path):
+        vocab = LabelVocabulary([_label(f"l{i}", f"word{i}") for i in range(6)])
+        instance = mk_instance(right=("word1", "word4", "."))
+        candidates = type_candidates(instance, vocab, TemplateKind.TAXONOMIC)
+        uncached = rank_all_candidates(instance, vocab, OverlapScorer(), TemplateKind.TAXONOMIC)
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            scorer = CachedScorer(OverlapScorer(), cache)
+            for _ in range(2):  # a miss, then a hit
+                assert type(scorer.score_candidates(candidates)) is ScoreGroups
+            rankings = [rank_all_candidates(instance, vocab, scorer, TemplateKind.TAXONOMIC)
+                        for _ in range(2)]
+            assert [type(r._entries) for r in rankings] == [inference._Runs] * 2
+        with ScoreCache(path) as cache:  # a record loaded from the file is a list
+            scorer = CachedScorer(OverlapScorer(), cache)
+            assert type(scorer.score_candidates(candidates)) is CheckedScores
+            rankings.append(rank_all_candidates(instance, vocab, scorer, TemplateKind.TAXONOMIC))
+            assert type(rankings[-1]._entries) is inference._Order
+        assert rankings == [uncached] * 3
+        assert uncached.scores[:3] == (1.0, 1.0, 0.5)
+
+    def test_mutating_served_or_returned_groups_changes_no_hit_or_file(self, tmp_path):
+        labels = [_label(f"l{i}", f"word{i}") for i in range(6)]
+        candidates = type_candidates(mk_instance(right=("word1", "word4", ".")), labels,
+                                     TemplateKind.TAXONOMIC)
+        expected = _hex(OverlapScorer().score_candidates(candidates))
+        inner = RecordingOverlap()
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            scorer = CachedScorer(inner, cache)
+            key = cache.key(inner.cache_tag, candidates)
+            returned = scorer.score_candidates(candidates)
+            line = json.dumps({"k": key, "s": list(returned)}) + "\n"
+            assert path.read_text() == line
+            # the scorer's own groups, handed back on the miss
+            returned.exceptions.clear()
+            returned.defaults[:] = [1.0] * len(returned.defaults)
+            for _ in range(2):
+                served = scorer.score_candidates(candidates)
+                assert _hex(served) == expected
+                served.exceptions.clear()
+                served.exceptions[0] = 1.0
+            with pytest.raises(TypeError):
+                served.defaults[0] = 1.0  # held as a tuple, shared by every hit
+            with pytest.raises(TypeError):
+                served.members[1][0] = 5  # the overlap index's read-only views
+            with pytest.raises(TypeError):
+                served.group_of[0] = 5
+            assert _hex(scorer.score_candidates(candidates)) == expected
+            assert len(inner.calls) == 1 and len(cache) == 6
+        assert path.read_text() == line
+
+    def test_random_groups_write_json_dumps_and_rank_alike_reopened(self, tmp_path):
+        rng = random.Random(77)
+        path = tmp_path / "cache.jsonl"
+        records = [("%064x" % n, _random_groups(rng, rng.randint(6, 400))) for n in range(40)]
+        with ScoreCache(path) as cache:
+            for key, groups in records:
+                cache.put(key, groups)
+            held = [_hex(cache.get(key, len(groups))) for key, groups in records]
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps({"k": key, "s": list(groups)}) + "\n" for key, groups in records)
+        with ScoreCache(path) as cache:
+            assert len(cache) == sum(len(groups) for _, groups in records)
+            assert [_hex(cache.get(key, len(groups))) for key, groups in records] == held
+        assert held == [_hex(groups) for _, groups in records]
+
+        # a vocabulary with a label that fails to render, ranked with the mention
+        # starting its sentence under the substitution template (capitalized surfaces)
+        surfaces = [f"w{i}" for i in range(60)]
+        surfaces[17] = ""
+        vocab = LabelVocabulary([_label(f"l{i:02d}", s) for i, s in enumerate(surfaces)])
+        instance = mk_instance(right=("sang", "."))
+        for template in TemplateKind:
+            scorer = GroupsScorer(_random_groups(rng, 59))
+            uncached = self._ranked(instance, vocab, scorer, template)
+            path = tmp_path / f"{template.value}.jsonl"
+            with ScoreCache(path) as cache:
+                cached = CachedScorer(scorer, cache)
+                cold, warm = (self._ranked(instance, vocab, cached, template) for _ in range(2))
+            with ScoreCache(path) as cache:
+                reopened = self._ranked(instance, vocab, CachedScorer(scorer, cache), template)
+                assert len(cache) == 59
+            assert cold == warm == reopened == uncached
+            assert "l17" in uncached[0] and len(uncached[0]) == 60
+            assert len(scorer.replies) == 2  # the uncached ranking and the cold miss
+
+    def test_put_groups_keeps_puts_checks(self, tmp_path):
+        def groups(defaults, exceptions=None, members=([0, 2], [1])):
+            return ScoreGroups(defaults, bytes([0, 1, 0]), [list(m) for m in members],
+                               exceptions or {})
+
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            cache.put(KEY_A, groups([0.5, 0.25]))
+            written = path.read_bytes()
+            for key, bad, message in [
+                ("k", groups([0.5, 0.25]), '"k" must be a SHA-256 hex digest'),
+                (KEY_B, groups([1.5, 0.25]), r"score 1\.5 outside \[0, 1\]"),
+                (KEY_B, groups([0.5, float("nan")]), "score nan outside"),
+                (KEY_B, groups([0.5, 0.25], {2: True}), "not a JSON number: True"),
+                (KEY_B, groups([0.5, 0.25], {1: -0.25}), r"score -0\.25 outside"),
+                (KEY_B, groups([0.5, 0.25], members=([0, 2], [1, 1])), "3 labels"),
+                (KEY_B, groups([0.5, 0.25], {3: 0.5}), "exception key 3"),
+            ]:
+                with pytest.raises(CacheError, match=message):
+                    cache.put(key, bad)
+            assert len(cache) == 3 and cache.get(KEY_B, 3) is None
+            assert path.read_bytes() == written
+            # groups that check_scores reads as a list are recorded as the list
+            cache.put(KEY_B, groups([1, 0.25]))
+            cache.put(KEY_C, groups([0.5, 0.25, "no label"], members=([0, 2], [1], [])))
+            assert type(cache.get(KEY_A, 3)) is ScoreGroups
+            for key in (KEY_B, KEY_C):
+                assert type(cache.get(key, 3)) is CheckedScores
+            assert cache.get(KEY_B, 3) == [1.0, 0.25, 1.0]
+        records = ((KEY_A, [0.5, 0.25, 0.5]), (KEY_B, [1.0, 0.25, 1.0]),
+                   (KEY_C, [0.5, 0.25, 0.5]))
+        assert path.read_text() == "".join(
+            json.dumps({"k": key, "s": scores}) + "\n" for key, scores in records)
+
+
 class TestCacheCorruption:
-    RECORD = '{"k": "%s", "s": [0.25, 0.5]}\n' % KEY_A
+    RECORD ='{"k": "%s", "s": [0.25, 0.5]}\n' % KEY_A
 
     def test_torn_tail_is_dropped_and_next_append_starts_fresh(self, tmp_path):
         path = tmp_path / "cache.jsonl"
