@@ -141,8 +141,8 @@ class ScoreGroups(Sequence[float]):
 class CheckedScores(list):
     """A list of scores known to pass :func:`unit_score`, so never checked again.
 
-    :func:`check_scores` and the score cache make them: the cache checks a
-    record's scores as it loads or stores them, and serves them as these.
+    :func:`check_scores` makes them, and so does an external scorer of its
+    replies, each score checked as it is read.
     """
 
     __slots__ = ()
@@ -153,37 +153,28 @@ def _unit_floats(scores: Sequence[float]) -> bool:
     return not [s for s in scores if type(s) is not float or not 0.0 <= s <= 1.0]
 
 
-def _sound_groups(groups: ScoreGroups) -> bool:
-    """Whether ``groups`` hold only floats in [0, 1] as defaults and exceptions.
-
-    Groups whose member lists, one per default, do not add up to
-    ``len(group_of)``, or with an exception not keyed by a position, raise
-    :class:`ValidationError`.
-    """
-    size, held = len(groups.group_of), sum(map(len, groups.members))
-    if held != size or len(groups.members) != len(groups.defaults):
-        raise ValidationError(f"ScoreGroups has {len(groups.defaults)} defaults and "
-                              f"{len(groups.members)} member lists holding {held} "
-                              f"positions for {size} labels")
-    bad = [i for i in groups.exceptions if type(i) is not int or not 0 <= i < size]
-    if bad:
-        raise ValidationError(f"ScoreGroups exception key {bad[0]!r} is not one of "
-                              f"its {size} positions")
-    return _unit_floats([*groups.defaults, *groups.exceptions.values()])
-
-
 def check_scores(scores, expected: int,
                  label_raw: Callable[[int], str]) -> "CheckedScores | ScoreGroups":
     """``expected`` scores, each passing :func:`unit_score`, else :class:`ValidationError`.
 
     ``label_raw(i)`` names the label of score ``i``, and the first bad one is
     named. :class:`CheckedScores` are returned as they are, and so are
-    well-formed :class:`ScoreGroups` whose every default and exception is a
-    float in [0, 1]. Other scores are checked as a fresh
-    :class:`CheckedScores`, which of groups reads no default serving no label.
+    well-formed :class:`ScoreGroups` (malformed ones raise) whose every
+    default and exception is a float in [0, 1]. Other scores are checked as
+    a fresh :class:`CheckedScores`, which of groups reads no default serving
+    no label.
     """
     if type(scores) is ScoreGroups:
-        fresh = not _sound_groups(scores)
+        size, held = len(scores.group_of), sum(map(len, scores.members))
+        if held != size or len(scores.members) != len(scores.defaults):
+            raise ValidationError(f"ScoreGroups has {len(scores.defaults)} defaults and "
+                                  f"{len(scores.members)} member lists holding {held} "
+                                  f"positions for {size} labels")
+        bad = [i for i in scores.exceptions if type(i) is not int or not 0 <= i < size]
+        if bad:
+            raise ValidationError(f"ScoreGroups exception key {bad[0]!r} is not one of "
+                                  f"its {size} positions")
+        fresh = not _unit_floats([*scores.defaults, *scores.exceptions.values()])
     else:
         fresh = type(scores) is not CheckedScores
     if fresh:
@@ -746,31 +737,32 @@ class ExternalScorer(EntailmentScorer):
     def score(self, pair: PremiseHypothesisPair) -> float:
         return self.score_batch([pair])[0]
 
-    def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> list[float]:
+    def score_batch(self, pairs: Sequence[PremiseHypothesisPair]) -> CheckedScores:
         """Score pairs through the endpoint, enforcing the wire contract.
 
         Violations surface as errors rather than bad numbers: a dropped or
         extra response line, a reply that is not a JSON object, a shuffled
         or stale id, or a score outside [0, 1] each raise. Pair ids never
         repeat within a scorer, so a reply left over from an earlier batch
-        cannot pass.
+        cannot pass. Each score is checked as it is read: they come as
+        :class:`CheckedScores`.
         """
         if not pairs:
-            return []
+            return CheckedScores()
         first = self._pairs_sent
         self._pairs_sent += len(pairs)
         requests = [
             {"id": f"q{first + i:06d}", "premise": p.premise, "hypothesis": p.hypothesis}
             for i, p in enumerate(pairs)
         ]
-        scores = []
+        scores = CheckedScores()
         for request, response in zip(requests, self.endpoint.round_trip(requests)):
             if "entailment" not in response:
                 raise ProtocolError(f"response for {request['id']!r} lacks an entailment score")
             scores.append(_reply_score(response["entailment"]))
         return scores
 
-    def score_candidates(self, candidates: TypeCandidates) -> list[float]:
+    def score_candidates(self, candidates: TypeCandidates) -> CheckedScores:
         surfaces = list(candidates.surfaces)
         if not surfaces or self._pairs_only:
             return self.score_batch(candidates.pairs())
@@ -795,7 +787,7 @@ class ExternalScorer(EntailmentScorer):
                 f"response length mismatch: {len(entailments)} entailment scores "
                 f"for {len(surfaces)} surfaces in {request_id!r}"
             )
-        return [_reply_score(value) for value in entailments]
+        return CheckedScores(map(_reply_score, entailments))
 
     def close(self) -> None:
         self.endpoint.close()
@@ -887,45 +879,23 @@ class ExternalTrainableScorer(ExternalScorer, TrainableScorer):
 _KEY = re.compile(r"[0-9a-f]{64}")
 
 
-def _checked_record(key, scores, where: str) -> "list[float] | ScoreGroups":
-    """A record's scores as a list of floats; a bad key or score raises naming ``where``.
+def _checked_record(key, scores, where: str) -> "CheckedScores | ScoreGroups":
+    """A record's scores as :func:`check_scores` returns them, its key checked.
 
-    :class:`CheckedScores`, and :class:`ScoreGroups` that :func:`_sound_groups`
-    passed, are taken as they are.
+    A key that is not a SHA-256 hex digest, scores that are neither a list
+    nor :class:`ScoreGroups`, or scores that :func:`check_scores` refuses
+    (each named by its position) raise :class:`CacheError` naming ``where``.
     """
     if type(key) is not str or not _KEY.fullmatch(key):
         raise CacheError(
             f'{where}: bad cache record: "k" must be a SHA-256 hex digest, got {key!r}')
-    if type(scores) is CheckedScores or type(scores) is ScoreGroups:
-        return scores
-    if type(scores) is not list:
+    if type(scores) not in (list, CheckedScores, ScoreGroups):
         raise CacheError(f'{where}: bad cache record: "s" must be a list of scores, '
                          f"got {type(scores).__name__}")
     try:
-        return [s if type(s) is float and 0.0 <= s <= 1.0 else unit_score(s) for s in scores]
-    except ValueError as exc:
+        return check_scores(scores, len(scores), str)
+    except ValidationError as exc:
         raise CacheError(f"{where}: bad cache record: {exc}") from None
-
-
-def _scores_json(scores: list[float]) -> str:
-    """The JSON text of a list of floats, as ``json.dumps`` writes it.
-
-    A list holding at most half as many distinct values as scores (the
-    overlap scorer's: a median of 5 over 10,331 labels) renders each
-    distinct value's repr once and joins, 3-5x faster than the C encoder.
-    On mostly distinct scores, as a model's are, the join is slower than
-    the encoder (1.5x on all-distinct), so ``json.dumps`` writes the list
-    and only the ``set`` that chose it is extra. ``0.0 == -0.0`` would
-    share one memo entry, so when a zero is present each zero is rendered
-    on its own.
-    """
-    distinct = set(scores)
-    if 2 * len(distinct) > len(scores):
-        return json.dumps(scores)
-    reprs = {s: repr(s) for s in distinct}
-    if 0.0 in reprs:
-        return "[" + ", ".join([repr(s) if s == 0.0 else reprs[s] for s in scores]) + "]"
-    return "[" + ", ".join(map(reprs.__getitem__, scores)) + "]"
 
 
 def _groups_json(groups: ScoreGroups) -> str:
@@ -951,11 +921,13 @@ class ScoreCache:
     (:meth:`key`) is a SHA-256 of the scorer's tag, the premise, the frame
     and the whole surface list, so a mention ranked by another scorer or
     state, or against another vocabulary or label order, misses in full.
-    Records of the earlier per-pair format are refused. A record put as
-    :class:`ScoreGroups` is held as groups: its defaults and exceptions
-    copied, its ``group_of`` and ``members`` kept by reference, so a mention
-    holds a few floats rather than one per label. A record put as a list,
-    and every record loaded from the file, is held as one array of doubles.
+    Records of the earlier per-pair format are refused. A record's scores
+    are checked by :func:`check_scores` as it is put or loaded. A record put
+    as :class:`ScoreGroups` that pass that check as they are is held as
+    groups: its defaults and exceptions copied, its ``group_of`` and
+    ``members`` kept by reference, so a mention holds a few floats rather
+    than one per label. Any other record, and every record loaded from the
+    file, is held as one array of doubles.
     ``len`` counts the scores held, one per surface.
 
     :meth:`put` appends one record with one flush, so a crash loses at most
@@ -1050,36 +1022,29 @@ class ScoreCache:
     def put(self, key: str, scores: "list[float] | ScoreGroups") -> None:
         """Record a mention's scores under ``key``, appending its line with one flush.
 
-        A key already recorded is left as it is. A bad key, or a score failing
-        :func:`unit_score`, raises ``CacheError`` and nothing is recorded;
-        :class:`CheckedScores` are not checked again. :class:`ScoreGroups`
-        whose defaults and exceptions are all floats in [0, 1] are recorded
-        as groups, copying only those; malformed groups raise ``CacheError``,
-        and any others are checked as the list they stand for. The line's
-        bytes are those of ``json.dumps({"k": key, "s": list(scores)})``; a
-        checked key is hex, which JSON spells as it is, and the scores are
-        written by :func:`_groups_json` or :func:`_scores_json`.
+        A key already recorded is left as it is. A bad key, scores that
+        :func:`check_scores` refuses, or a closed cache raise ``CacheError``
+        naming the path. The line is written before the record is kept, so
+        nothing is recorded that the file lacks. :class:`ScoreGroups` that
+        pass as they are are recorded as groups, copying only their defaults
+        and exceptions, and written by :func:`_groups_json`; other scores are
+        held as doubles and written by ``json.dumps``. The line is byte for
+        byte ``json.dumps({"k": key, "s": list(scores)})``.
         """
-        where = str(self.path)
-        if type(scores) is ScoreGroups:
-            try:
-                sound = _sound_groups(scores)
-            except ValidationError as exc:
-                raise CacheError(f"{where}: bad cache record: {exc}") from None
-            if not sound:
-                scores = list(scores)
-        checked = _checked_record(key, scores, where)
+        checked = _checked_record(key, scores, str(self.path))
         if key in self._entries:
             return
+        if self._handle.closed:
+            raise CacheError(f"{self.path}: cannot append to a closed cache")
         if type(checked) is ScoreGroups:
             record = ScoreGroups(tuple(checked.defaults), checked.group_of, checked.members,
                                  dict(checked.exceptions))
             text = _groups_json(record)
         else:
-            record, text = array.array("d", checked), _scores_json(checked)
-        self._entries[key] = record
+            record, text = array.array("d", checked), json.dumps(checked)
         self._handle.write(f'{{"k": "{key}", "s": {text}}}\n')
         self._handle.flush()
+        self._entries[key] = record
 
     def __len__(self) -> int:
         return sum(map(len, self._entries.values()))

@@ -1613,7 +1613,7 @@ class TestCachedCandidates:
         expected = json.dumps({"k": key, "s": [float(s) for s in scores]}) + "\n"
         assert path.read_text(encoding="utf-8") == expected
 
-    # few distinct scores are joined from a memo, mostly distinct ones go to json.dumps
+    # a list record is written by json.dumps, however many distinct scores or zeros it holds
     @pytest.mark.parametrize("spread", [0, 2400, 50000])
     @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0), (0.0,), (-0.0,), ()])
     def test_long_record_line_equals_json_dumps(self, tmp_path, zeros, spread):
@@ -1708,6 +1708,20 @@ class TestCachedCandidates:
         assert path.read_bytes() == written
         with ScoreCache(path) as cache:
             assert len(cache) == 1
+
+    def test_put_on_a_closed_cache_raises_and_records_nothing(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        groups = ScoreGroups([0.5, 0.25], bytes([0, 1, 0]), [[0, 2], [1]], {})
+        cache = ScoreCache(path)
+        cache.put(KEY_A, [0.5])
+        written = path.read_bytes()
+        cache.close()
+        for key, scores in ((KEY_B, [0.25]), (KEY_C, groups)):
+            with pytest.raises(CacheError, match=r"^\S*cache\.jsonl: .*closed"):
+                cache.put(key, scores)
+            assert cache.get(key, len(scores)) is None
+        cache.put(KEY_A, [0.5])  # already recorded: left as it is
+        assert len(cache) == 1 and path.read_bytes() == written
 
 
 class WrongReply(OverlapScorer):
@@ -1811,17 +1825,49 @@ class TestCheckedOnce:
                     TemplateKind.TAXONOMIC))
             assert type(cache.get(cache.key(TableScorer(table).cache_tag, type_candidates(
                 instance, vocab, TemplateKind.TAXONOMIC)), 3)) is CheckedScores
-        # ranking is handed what the cache checked, cold and warm alike
-        assert calls == [("cache", "list"), ("rank", "CheckedScores"), ("rank", "CheckedScores")]
+        # ranking, and the cache storing the reply, are handed what was checked,
+        # cold and warm alike
+        assert calls == [("cache", "list"), ("cache", "CheckedScores"),
+                         ("rank", "CheckedScores"), ("rank", "CheckedScores")]
         calls.clear()
         with ScoreCache(path) as cache:  # reopened: each record checked as it loads
             rankings.append(rank_all_candidates(
                 instance, vocab, CachedScorer(TableScorer(table), cache), TemplateKind.TAXONOMIC))
         rankings.append(rank_all_candidates(instance, vocab, TableScorer(table),
                                             TemplateKind.TAXONOMIC))
-        assert calls == [("rank", "CheckedScores"), ("rank", "list")]
+        assert calls == [("cache", "list"), ("rank", "CheckedScores"), ("rank", "list")]
         assert rankings[0] == rankings[1] == rankings[2] == rankings[3]
         assert rankings[0].scores == (0.75, 0.75, 0.75)
+
+    @pytest.mark.parametrize("mode", ["ok", "pairs-only"])
+    def test_external_replies_are_checked_once_as_read(self, monkeypatch, mode):
+        read, calls = [], []
+        unit_score = scoring.unit_score
+
+        def reading(value):
+            read.append(value)
+            return unit_score(value)
+
+        def counting(name, real):
+            def check(scores, *args):
+                calls.append((name, type(scores).__name__))
+                return real(scores, *args)
+            return check
+
+        monkeypatch.setattr(scoring, "unit_score", reading)
+        monkeypatch.setattr(scoring, "_unit_floats", counting("pass", scoring._unit_floats))
+        monkeypatch.setattr(inference, "check_scores",
+                            counting("rank", inference.check_scores))
+        vocab = LabelVocabulary([_label(raw, raw) for raw in ("athlete", "city", "person")])
+        scorer = ExternalScorer(stub_command(mode))
+        try:
+            ranking = rank_all_candidates(mk_instance(right=("toured", "the", "city", ".")),
+                                          vocab, scorer, TemplateKind.TAXONOMIC)
+        finally:
+            scorer.close()
+        # one check per score, as its reply is read; ranking takes the list as it is
+        assert len(read) == 3 and sorted(read) == sorted(ranking.scores)
+        assert calls == [("rank", "CheckedScores")]
 
     def test_a_stored_checked_list_is_not_checked_again(self, tmp_path):
         checked = scoring.check_scores([0.5, 1, 0.0], 3, str)
