@@ -98,8 +98,9 @@ class ScoreGroups(Sequence[float]):
     group's entry of ``defaults``. It reads as the list of scores it stands
     for: indexing, slicing, iteration, ``len`` and ``==`` with a list all see
     that list, which is built only when iterated or sliced. :func:`check_scores`
-    rejects groups whose member lists, one per default, do not add up to
-    ``len(group_of)``, or with an exception not keyed by a position.
+    rejects groups whose member lists, one per default, do not list the
+    positions ``group_of`` puts in each group, or with an exception not keyed
+    by a position.
     """
 
     __slots__ = ("defaults", "group_of", "members", "exceptions")
@@ -148,6 +149,53 @@ class CheckedScores(list):
     __slots__ = ()
 
 
+# The (group_of, members) pairs last found or built to agree, the least
+# recently used first, keyed by their ids: holding each pair keeps its ids
+# from naming other objects.
+_AGREEING: dict[tuple[int, int], tuple[Sequence[int], Sequence[Sequence[int]]]] = {}
+_AGREEING_HELD = 4
+
+
+def _agreeing(group_of: Sequence[int], members: Sequence[Sequence[int]]) -> None:
+    """Hold ``group_of`` and ``members`` as agreeing, the pair used last."""
+    _AGREEING[(id(group_of), id(members))] = (group_of, members)
+    if len(_AGREEING) > _AGREEING_HELD:
+        # another thread may have dropped the oldest pair since
+        _AGREEING.pop(next(iter(_AGREEING), None), None)
+
+
+def _disagreement(group_of: Sequence[int], members: Sequence[Sequence[int]]) -> str:
+    """Why some ``members[g]`` is not the ascending ``i`` with ``group_of[i] == g``, else ''."""
+    listed: list[list[int]] = [[] for _ in members]
+    for i, g in enumerate(group_of):
+        if type(g) is not int or not 0 <= g < len(listed):
+            return f"ScoreGroups group_of[{i}] is {g!r}, not one of its {len(listed)} groups"
+        listed[g].append(i)
+    for g, (positions, held) in enumerate(zip(listed, members)):
+        if positions != list(held):
+            return (f"ScoreGroups members[{g}] is not the ascending list of the positions "
+                    f"group_of puts in group {g}")
+    return ""
+
+
+def _readonly_groups(group_of: list[int], count: int) -> tuple["bytes | memoryview", tuple]:
+    """``group_of``, every value in ``range(count)``, and the members of its groups, read-only.
+
+    ``group_of`` is held as bytes while ``count`` is at most 256, else as C
+    unsigned longs, and each group's positions as an ascending array of C
+    unsigned ints. The two agree by construction, and are held as agreeing.
+    """
+    by_group: list[list[int]] = [[] for _ in range(count)]
+    for i, g in enumerate(group_of):
+        by_group[g].append(i)
+    held = (bytes(group_of) if count <= 256
+            else memoryview(array.array("L", group_of)).toreadonly())
+    members = tuple(memoryview(array.array("I", positions)).toreadonly()
+                    for positions in by_group)
+    _agreeing(held, members)
+    return held, members
+
+
 def _unit_floats(scores: Sequence[float]) -> bool:
     """Whether every score is a float in [0, 1]: the common case, checked in one pass."""
     return not [s for s in scores if type(s) is not float or not 0.0 <= s <= 1.0]
@@ -160,16 +208,25 @@ def check_scores(scores, expected: int,
     ``label_raw(i)`` names the label of score ``i``, and the first bad one is
     named. :class:`CheckedScores` are returned as they are, and so are
     well-formed :class:`ScoreGroups` (malformed ones raise) whose every
-    default and exception is a float in [0, 1]. Other scores are checked as
-    a fresh :class:`CheckedScores`, which of groups reads no default serving
-    no label.
+    default and exception is a float in [0, 1]. Groups' ``members`` are
+    checked against their ``group_of`` once per pair of objects, the few
+    pairs used last that agree, or that :func:`_readonly_groups` built, being
+    held. Other scores are checked as a fresh
+    :class:`CheckedScores`, which of groups reads no default serving no
+    label.
     """
     if type(scores) is ScoreGroups:
-        size, held = len(scores.group_of), sum(map(len, scores.members))
-        if held != size or len(scores.members) != len(scores.defaults):
+        group_of, members = scores.group_of, scores.members
+        size, held = len(group_of), sum(map(len, members))
+        if held != size or len(members) != len(scores.defaults):
             raise ValidationError(f"ScoreGroups has {len(scores.defaults)} defaults and "
-                                  f"{len(scores.members)} member lists holding {held} "
+                                  f"{len(members)} member lists holding {held} "
                                   f"positions for {size} labels")
+        if _AGREEING.pop((id(group_of), id(members)), None) is None:
+            problem = _disagreement(group_of, members)
+            if problem:
+                raise ValidationError(problem)
+        _agreeing(group_of, members)
         bad = [i for i in scores.exceptions if type(i) is not int or not 0 <= i < size]
         if bad:
             raise ValidationError(f"ScoreGroups exception key {bad[0]!r} is not one of "
@@ -314,13 +371,7 @@ class _SurfaceIndex:
         self.surfaces = surfaces
         self.top = max(sizes, default=0)
         # one byte per surface; a surface of over 255 tokens widens every entry
-        self.sizes = (bytes(sizes) if self.top < 256
-                      else memoryview(array.array("L", sizes)).toreadonly())
-        by_size: list[list[int]] = [[] for _ in range(self.top + 1)]
-        for i, n in enumerate(sizes):
-            by_size[n].append(i)
-        self.members = tuple(memoryview(array.array("I", members)).toreadonly()
-                             for members in by_size)
+        self.sizes, self.members = _readonly_groups(sizes, self.top + 1)
         self.postings = postings
 
 
@@ -898,47 +949,121 @@ def _checked_record(key, scores, where: str) -> "CheckedScores | ScoreGroups":
         raise CacheError(f"{where}: bad cache record: {exc}") from None
 
 
-def _groups_json(groups: ScoreGroups) -> str:
-    """The JSON text of the list ``groups`` stand for, as ``json.dumps`` writes it.
+# A group line names at most this many groups more than it has values, so
+# that a bad line cannot make loading build member lists without bound.
+_SPARE_GROUPS = 256
 
-    Each default's repr is rendered once and spread over its group's
-    positions, each exception's put in its place, and the whole joined. The
-    defaults and exceptions are floats, so repr spells each as ``json.dumps``
-    does, a zero with its sign.
+
+def _named_groups(groups: ScoreGroups) -> int:
+    """How many groups ``groups.group_of`` names, up to the last with members.
+
+    Defaults past that group serve no label.
     """
-    reprs = list(map(repr, groups.defaults))
-    texts = [reprs[g] for g in groups.group_of]
-    for i, score in groups.exceptions.items():
-        texts[i] = repr(score)
-    return "[" + ", ".join(texts) + "]"
+    count = len(groups.members)
+    while count and not len(groups.members[count - 1]):
+        count -= 1
+    return count
+
+
+def _group_line(record: dict, number: int, where: str) -> tuple:
+    """A group line's ``group_of`` and members, from :func:`_readonly_groups`.
+
+    A line numbered other than ``number``, the count of group lines before
+    it, whose ``"of"`` is not a list of non-negative ints, or that names
+    over :data:`_SPARE_GROUPS` more groups than it has values, raises
+    :class:`CacheError` naming ``where``.
+    """
+    if type(record["g"]) is not int or record["g"] != number:
+        raise CacheError(f"{where}: bad cache record: group line {record['g']!r} "
+                         f"where group line {number} was due")
+    group_of = record.get("of")
+    if (type(group_of) is not list or not set(map(type, group_of)) <= {int}
+            or min(group_of, default=0) < 0):
+        raise CacheError(f'{where}: bad cache record: "of" must be a list of group numbers')
+    count = max(group_of, default=-1) + 1
+    if count > len(group_of) + _SPARE_GROUPS:
+        raise CacheError(f'{where}: bad cache record: "of" names {count} groups '
+                         f"for {len(group_of)} values")
+    return _readonly_groups(group_of, count)
+
+
+def _grouped_record(record: dict, groups: list[tuple], where: str) -> ScoreGroups:
+    """A grouped record line's scores, over the ``groups[g]`` its ``"g"`` names.
+
+    A record naming no group line read before it, with other than one
+    default per group, or whose ``"i"`` is not the ascending positions of
+    the scores in ``"x"``, raises :class:`CacheError` naming ``where``;
+    the scores themselves, and the key, are :func:`_checked_record`'s to check.
+    """
+    number = record["g"]
+    if type(number) is not int or not 0 <= number < len(groups):
+        raise CacheError(f"{where}: bad cache record: names unknown group line {number!r}")
+    group_of, members = groups[number]
+    defaults, positions, scores = record.get("d"), record.get("i"), record.get("x")
+    if type(defaults) is not list or type(positions) is not list or type(scores) is not list:
+        raise CacheError(f'{where}: bad cache record: "d", "i" and "x" must be lists')
+    if len(defaults) != len(members):
+        raise CacheError(f"{where}: bad cache record: {len(defaults)} defaults for group line "
+                         f"{number}, whose group_of values name {len(members)} groups")
+    if (len(positions) != len(scores) or not set(map(type, positions)) <= {int}
+            or sorted(set(positions)) != positions):
+        raise CacheError(f'{where}: bad cache record: "i" must list ascending positions, '
+                         f'one per score in "x"')
+    return ScoreGroups(tuple(defaults), group_of, members, dict(zip(positions, scores)))
+
+
+def _values(group_of: Sequence[int]) -> bytes | tuple[int, ...]:
+    """The values of ``group_of``, ints as :func:`check_scores` ensures: as bytes if they fit."""
+    if type(group_of) is bytes:
+        return group_of
+    values = tuple(group_of)
+    return bytes(values) if max(values, default=0) < 256 else values
 
 
 class ScoreCache:
     """Append-only persistent cache of per-mention scores.
 
-    Records are JSONL {"k": key, "s": [score, ...]}: one record per mention,
-    one score per surface of its :class:`TypeCandidates`, in order. The key
-    (:meth:`key`) is a SHA-256 of the scorer's tag, the premise, the frame
-    and the whole surface list, so a mention ranked by another scorer or
-    state, or against another vocabulary or label order, misses in full.
-    Records of the earlier per-pair format are refused. A record's scores
-    are checked by :func:`check_scores` as it is put or loaded. A record put
-    as :class:`ScoreGroups` that pass that check as they are is held as
-    groups: its defaults and exceptions copied, its ``group_of`` and
-    ``members`` kept by reference, so a mention holds a few floats rather
-    than one per label. Any other record, and every record loaded from the
-    file, is held as one array of doubles.
+    One record per mention holds one score per surface of its
+    :class:`TypeCandidates`, in order, under a key (:meth:`key`): a SHA-256
+    of the scorer's tag, the premise, the frame and the whole surface list,
+    so a mention ranked by another scorer or state, or against another
+    vocabulary or label order, misses in full. A record put as
+    :class:`ScoreGroups` that pass :func:`check_scores` as they are is held
+    as groups, its defaults and exceptions copied and its ``group_of`` and
+    ``members`` kept by reference, and written sparse, as JSONL:
+
+    - ``{"g": n, "of": [...]}``, a group line, the first time the file meets
+      a ``group_of``'s values, numbered by the group lines before it; group
+      lines read from the file count as met;
+    - ``{"k": key, "g": n, "d": [...], "i": [...], "x": [...]}``: the record
+      over group line n, its defaults up to the last group with members, and
+      its exceptions by ascending position and score.
+
+    Groups naming over :data:`_SPARE_GROUPS` more groups than they have
+    labels, and any other record, are ``{"k": key, "s": [score, ...]}``,
+    byte for byte its ``json.dumps``, and held as an array of doubles; so is
+    such a line in a file of an earlier version, which is served alike. A grouped line is
+    loaded as groups over its group line's ``group_of`` and members, built
+    once per group line as read-only arrays. Every record's scores are
+    checked by :func:`check_scores` as it is put or loaded. Versions before
+    group lines refuse a file holding one, on its first group line, and
+    records of the earlier per-pair format are refused.
     ``len`` counts the scores held, one per surface.
 
     :meth:`put` appends one record with one flush, so a crash loses at most
     the mention in flight and may leave a torn final line. On load an
     unparseable final line without a newline is cut off the file; any other
-    bad line raises ``CacheError`` naming ``path:line``.
+    bad line, such as a record naming no group line before it, raises
+    ``CacheError`` naming ``path:line``.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[str, array.array | ScoreGroups] = {}
+        # The number of each group line's values, those of the file's first
+        # group line for values written twice, and how many lines there are.
+        self._numbers: dict[bytes | tuple[int, ...], int] = {}
+        self._group_lines = 0
         # The surface list keyed last, as a tuple, and its JSON text, swapped
         # as one pair so a reader never sees one list's text beside another.
         self._surfaces: tuple[tuple[str, ...], str] = ((), "[]")
@@ -955,6 +1080,7 @@ class ScoreCache:
         reader, because a torn tail is cut off at its byte offset.
         """
         offset, last_line, torn = 0, b"", False
+        groups: list[tuple] = []
         with open(self.path, "rb") as f:
             for lineno, raw in enumerate(f, start=1):
                 if raw.strip():
@@ -968,16 +1094,24 @@ class ScoreCache:
                         raise CacheError(f"{where}: invalid JSON: {exc}") from None
                     if not isinstance(record, dict):
                         raise CacheError(f"{where}: bad cache record: not a JSON object")
-                    if "k" not in record and "v" in record:
+                    if "k" not in record and "g" in record:
+                        groups.append(_group_line(record, len(groups), where))
+                        self._numbers.setdefault(_values(groups[-1][0]), len(groups) - 1)
+                    elif "k" not in record and "v" in record:
                         raise CacheError(f"{where}: bad cache record: a per-pair record of an "
                                          "earlier cache format; start a new cache file")
-                    key = record.get("k")
-                    checked = _checked_record(key, record.get("s"), where)
-                    self._entries[key] = array.array("d", checked)
+                    else:
+                        key = record.get("k")
+                        scores = (_grouped_record(record, groups, where) if "g" in record
+                                  else record.get("s"))
+                        checked = _checked_record(key, scores, where)
+                        self._entries[key] = (checked if type(checked) is ScoreGroups
+                                              else array.array("d", checked))
                 offset += len(raw)
                 last_line = raw
         if torn:
             os.truncate(self.path, offset)
+        self._group_lines = len(groups)
         return last_line
 
     def key(self, tag: str, candidates: TypeCandidates) -> str:
@@ -1003,10 +1137,11 @@ class ScoreCache:
     def get(self, key: str, size: int) -> CheckedScores | ScoreGroups | None:
         """The scores recorded under ``key``, else None.
 
-        A record held as groups is served as fresh :class:`ScoreGroups`, with
-        an ``exceptions`` dict of their own; one held as an array of doubles
-        as a fresh :class:`CheckedScores`. A record holding other than
-        ``size`` scores raises ``CacheError``.
+        A record held as groups, put so or loaded from a grouped line, is
+        served as fresh :class:`ScoreGroups`, with an ``exceptions`` dict of
+        their own; one held as an array of doubles as a fresh
+        :class:`CheckedScores`. A record holding other than ``size`` scores
+        raises ``CacheError``.
         """
         record = self._entries.get(key)
         if record is None:
@@ -1020,31 +1155,48 @@ class ScoreCache:
         return CheckedScores(record)
 
     def put(self, key: str, scores: "list[float] | ScoreGroups") -> None:
-        """Record a mention's scores under ``key``, appending its line with one flush.
+        """Record a mention's scores under ``key``, appending its lines with one flush.
 
         A key already recorded is left as it is. A bad key, scores that
         :func:`check_scores` refuses, or a closed cache raise ``CacheError``
-        naming the path. The line is written before the record is kept, so
+        naming the path. The lines are written before the record is kept, so
         nothing is recorded that the file lacks. :class:`ScoreGroups` that
         pass as they are are recorded as groups, copying only their defaults
-        and exceptions, and written by :func:`_groups_json`; other scores are
-        held as doubles and written by ``json.dumps``. The line is byte for
-        byte ``json.dumps({"k": key, "s": list(scores)})``.
+        and exceptions, and written as a grouped line, after a group line
+        when the file has none for their ``group_of``'s values; groups naming
+        over :data:`_SPARE_GROUPS` more groups than they have labels, and
+        other scores, are held as doubles, and their line is
+        ``json.dumps({"k": key, "s": scores})``.
         """
         checked = _checked_record(key, scores, str(self.path))
         if key in self._entries:
             return
         if self._handle.closed:
             raise CacheError(f"{self.path}: cannot append to a closed cache")
-        if type(checked) is ScoreGroups:
+        count = _named_groups(checked) if type(checked) is ScoreGroups else None
+        if count is not None and count > len(checked.group_of) + _SPARE_GROUPS:
+            checked, count = CheckedScores(checked), None
+        new_values = None
+        if count is None:
+            record, text = array.array("d", checked), json.dumps({"k": key, "s": checked})
+        else:
             record = ScoreGroups(tuple(checked.defaults), checked.group_of, checked.members,
                                  dict(checked.exceptions))
-            text = _groups_json(record)
-        else:
-            record, text = array.array("d", checked), json.dumps(checked)
-        self._handle.write(f'{{"k": "{key}", "s": {text}}}\n')
+            values = _values(record.group_of)
+            number = self._numbers.get(values, self._group_lines)
+            text = ""
+            if number == self._group_lines:
+                new_values = values
+                text = f'{{"g": {number}, "of": {json.dumps(list(values))}}}\n'
+            positions = sorted(record.exceptions)
+            text += json.dumps({"k": key, "g": number, "d": list(record.defaults[:count]),
+                                "i": positions, "x": list(map(record.exceptions.get, positions))})
+        self._handle.write(text + "\n")
         self._handle.flush()
         self._entries[key] = record
+        if new_values is not None:
+            self._numbers[new_values] = self._group_lines
+            self._group_lines += 1
 
     def __len__(self) -> int:
         return sum(map(len, self._entries.values()))
@@ -1068,8 +1220,9 @@ class CachedScorer(EntailmentScorer):
     served whole, any other is scored whole by the wrapped scorer's
     ``score_candidates``, checked by :func:`check_scores`, recorded, and
     returned as checked. :class:`ScoreGroups` that pass that check are
-    recorded and served as groups, so ranking builds runs from a cold
-    mention and a warm one alike; any other reply is recorded as an array
+    recorded and served as groups, also from a reopened cache file, so
+    ranking builds runs from a cold mention and a warm one alike; any other
+    reply is recorded as an array
     of doubles, a hit on it served as a fresh :class:`CheckedScores`. A
     reply with the wrong number of scores, or a score failing
     :func:`unit_score`, raises :class:`ValidationError` before anything is

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -499,6 +500,60 @@ class TestScoreGroups:
             scorer.score_candidates = lambda candidates: groups
             with pytest.raises(ValidationError, match=message):
                 rank_all_candidates(inst, vocab, scorer, TemplateKind.TAXONOMIC)
+
+    @pytest.mark.parametrize("groups, message", [
+        # the counts add up, but "a" is listed twice and "b" not at all
+        (ScoreGroups([0.5], bytes(3), [[0, 0, 2]], {}),
+         r"^ScoreGroups members\[0\] is not the ascending list"),
+        # "c" is listed in group 0, so it would rank at 0.5 though it reads 0.25
+        (ScoreGroups([0.5, 0.25], bytes([0, 0, 1]), [[0, 1, 2], []], {}),
+         r"^ScoreGroups members\[0\] is not the ascending list"),
+    ], ids=["a-twice-b-dropped", "c-in-the-wrong-group"])
+    def test_members_that_disagree_with_group_of_raise(self, groups, message):
+        with pytest.raises(ValidationError, match=message):
+            scoring.check_scores(groups, 3, str)
+        scorer = OverlapScorer()
+        scorer.score_candidates = lambda candidates: groups
+        with pytest.raises(ValidationError, match=message):
+            rank_all_candidates(mk_instance(mention="Sam", right=("ran", ".")),
+                                LabelVocabulary.from_raws(["a", "b", "c"]), scorer,
+                                TemplateKind.TAXONOMIC)
+
+    def test_group_of_values_must_be_ints_naming_a_group(self):
+        for group_of, message in [([0, 1.0, 1], r"group_of\[1\] is 1\.0"),
+                                  ([0, True, 1], r"group_of\[1\] is True"),
+                                  ([0, 2, 1], r"group_of\[1\] is 2, not one of its 2 groups"),
+                                  ([0, -1, 1], r"group_of\[1\] is -1")]:
+            with pytest.raises(ValidationError, match=message):
+                scoring.check_scores(ScoreGroups([0.5, 0.25], group_of, [[0], [1, 2]], {}),
+                                     3, str)
+
+    def test_each_pair_is_checked_once_and_built_pairs_never(self, monkeypatch):
+        checked = []
+        disagreement = scoring._disagreement
+
+        def counting(group_of, members):
+            checked.append((group_of, members))
+            return disagreement(group_of, members)
+
+        monkeypatch.setattr(scoring, "_disagreement", counting)
+        group_of, members = bytes([1, 0, 1]), [[1], [0, 2]]
+        for exceptions in ({}, {2: 0.0}, {0: 1.0}):
+            scoring.check_scores(ScoreGroups([0.5, 1.0], group_of, members, exceptions), 3, str)
+        assert checked == [(group_of, members)]
+        # an equal members list is another object, so it is checked again
+        scoring.check_scores(ScoreGroups([0.5, 1.0], group_of, [[1], [0, 2]], {}), 3, str)
+        assert len(checked) == 2
+        # the overlap index builds its groups from group_of, so they agree by construction
+        vocab = LabelVocabulary.from_raws(["a", "b c", "d"])
+        rank_all_candidates(mk_instance(right=("saw", "b", ".")), vocab, OverlapScorer(),
+                            TemplateKind.TAXONOMIC)
+        assert len(checked) == 2
+        # the pairs held are bounded, and held by reference, so their ids stay theirs
+        for _ in range(2 * scoring._AGREEING_HELD):
+            scoring.check_scores(ScoreGroups([0.5, 1.0], group_of, [[1], [0, 2]], {}), 3, str)
+        assert len(scoring._AGREEING) == scoring._AGREEING_HELD
+        assert all(key == (id(g), id(m)) for key, (g, m) in scoring._AGREEING.items())
 
 
 class TestTableScorer:
@@ -1266,6 +1321,33 @@ def _table_candidates(scores):
 KEY_A, KEY_B, KEY_C = ("%x" % n * 64 for n in (10, 11, 12))
 
 
+def _record_lines(path):
+    """The cache file's record lines, parsed, its group lines left out."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [record for record in map(json.loads, lines) if "k" in record]
+
+
+def _grouped_text(records, numbers=None):
+    """The text a cache writes for ``(key, groups)`` records put in turn as groups.
+
+    A ``group_of`` whose values ``numbers`` lacks gets a group line first,
+    numbered next; a record lists the defaults its group_of values name,
+    and its exceptions in ascending order of position.
+    """
+    numbers = {} if numbers is None else numbers
+    lines = []
+    for key, groups in records:
+        values = tuple(groups.group_of)
+        if values not in numbers:
+            numbers[values] = len(numbers)
+            lines.append(json.dumps({"g": numbers[values], "of": list(values)}))
+        positions = sorted(groups.exceptions)
+        lines.append(json.dumps({
+            "k": key, "g": numbers[values], "d": list(groups.defaults)[:max(values) + 1],
+            "i": positions, "x": [groups.exceptions[i] for i in positions]}))
+    return "".join(line + "\n" for line in lines)
+
+
 class TestScoreCache:
     def test_warm_run_matches_cold_run(self, tmp_path):
         labels = [_label(f"l{i}", f"word{i}") for i in range(8)]
@@ -1377,7 +1459,7 @@ class TestScoreCache:
             with ScoreCache(path) as cache:
                 assert CachedScorer(inner, cache).score_candidates(candidates) == expected
         # four scorers, four records; a repeated scorer is served its own
-        assert len(path.read_text().splitlines()) == 4
+        assert len(_record_lines(path)) == 4
         with ScoreCache(path) as cache:
             served = CachedScorer(TableScorer({}, default=0.875), cache).score_candidates(
                 candidates)
@@ -1438,7 +1520,7 @@ class TestBatchedCache:
             for i in (0, 2):
                 assert scores[i] == OverlapScorer().score_candidates(batch[i])
             assert len(inner.calls) == 2 and len(cache) == 9
-        assert len(path.read_text().splitlines()) == 3
+        assert len(_record_lines(path)) == 3
 
     def test_pair_repeated_in_one_batch_writes_one_record(self, tmp_path):
         # two labels share a surface, so the mention holds one pair twice
@@ -1950,11 +2032,11 @@ class TestGroupRecords:
             rankings = [rank_all_candidates(instance, vocab, scorer, TemplateKind.TAXONOMIC)
                         for _ in range(2)]
             assert [type(r._entries) for r in rankings] == [inference._Runs] * 2
-        with ScoreCache(path) as cache:  # a record loaded from the file is a list
+        with ScoreCache(path) as cache:  # a record loaded from the file is groups too
             scorer = CachedScorer(OverlapScorer(), cache)
-            assert type(scorer.score_candidates(candidates)) is CheckedScores
+            assert type(scorer.score_candidates(candidates)) is ScoreGroups
             rankings.append(rank_all_candidates(instance, vocab, scorer, TemplateKind.TAXONOMIC))
-            assert type(rankings[-1]._entries) is inference._Order
+            assert type(rankings[-1]._entries) is inference._Runs
         assert rankings == [uncached] * 3
         assert uncached.scores[:3] == (1.0, 1.0, 0.5)
 
@@ -1969,7 +2051,7 @@ class TestGroupRecords:
             scorer = CachedScorer(inner, cache)
             key = cache.key(inner.cache_tag, candidates)
             returned = scorer.score_candidates(candidates)
-            line = json.dumps({"k": key, "s": list(returned)}) + "\n"
+            line = _grouped_text([(key, returned)])
             assert path.read_text() == line
             # the scorer's own groups, handed back on the miss
             returned.exceptions.clear()
@@ -1997,11 +2079,12 @@ class TestGroupRecords:
             for key, groups in records:
                 cache.put(key, groups)
             held = [_hex(cache.get(key, len(groups))) for key, groups in records]
-        assert path.read_text(encoding="utf-8") == "".join(
-            json.dumps({"k": key, "s": list(groups)}) + "\n" for key, groups in records)
+        assert path.read_text(encoding="utf-8") == _grouped_text(records)
         with ScoreCache(path) as cache:
             assert len(cache) == sum(len(groups) for _, groups in records)
-            assert [_hex(cache.get(key, len(groups))) for key, groups in records] == held
+            served = [cache.get(key, len(groups)) for key, groups in records]
+            assert {type(groups) for groups in served} == {ScoreGroups}
+            assert [_hex(groups) for groups in served] == held
         assert held == [_hex(groups) for _, groups in records]
 
         # a vocabulary with a label that fails to render, ranked with the mention
@@ -2053,10 +2136,245 @@ class TestGroupRecords:
             for key in (KEY_B, KEY_C):
                 assert type(cache.get(key, 3)) is CheckedScores
             assert cache.get(KEY_B, 3) == [1.0, 0.25, 1.0]
-        records = ((KEY_A, [0.5, 0.25, 0.5]), (KEY_B, [1.0, 0.25, 1.0]),
-                   (KEY_C, [0.5, 0.25, 0.5]))
-        assert path.read_text() == "".join(
+        records = ((KEY_B, [1.0, 0.25, 1.0]), (KEY_C, [0.5, 0.25, 0.5]))
+        assert path.read_text() == _grouped_text([(KEY_A, groups([0.5, 0.25]))]) + "".join(
             json.dumps({"k": key, "s": scores}) + "\n" for key, scores in records)
+
+
+class TestSparseRecords:
+    """Groups are written as one group line per ``group_of`` and a short line per mention."""
+
+    GROUP = '{"g": 0, "of": [0, 1, 0]}\n'
+    RECORD = '{"k": "%s", "g": 0, "d": [0.5, 0.25], "i": [2], "x": [1.0]}\n' % KEY_A
+
+    def test_cold_write_reopen_and_rank_as_runs_like_uncached(self, tmp_path, monkeypatch):
+        rng = random.Random(78)
+        surfaces = [f"w{i}" for i in range(30)] + ["w1 w2", "w3 w4 w5", "sang", ""]
+        vocab = LabelVocabulary([_label(f"l{i:02d}", s) for i, s in enumerate(surfaces)])
+        instances = [mk_instance(left=(), mention="Jay", right=("sang", "w3", ".")),
+                     *(_fuzz_instance(rng) for _ in range(5)),
+                     mk_instance(left=("then",), mention="Kim", right=("w1", "w2", "."))]
+        # the substitution template capitalizes the surfaces of a mention opening its sentence
+        batch = [(instance, template) for instance in instances for template in
+                 (TemplateKind.TAXONOMIC, TemplateKind.SUBSTITUTION)]
+        uncached = [rank_all_candidates(i, vocab, OverlapScorer(), t) for i, t in batch]
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            cold = [rank_all_candidates(i, vocab, CachedScorer(OverlapScorer(), cache), t)
+                    for i, t in batch]
+        written = path.read_bytes()
+        lines = [json.loads(line) for line in written.splitlines()]
+        # one group line: both surface lists' indexes hold equal token counts
+        assert ["k" in line for line in lines] == [False] + [True] * len(batch)
+        assert lines[0] == {"g": 0, "of": [1] * 30 + [2, 3, 1]}
+        assert all(len(line["d"]) == 4 and line["g"] == 0 for line in lines[1:])
+        checked = []
+        monkeypatch.setattr(scoring, "_disagreement", lambda *pair: checked.append(pair))
+        inner = RecordingOverlap()
+        with ScoreCache(path) as cache:
+            scorer = CachedScorer(inner, cache)
+            candidates = type_candidates(instances[0], vocab, TemplateKind.TAXONOMIC)
+            served = scorer.score_candidates(candidates)
+            assert type(served) is ScoreGroups and served == list(
+                OverlapScorer().score_candidates(candidates))
+            warm = [rank_all_candidates(i, vocab, scorer, t) for i, t in batch]
+        assert {type(ranking._entries) for ranking in warm} == {inference._Order}  # "" fails
+        assert warm == cold == uncached and inner.calls == [] and checked == []
+        assert path.read_bytes() == written  # a warm run appends nothing
+        # without the failing label, each reopened record ranks as runs
+        vocab = LabelVocabulary(list(vocab)[:-1])
+        with ScoreCache(path) as cache:
+            scorer = CachedScorer(OverlapScorer(), cache)
+            for instance, template in batch:
+                runs = rank_all_candidates(instance, vocab, scorer, template)
+                assert type(runs._entries) is inference._Runs
+                assert runs == rank_all_candidates(instance, vocab, OverlapScorer(), template)
+        # a label that fails to render is left out of the key, so every mention hit
+        assert path.read_bytes() == written and checked == []
+
+    def test_a_group_of_is_known_by_its_values(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        group_of = bytes([0, 1, 0])
+        groups = lambda of, members=([0, 2], [1]): ScoreGroups(
+            [0.5, 0.25], of, [list(m) for m in members], {})
+        with ScoreCache(path) as cache:
+            cache.put(KEY_A, groups(group_of))
+            cache.put(KEY_B, groups(group_of))
+        with ScoreCache(path) as cache:  # a group line read from the file counts as written
+            cache.put(KEY_C, groups([0, 1, 0]))
+            cache.put("d" * 64, groups([1, 0, 0], ([1, 2], [0])))
+            cache.put("e" * 64, groups(bytes([1, 0, 0]), ([1, 2], [0])))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(line.get("k", "")[:1], line["g"]) for line in lines] == [
+            ("", 0), ("a", 0), ("b", 0), ("c", 0), ("", 1), ("d", 1), ("e", 1)]
+        assert lines[4] == {"g": 1, "of": [1, 0, 0]}
+
+    def test_groups_naming_too_many_groups_are_written_as_a_list(self, tmp_path):
+        def groups(top):
+            members = [[] for _ in range(top + 1)]
+            members[0], members[top] = [0], [1]
+            return ScoreGroups([0.5] + [0.25] * top, [0, top], members, {1: 1.0})
+
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            cache.put(KEY_A, groups(257))  # as many groups as a group line may name
+            cache.put(KEY_B, groups(258))
+            assert type(cache.get(KEY_B, 2)) is CheckedScores
+        assert path.read_text(encoding="utf-8") == _grouped_text(
+            [(KEY_A, groups(257))]) + json.dumps({"k": KEY_B, "s": [0.5, 1.0]}) + "\n"
+        with ScoreCache(path) as cache:
+            assert [type(cache.get(key, 2)) for key in (KEY_A, KEY_B)] == [
+                ScoreGroups, CheckedScores]
+            assert cache.get(KEY_A, 2) == cache.get(KEY_B, 2) == [0.5, 1.0]
+
+    @pytest.mark.parametrize("top", [0, 9, 10, 255, 256, 300])
+    def test_group_lines_spell_group_of_as_json_dumps(self, tmp_path, top):
+        rng = random.Random(top)
+        values = [top] + [rng.randrange(top + 1) for _ in range(500)]
+        # as built, and as a scorer might hand it over: a list
+        group_of, members = scoring._readonly_groups(values, top + 1)
+        records = [(KEY_A, ScoreGroups([0.5] * (top + 1), group_of, members, {3: 1.0})),
+                   (KEY_B, ScoreGroups([0.25] * (top + 1), list(values),
+                                       [list(m) for m in members], {}))]
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            for key, groups in records:
+                cache.put(key, groups)
+        assert path.read_text(encoding="utf-8") == _grouped_text(records)
+        with ScoreCache(path) as cache:
+            assert [_hex(cache.get(key, 501)) for key, _ in records] == [
+                _hex(groups) for _, groups in records]
+
+    def test_dense_lines_of_earlier_versions_are_served_before_grouped_ones(self, tmp_path):
+        labels = [_label(f"l{i}", f"word{i}") for i in range(8)]
+        batch = [type_candidates(mk_instance(mention=name, right=("word3", "word5", ".")),
+                                 labels, TemplateKind.TAXONOMIC) for name in ("Jay", "Kim")]
+        uncached = [OverlapScorer().score_candidates(c) for c in batch]
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            keys = [cache.key("overlap v0", c) for c in batch]
+        # as every earlier version of the per-mention format wrote them
+        dense = json.dumps({"k": keys[0], "s": list(uncached[0])}) + "\n"
+        path.write_text(dense, encoding="utf-8")
+        for run in ("dense only", "dense, then grouped"):
+            inner = RecordingOverlap()
+            with ScoreCache(path) as cache:
+                scorer = CachedScorer(inner, cache)
+                served = [scorer.score_candidates(c) for c in batch]
+            assert [type(s) for s in served] == [CheckedScores, ScoreGroups]
+            assert _hex(served[0]) == _hex(uncached[0]) and served == uncached
+            assert len(inner.calls) == (1 if run == "dense only" else 0)
+        assert path.read_text(encoding="utf-8") == dense + _grouped_text([(keys[1], uncached[1])])
+        with ScoreCache(path) as cache:
+            assert type(cache.get(keys[0], 8)) is CheckedScores
+            assert type(cache.get(keys[1], 8)) is ScoreGroups
+
+    @pytest.mark.parametrize("torn", ["group", "record"])
+    def test_a_torn_group_line_or_record_line_is_cut_off(self, tmp_path, torn):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.GROUP + self.RECORD, encoding="utf-8")
+        kept = path.read_bytes()
+        with ScoreCache(path) as cache:
+            cache.put(KEY_B, ScoreGroups([0.75], bytes(3), [[0, 1, 2]], {1: 0.0}))
+        whole = path.read_bytes()
+        lines = whole[len(kept):].splitlines(keepends=True)
+        assert [json.loads(line).get("g") for line in lines] == [1, 1]
+        cut = len(kept) + (len(lines[0]) // 2 if torn == "group" else
+                           len(lines[0]) + len(lines[1]) // 2)
+        path.write_bytes(whole[:cut])
+        with ScoreCache(path) as cache:
+            assert path.read_bytes() == (kept if torn == "group" else kept + lines[0])
+            assert len(cache) == 3 and cache.get(KEY_B, 3) is None
+            assert cache.get(KEY_A, 3) == [0.5, 0.25, 1.0]
+            cache.put(KEY_B, ScoreGroups([0.75], bytes(3), [[0, 1, 2]], {1: 0.0}))
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param(RECORD.replace('"g": 0', '"g": 1'), "names unknown group line 1",
+                     id="unknown-group"),
+        pytest.param(RECORD.replace('"g": 0', '"g": "0"'), "names unknown group line '0'",
+                     id="group-string"),
+        pytest.param(RECORD.replace('"g": 0', '"g": -1'), "names unknown group line -1",
+                     id="group-negative"),
+        pytest.param(RECORD.replace("[0.5, 0.25]", "[0.5]"),
+                     "1 defaults for group line 0, whose group_of values name 2 groups",
+                     id="group-of-value-outside-defaults"),
+        pytest.param(RECORD.replace("[0.5, 0.25]", "[0.5, 0.25, 0.75]"),
+                     "3 defaults for group line 0", id="defaults-past-the-groups"),
+        pytest.param(RECORD.replace('"i": [2]', '"i": [3]'),
+                     "exception key 3 is not one of its 3 positions",
+                     id="exception-position-outside-group-of"),
+        pytest.param(RECORD.replace('"i": [2]', '"i": [-1]'), "exception key -1",
+                     id="exception-position-negative"),
+        pytest.param(RECORD.replace('"i": [2], "x": [1.0]', '"i": [2, 0], "x": [1.0, 1.0]'),
+                     '"i" must list ascending positions', id="positions-descending"),
+        pytest.param(RECORD.replace('"i": [2], "x": [1.0]', '"i": [2, 2], "x": [1.0, 1.0]'),
+                     '"i" must list ascending positions', id="position-twice"),
+        pytest.param(RECORD.replace('"i": [2]', '"i": [2.0]'),
+                     '"i" must list ascending positions', id="position-float"),
+        pytest.param(RECORD.replace('"x": [1.0]', '"x": []'),
+                     '"i" must list ascending positions, one per score', id="scores-short"),
+        pytest.param(RECORD.replace('"x": [1.0]', '"x": [2.0]'), "score 2.0 outside",
+                     id="exception-above-one"),
+        pytest.param(RECORD.replace('"x": [1.0]', '"x": [true]'), "not a JSON number: True",
+                     id="exception-bool"),
+        pytest.param(RECORD.replace("[0.5, 0.25]", "[0.5, NaN]"), "score nan",
+                     id="default-nan"),
+        pytest.param(RECORD.replace("[0.5, 0.25]", "0.5"), '"d", "i" and "x" must be lists',
+                     id="defaults-not-a-list"),
+        pytest.param(RECORD.replace(', "x": [1.0]', ""), '"d", "i" and "x" must be lists',
+                     id="scores-missing"),
+        pytest.param(RECORD.replace(KEY_A, "x"), '"k" must be a SHA-256 hex digest',
+                     id="key-bad"),
+        pytest.param('{"g": 2, "of": [0]}\n', "group line 2 where group line 1 was due",
+                     id="group-line-out-of-order"),
+        pytest.param('{"g": 1, "of": [0, 1.0]}\n', '"of" must be a list of group numbers',
+                     id="group-of-float"),
+        pytest.param('{"g": 1, "of": [0, true]}\n', '"of" must be a list of group numbers',
+                     id="group-of-bool"),
+        pytest.param('{"g": 1, "of": [0, -1]}\n', '"of" must be a list of group numbers',
+                     id="group-of-negative"),
+        pytest.param('{"g": 1, "of": "0"}\n', '"of" must be a list of group numbers',
+                     id="group-of-string"),
+        pytest.param('{"g": 1, "of": [100000000000]}\n',
+                     '"of" names 100000000001 groups for 1 values', id="group-of-huge"),
+        pytest.param('{"g": 1, "of": [%d]}\n' % 2 ** 64, '"of" names %d groups' % (2 ** 64 + 1),
+                     id="group-of-past-c-longs"),
+        pytest.param('{"g": 1, "of": [0, 258]}\n', '"of" names 259 groups for 2 values',
+                     id="group-of-one-group-too-many"),
+    ])
+    def test_bad_grouped_line_names_path_and_line(self, tmp_path, bad, message):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(self.GROUP + self.RECORD.replace(KEY_A, KEY_B) + bad + self.RECORD,
+                        encoding="utf-8")
+        with pytest.raises(CacheError, match=r"cache\.jsonl:3: bad cache record: .*"
+                           + re.escape(message)):
+            ScoreCache(path)
+        path.write_text(self.GROUP + self.RECORD, encoding="utf-8")
+        with ScoreCache(path) as cache:
+            assert cache.get(KEY_A, 3) == [0.5, 0.25, 1.0]
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_loaded_groups_are_read_only_and_shared(self, tmp_path, wide):
+        group_of = [0, 1, 0, 256 if wide else 2]
+        path = tmp_path / "cache.jsonl"
+        defaults = [0.5, 0.25] + [0.0] * (max(group_of) - 1)
+        path.write_text(json.dumps({"g": 0, "of": group_of}) + "\n" + "".join(
+            json.dumps({"k": key, "g": 0, "d": defaults, "i": [1], "x": [x]}) + "\n"
+            for key, x in ((KEY_A, 1.0), (KEY_B, 0.75))), encoding="utf-8")
+        with ScoreCache(path) as cache:
+            a, b = cache.get(KEY_A, 4), cache.get(KEY_B, 4)
+        assert a == [0.5, 1.0, 0.5, 0.0] and b == [0.5, 0.75, 0.5, 0.0]
+        assert a.group_of is b.group_of and a.members is b.members
+        assert type(a.group_of) is (memoryview if wide else bytes)
+        assert list(a.group_of) == group_of and len(a.members) == len(defaults)
+        assert [list(m) for m in a.members] == [
+            [i for i, g in enumerate(group_of) if g == n] for n in range(len(defaults))]
+        with pytest.raises(TypeError):
+            a.group_of[0] = 1
+        with pytest.raises(TypeError):
+            a.members[0][0] = 1
+        assert isinstance(a.members, tuple) and {type(m) for m in a.members} == {memoryview}
 
 
 class TestCacheCorruption:
@@ -2087,7 +2405,9 @@ class TestCacheCorruption:
         with ScoreCache(path) as cache:
             cold = [CachedScorer(OverlapScorer(), cache).score_candidates(c) for c in batch]
         whole = path.read_bytes()
-        first = whole.index(b"\n") + 1
+        # a group line and two record lines: the second record is torn halfway
+        first = whole.index(b"\n", whole.index(b'"k"')) + 1
+        assert whole.count(b"\n") == 3 and whole.index(b'"k"') > whole.index(b"\n")
         path.write_bytes(whole[:first + (len(whole) - first) // 2])
         inner = RecordingOverlap()
         with ScoreCache(path) as cache:
