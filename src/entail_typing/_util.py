@@ -1,5 +1,6 @@
 """Small shared helpers: seeded substreams, reading input files, atomic file writes."""
 
+import codecs
 import hashlib
 import json
 import os
@@ -52,13 +53,16 @@ def atomic_write_json(path: str | os.PathLike, doc: dict) -> None:
 def numbered_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) per nonblank line of a UTF-8 text file.
 
-    Lines end at ``\n``. The file is decoded in blocks of whole lines, about
-    1 MB each, so memory does not grow with the file. Bytes that are not UTF-8
-    raise naming ``path:line`` when their block is reached.
+    Lines end at ``\n``. A leading byte order mark is dropped, as the
+    ``utf-8-sig`` codec drops it. The file is decoded in blocks of whole
+    lines, about 1 MB each, so memory does not grow with the file. Bytes that
+    are not UTF-8 raise naming ``path:line`` when their block is reached.
     """
     with open(path, "rb") as f:
         start = 1
         while block := f.readlines(1 << 20):
+            if start == 1:
+                block[0] = block[0].removeprefix(codecs.BOM_UTF8)
             data = b"".join(block)
             try:
                 text = data.decode("utf-8")

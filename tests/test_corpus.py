@@ -45,6 +45,13 @@ class TestLoader:
         assert first.gold_labels == frozenset({"producer", "person"})
         assert second.extras == {"annot_id": "x9"}
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "dev.jsonl"
+        write_jsonl(path, [ufet_record([], "Jay", ["sang", "."], ["singer"])] * 2)
+        plain = load_ufet_jsonl(path, "dev")
+        path.write_bytes("\ufeff".encode() + path.read_bytes())
+        assert list(load_ufet_jsonl(path, "dev")) == list(plain)
+
     def test_ids_follow_line_order(self, tmp_path):
         path = tmp_path / "train.jsonl"
         write_jsonl(path, [ufet_record([], f"m{i}", [], ["t"]) for i in range(5)])

@@ -220,12 +220,66 @@ class TestVocabulary:
         vocab_file = tmp_path / "vocab.txt"
         vocab_file.write_text("person\n", encoding="utf-8")
         tier_file = tmp_path / "tiers.tsv"
-        tier_file.write_text("person general\n", encoding="utf-8")
-        with pytest.raises(ValidationError):
+        tier_file.write_text("person\tgeneral\nperson general\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
             load_vocabulary(vocab_file, tier_file)
-        tier_file.write_text("person\tmega\n", encoding="utf-8")
-        with pytest.raises(ValidationError):
+        assert str(err.value) == f"{tier_file}:2: expected label<TAB>tier"
+        tier_file.write_text("person\tMega-Big\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
             load_vocabulary(vocab_file, tier_file)
+        assert str(err.value) == f"{tier_file}:1: unknown tier 'megabig'"
+
+    @pytest.mark.parametrize(
+        "vocab_text, tier_text, bad_file, message",
+        [
+            ("alpha\n", "alpha\tgeneral\n\nalpha\tUltra-Fine\n", "tiers.tsv",
+             "3: label 'alpha' is general on an earlier line, not ultrafine"),
+            ("alpha\nbeta\n\nalpha\n", None, "vocab.txt",
+             "4: duplicate label 'alpha' in vocabulary"),
+            ("alpha\nbeta\n\nalpha\n", "alpha\tfine\n", "vocab.txt",
+             "4: duplicate label 'alpha' in vocabulary"),
+            ("alpha\n/\n", "alpha\tfine\n", "vocab.txt", "2: label '/' has no path components"),
+        ],
+        ids=["conflicting-tier", "duplicate", "duplicate-tiered", "slash"],
+    )
+    def test_bad_line_names_path_and_line(self, tmp_path, vocab_text, tier_text, bad_file, message):
+        (tmp_path / "vocab.txt").write_text(vocab_text, encoding="utf-8")
+        tier_file = None
+        if tier_text is not None:
+            tier_file = tmp_path / "tiers.tsv"
+            tier_file.write_text(tier_text, encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            load_vocabulary(tmp_path / "vocab.txt", tier_file)
+        assert str(err.value) == f"{tmp_path / bad_file}:{message}"
+
+    def test_tier_line_label_is_stripped(self, tmp_path):
+        vocab_file = tmp_path / "vocab.txt"
+        vocab_file.write_text("alpha\nbeta\n", encoding="utf-8")
+        tier_file = tmp_path / "tiers.tsv"
+        tier_file.write_text("alpha\tgeneral\nbeta \tfine\nbeta\u3000\t fine\n", encoding="utf-8")
+        vocab = load_vocabulary(vocab_file, tier_file)
+        assert vocab.get("beta").tier is Tier.FINE
+        assert vocab.tier_partition == {
+            Tier.GENERAL: frozenset({"alpha"}),
+            Tier.FINE: frozenset({"beta"}),
+        }
+        tier_file.write_text("beta\tgeneral\nbeta \tfine\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            load_vocabulary(vocab_file, tier_file)
+        message = "label 'beta' is general on an earlier line, not fine"
+        assert str(err.value) == f"{tier_file}:2: {message}"
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        vocab_file = tmp_path / "vocab.txt"
+        vocab_file.write_text("\ufeffalpha\r\nbeta\r\n", encoding="utf-8")
+        tier_file = tmp_path / "tiers.tsv"
+        tier_file.write_text("\ufeffalpha\tgeneral\r\nbeta\tfine\r\n", encoding="utf-8")
+        vocab = load_vocabulary(vocab_file, tier_file)
+        assert vocab.sorted_raws == ("alpha", "beta")
+        assert "alpha" in vocab
+        assert vocab.get("alpha").tier is Tier.GENERAL
+        assert vocab.tier_members(Tier.GENERAL) == ("alpha",)
+        assert load_vocabulary(vocab_file).sorted_raws == ("alpha", "beta")
 
     def test_non_utf8_files_name_path_and_line(self, tmp_path):
         vocab_file = tmp_path / "vocab.txt"
@@ -237,6 +291,82 @@ class TestVocabulary:
         tier_file.write_bytes(b"person\tgen\xe9ral\n")
         with pytest.raises(DatasetLoadError, match=r"tiers\.tsv:1: not UTF-8"):
             load_vocabulary(vocab_file, tier_file)
+
+
+def generated_raws(style, seed):
+    """A shuffled vocabulary of one style: flat (with "_" and spaces), path, mixed or implicit.
+
+    "path" and "mixed" list every path prefix; "implicit" lists only paths of
+    depth two or more, so their ancestors are implicit.
+    """
+    rng = random.Random(seed)
+    words = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta"]
+    flat = {rng.choice("_ ").join(rng.sample(words, rng.randint(1, 3))) for _ in range(40)}
+    leaves = {tuple(rng.sample(words, rng.randint(2, 4))) for _ in range(30)}
+    paths = {"/" + "/".join(leaf[:depth]) for leaf in leaves for depth in range(1, len(leaf) + 1)}
+    raws = {
+        "flat": flat,
+        "path": paths,
+        "mixed": flat | paths,
+        "implicit": {"/" + "/".join(leaf) for leaf in leaves},
+    }[style]
+    raws = sorted(raws)
+    rng.shuffle(raws)
+    return raws
+
+
+# the accepted spellings of each tier name
+TIER_SPELLINGS = {
+    Tier.GENERAL: ["general", "General"],
+    Tier.FINE: ["fine", " fine", "FINE"],
+    Tier.ULTRAFINE: ["ultrafine", "Ultra-Fine", "ultra_fine"],
+}
+
+
+def generated_tiers(raws, seed):
+    """Tier file lines for most of ``raws`` and a few labels outside them, and their partition.
+
+    Some lines repeat an earlier one, in the same or another spelling.
+    """
+    rng = random.Random(seed)
+    outside = ["outside", "outside_label", "/outside", "/alpha", "/beta/gamma"]
+    tier_of = {r: rng.choice(list(TIER_SPELLINGS)) for r in raws + outside if rng.random() < 0.8}
+    assigned = list(tier_of.items())
+    repeats = rng.sample(assigned, 10)
+    lines = [f"{r}\t{rng.choice(TIER_SPELLINGS[t])}" for r, t in assigned + repeats]
+    rng.shuffle(lines)
+    partition = {
+        t: frozenset(r for r, x in tier_of.items() if x is t) for t in set(tier_of.values())
+    }
+    return lines, partition
+
+
+class TestLoadVocabulary:
+    """``load_vocabulary`` builds what parsing each label on its own builds."""
+
+    @pytest.mark.parametrize("tiered", [False, True], ids=["untiered", "tiered"])
+    @pytest.mark.parametrize("style", ["flat", "path", "mixed", "implicit"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_equals_vocabulary_of_parsed_labels(self, tmp_path, style, tiered, seed):
+        raws = generated_raws(style, seed)
+        vocab_file = tmp_path / "vocab.txt"
+        vocab_file.write_text("\n\n".join(raws) + "\n", encoding="utf-8")
+        tier_file, partition = None, None
+        if tiered:
+            lines, partition = generated_tiers(raws, seed)
+            tier_file = tmp_path / "tiers.tsv"
+            tier_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = load_vocabulary(vocab_file, tier_file)
+        expected = LabelVocabulary([parse_label(r, partition) for r in raws], partition)
+        assert loaded.labels == expected.labels
+        assert loaded.tier_partition == expected.tier_partition
+        assert loaded.sorted_raws == expected.sorted_raws
+        for tier in Tier:
+            assert loaded.tier_members(tier) == expected.tier_members(tier)
+        assert loaded.has_ontology == expected.has_ontology == (style != "flat")
+        assert [ancestors(l, loaded) for l in loaded] == [ancestors(l, expected) for l in expected]
+        if tiered:
+            assert {t for t in Tier if loaded.tier_members(t)} == set(TIER_SPELLINGS)
 
 
 class TestNegativeSampling:

@@ -16,6 +16,17 @@ class TestNumberedLines:
         path.write_bytes(b"  first \r\n\n \t \nsecond\nthird")
         assert list(numbered_lines(path)) == [(1, "first"), (4, "second"), (5, "third")]
 
+    def test_drops_only_a_leading_byte_order_mark(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        bom = "\ufeff".encode()
+        path.write_bytes(bom + b"first\r\n\n" + bom + b"second\n" + bom + b"\n")
+        assert list(numbered_lines(path)) == [(1, "first"), (3, "\ufeffsecond"), (4, "\ufeff")]
+        path.write_bytes(bom + b"first\n\nbad \xff\n")
+        with pytest.raises(DatasetLoadError, match=r"lines\.txt:3: not UTF-8"):
+            list(numbered_lines(path))
+        path.write_bytes(bom)
+        assert list(numbered_lines(path)) == []
+
     def test_not_utf8_names_path_and_line(self, tmp_path):
         path = tmp_path / "lines.txt"
         path.write_bytes(b"ok\n\nbad \xff byte\n")
