@@ -838,6 +838,9 @@ class ExternalScorer(EntailmentScorer):
                 f"response length mismatch: {len(entailments)} entailment scores "
                 f"for {len(surfaces)} surfaces in {request_id!r}"
             )
+        # floats in [0, 1] are checked in one pass; else score by score, naming the first bad one
+        if _unit_floats(entailments):
+            return CheckedScores(entailments)
         return CheckedScores(map(_reply_score, entailments))
 
     def close(self) -> None:
@@ -1012,6 +1015,19 @@ def _grouped_record(record: dict, groups: list[tuple], where: str) -> ScoreGroup
     return ScoreGroups(tuple(defaults), group_of, members, dict(zip(positions, scores)))
 
 
+# one-digit byte values to their ASCII digits
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _int_list_json(values: bytes | tuple[int, ...]) -> str:
+    """``json.dumps(list(values))``, spelled at C speed when ``values`` are bytes below 10."""
+    if type(values) is not bytes or max(values, default=0) >= 10:
+        return json.dumps(list(values))
+    text = bytearray(b"0, " * len(values))
+    text[::3] = values.translate(_DIGITS)
+    return f"[{text[:-2].decode()}]"
+
+
 def _values(group_of: Sequence[int]) -> bytes | tuple[int, ...]:
     """The values of ``group_of``, ints as :func:`check_scores` ensures: as bytes if they fit."""
     if type(group_of) is bytes:
@@ -1025,9 +1041,11 @@ class ScoreCache:
 
     One record per mention holds one score per surface of its
     :class:`TypeCandidates`, in order, under a key (:meth:`key`): a SHA-256
-    of the scorer's tag, the premise, the frame and the whole surface list,
-    so a mention ranked by another scorer or state, or against another
-    vocabulary or label order, misses in full. A record put as
+    of the scorer's tag, the premise, the frame and a SHA-256 of the whole
+    surface list, so a mention ranked by another scorer or state, or against
+    another vocabulary or label order, misses in full. Records of a file
+    written before keys took the list's digest are loaded and checked, but
+    never hit: their mentions are scored and appended again. A record put as
     :class:`ScoreGroups` that pass :func:`check_scores` as they are is held
     as groups, its defaults and exceptions copied and its ``group_of`` and
     ``members`` kept by reference, and written sparse, as JSONL:
@@ -1042,7 +1060,7 @@ class ScoreCache:
     Groups naming over :data:`_SPARE_GROUPS` more groups than they have
     labels, and any other record, are ``{"k": key, "s": [score, ...]}``,
     byte for byte its ``json.dumps``, and held as an array of doubles; so is
-    such a line in a file of an earlier version, which is served alike. A grouped line is
+    such a line in a file of an earlier version, which is loaded alike. A grouped line is
     loaded as groups over its group line's ``group_of`` and members, built
     once per group line as read-only arrays. Every record's scores are
     checked by :func:`check_scores` as it is put or loaded. Versions before
@@ -1064,9 +1082,9 @@ class ScoreCache:
         # group line for values written twice, and how many lines there are.
         self._numbers: dict[bytes | tuple[int, ...], int] = {}
         self._group_lines = 0
-        # The surface list keyed last, as a tuple, and its JSON text, swapped
-        # as one pair so a reader never sees one list's text beside another.
-        self._surfaces: tuple[tuple[str, ...], str] = ((), "[]")
+        # The surface list keyed last, as a tuple, and its digest, swapped as
+        # one pair so a reader never sees one list's digest beside another.
+        self._surfaces: tuple[tuple[str, ...] | None, str] = (None, "")
         last_line = self._load() if self.path.exists() else b""
         self._handle = open(self.path, "a", encoding="utf-8")
         if last_line and not last_line.endswith(b"\n"):
@@ -1118,21 +1136,22 @@ class ScoreCache:
         """The record key of ``candidates`` scored by the scorer named ``tag``.
 
         It is the SHA-256, in lowercase hex, of the JSON text of the tag, the
-        premise, the head, the tail and the surface list, computed once per
-        mention. A JSON array spells each string whole, so two inputs never
-        share a text. The surface list's text is spliced in, and encoded only
-        when the list differs from the one keyed last: that one is known by
+        premise, the head, the tail and the surface list's digest: the
+        SHA-256, in lowercase hex, of the list's JSON text. A JSON array
+        spells each string whole, so two inputs never share a text. Only the
+        short text is hashed per mention; the list is encoded and hashed
+        only when it differs from the one keyed last: that one is known by
         identity, or failing that by its contents, compared as a tuple.
         """
-        last, surfaces_text = self._surfaces
+        last, digest = self._surfaces
         surfaces = candidates.surfaces
         if surfaces is not last:
             surfaces = tuple(surfaces)
             if surfaces != last:
-                surfaces_text = json.dumps(surfaces)
-            self._surfaces = (surfaces, surfaces_text)
-        text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail])
-        return hashlib.sha256(f"{text[:-1]}, {surfaces_text}]".encode()).hexdigest()
+                digest = hashlib.sha256(json.dumps(surfaces).encode()).hexdigest()
+            self._surfaces = (surfaces, digest)
+        text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail, digest])
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def get(self, key: str, size: int) -> CheckedScores | ScoreGroups | None:
         """The scores recorded under ``key``, else None.
@@ -1187,7 +1206,7 @@ class ScoreCache:
             text = ""
             if number == self._group_lines:
                 new_values = values
-                text = f'{{"g": {number}, "of": {json.dumps(list(values))}}}\n'
+                text = f'{{"g": {number}, "of": {_int_list_json(values)}}}\n'
             positions = sorted(record.exceptions)
             text += json.dumps({"k": key, "g": number, "d": list(record.defaults[:count]),
                                 "i": positions, "x": list(map(record.exceptions.get, positions))})

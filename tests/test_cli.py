@@ -863,6 +863,38 @@ class TestCache:
         assert cold_cache.count(b"\n") == len(uncached.splitlines()) == 20
         assert cache_path.read_bytes() == cold_cache
 
+    @pytest.mark.parametrize("name, sets", [("list_text_keyed_cache_golden", ()),
+                                            ("list_text_keyed_overlap_cache_golden",
+                                             ('scorer="overlap"',))])
+    def test_a_cache_of_list_text_keys_is_rescored_and_appended_once(self, tmp_path, name, sets):
+        """Each ``list_text_keyed_*`` file was written by ``predict`` with ``cache_path`` on
+        the golden fixture, by the version whose keys hashed the whole surface list's JSON
+        text: as the golden config has it, and with the overlap scorer."""
+        data = Path(__file__).parent / "data"
+        old = (data / f"{name}.jsonl").read_bytes()
+
+        def predict(out, cache_path=None):
+            argv = ["predict", "--config", str(data / "golden" / "config.json"),
+                    "--out", str(tmp_path / out)]
+            for item in sets + ((f"cache_path={json.dumps(str(cache_path))}",)
+                                if cache_path else ()):
+                argv += ["--set", item]
+            assert main(argv) == 0
+            return (tmp_path / out / "predictions.jsonl").read_bytes()
+
+        uncached = predict("uncached")
+        assert predict("fresh", tmp_path / "fresh.jsonl") == uncached
+        fresh = (tmp_path / "fresh.jsonl").read_bytes().splitlines(keepends=True)
+        cache_path = tmp_path / "scores.jsonl"
+        cache_path.write_bytes(old)
+        # its records load but never hit: every mention is scored and appended once, the
+        # file's group lines counting as written
+        for out in ("cold", "warm"):
+            assert predict(out, cache_path) == uncached
+            assert cache_path.read_bytes() == old + b"".join(
+                line for line in fresh if line.startswith(b'{"k"'))
+        assert old.count(b'{"k"') == 20
+
 
 STUB = Path(__file__).parent / "external_stub.py"
 

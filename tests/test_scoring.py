@@ -1,6 +1,8 @@
 """Scorer implementations, the external wire protocol, and the score cache."""
 
+import array
 import dataclasses
+import hashlib
 import json
 import random
 import re
@@ -1167,6 +1169,42 @@ class TestExternalProtocol:
         finally:
             scorer.close()
 
+    @staticmethod
+    def _replying(scores):
+        """An endpoint answering each mention with ``scores``, padded with 0.5."""
+        return ExternalScorer(reply_command(
+            '{"id": r["id"], "entailments": (%s + [0.5] * 9)[:len(r["surfaces"])]}' % scores))
+
+    def test_int_and_float_replies_are_served_as_checked_floats(self):
+        for scores, served in (("[0, 1, 0.5]", [0.0, 1.0, 0.5]),
+                               ("[0.25, 1e-400, -0.0]", [0.25, 0.0, -0.0])):
+            scorer = self._replying(scores)
+            try:
+                reply = scorer.score_candidates(self._batch()[0])
+            finally:
+                scorer.close()
+            assert type(reply) is CheckedScores
+            assert _hex(reply) == _hex(served + [0.5] * (len(self.SURFACES) - 3))
+            assert {type(score) for score in reply} == {float}
+
+    @pytest.mark.parametrize("scores, message", [
+        ("[0.5, True, 0.25]", "non-numeric entailment score True"),
+        ('[0.5, float("nan")]', "non-finite entailment score nan"),
+        ('[0.5, float("inf")]', "non-finite entailment score inf"),
+        ('[float("-inf")]', "non-finite entailment score -inf"),
+        ("[1.5, 0.5]", "entailment score 1.5 outside [0, 1]"),
+        ("[0.5, -0.5]", "entailment score -0.5 outside [0, 1]"),
+        ("[0.5, 2, True]", "entailment score 2.0 outside [0, 1]"),
+        ('[0.5, "0.5"]', "non-numeric entailment score '0.5'"),
+    ], ids=["bool", "nan", "inf", "minus-inf", "above-one", "negative", "first-bad", "string"])
+    def test_bad_per_mention_score_is_named(self, scores, message):
+        scorer = self._replying(scores)
+        try:
+            with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+                scorer.score_candidates(self._batch()[0])
+        finally:
+            scorer.close()
+
     def test_a_stale_reply_cannot_pass(self):
         # every request is answered twice, so the second mention reads the
         # first mention's spare line
@@ -1321,6 +1359,22 @@ def _table_candidates(scores):
 KEY_A, KEY_B, KEY_C = ("%x" % n * 64 for n in (10, 11, 12))
 
 
+def _list_digest(surfaces):
+    """The SHA-256, in lowercase hex, of a surface list's JSON text."""
+    return hashlib.sha256(json.dumps(list(surfaces)).encode("ascii")).hexdigest()
+
+
+def _key_text(tag, candidates):
+    """The text a cache key hashes: the tag, premise, frame and surface-list digest."""
+    return json.dumps([tag, candidates.premise, candidates.head, candidates.tail,
+                       _list_digest(candidates.surfaces)])
+
+
+def _expected_key(tag, candidates):
+    """The record key of ``candidates`` under ``tag``, recomputed from its definition."""
+    return hashlib.sha256(_key_text(tag, candidates).encode("ascii")).hexdigest()
+
+
 def _record_lines(path):
     """The cache file's record lines, parsed, its group lines left out."""
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -1343,7 +1397,8 @@ def _grouped_text(records, numbers=None):
             lines.append(json.dumps({"g": numbers[values], "of": list(values)}))
         positions = sorted(groups.exceptions)
         lines.append(json.dumps({
-            "k": key, "g": numbers[values], "d": list(groups.defaults)[:max(values) + 1],
+            "k": key, "g": numbers[values],
+            "d": list(groups.defaults)[:max(values, default=-1) + 1],
             "i": positions, "x": [groups.exceptions[i] for i in positions]}))
     return "".join(line + "\n" for line in lines)
 
@@ -1555,10 +1610,13 @@ class TestBatchedCache:
             scorer.score_candidates(candidates)
             monkeypatch.undo()
             assert len(cache) == n
-        # one digest per call, of the tag, the premise, the frame and every surface
-        expected = json.dumps(["overlap v0", "Jay one shared premise", "Jay is a ", "."]
-                              + [[f"label{i}" for i in range(n)]])
-        assert texts == [expected] * 2
+        # the surface list is hashed once, then one digest per call, of the tag, the
+        # premise, the frame and the list's digest
+        surfaces = json.dumps([f"label{i}" for i in range(n)])
+        expected = json.dumps(["overlap v0", "Jay one shared premise", "Jay is a ", ".",
+                               hashlib.sha256(surfaces.encode()).hexdigest()])
+        assert texts == [surfaces, expected, expected]
+        assert expected == _key_text("overlap v0", candidates)
 
 
 def _hex(scores):
@@ -1684,12 +1742,12 @@ class TestCachedCandidates:
         scores = [0.0, 1.0, 0.5, 1 / 3, 0.1 + 0.2, 5e-324, 1e-300, -0.0, 1, 0]
         labels = [_label(f"l{i}", f"Ünïcode label {i}") for i in range(len(scores))]
         candidates = type_candidates(mk_instance(), labels, TemplateKind.CONTEXTUAL)
-        text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail,
-                           candidates.surfaces])
+        digest = hashlib.sha256(json.dumps(candidates.surfaces).encode("ascii")).hexdigest()
+        text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail, digest])
         path = tmp_path / "cache.jsonl"
         with ScoreCache(path) as cache:
             key = cache.key(tag, candidates)
-            assert key == scoring.hashlib.sha256(text.encode("ascii")).hexdigest()
+            assert key == hashlib.sha256(text.encode("ascii")).hexdigest()
             assert cache.key(tag + " ", candidates) != key
             cache.put(key, scores)
         expected = json.dumps({"k": key, "s": [float(s) for s in scores]}) + "\n"
@@ -1717,11 +1775,6 @@ class TestCachedCandidates:
         instances = [mk_instance(left=("then",), mention="Jay", right=("sang", ".")),
                      mk_instance(mention="Jay", right=("sang", "."))]
 
-        def digest(tag, candidates):
-            text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail,
-                               list(candidates.surfaces)])
-            return scoring.hashlib.sha256(text.encode()).hexdigest()
-
         keys = []
         with ScoreCache(tmp_path / "cache.jsonl") as cache:
             for _ in range(3):
@@ -1730,7 +1783,7 @@ class TestCachedCandidates:
                         for template in (TemplateKind.SUBSTITUTION, TemplateKind.TAXONOMIC):
                             candidates = type_candidates(instance, vocab, template)
                             key = cache.key("overlap v0", candidates)
-                            assert key == digest("overlap v0", candidates)
+                            assert key == _expected_key("overlap v0", candidates)
                             keys.append(key)
                             # a new list or tuple with equal contents gives the same key
                             for copy in (list, tuple):
@@ -1742,19 +1795,79 @@ class TestCachedCandidates:
             candidates = type_candidates(instances[0], list(vocabs[0]), TemplateKind.TAXONOMIC)
             before = cache.key("overlap v0", candidates)
             candidates.surfaces[0] = "changed"
-            assert cache.key("overlap v0", candidates) == digest("overlap v0", candidates)
+            assert cache.key("overlap v0", candidates) == _expected_key("overlap v0", candidates)
             assert cache.key("overlap v0", candidates) != before
+
+    def test_text_hashed_per_mention_does_not_grow_with_the_vocabulary(
+            self, tmp_path, monkeypatch):
+        rng = random.Random(77)
+        instances = [_fuzz_instance(rng) for _ in range(4)]
+        real = hashlib.sha256
+        hashed = {}
+        for size in (10, 2000):
+            vocab = LabelVocabulary(_fuzz_labels(rng, size))
+            batch = [type_candidates(i, vocab, TemplateKind.TAXONOMIC) for i in instances]
+            lengths = hashed[size] = []
+
+            def recording(data):
+                lengths.append(len(data))
+                return real(data)
+
+            with ScoreCache(tmp_path / f"a{size}.jsonl") as a, \
+                    ScoreCache(tmp_path / f"b{size}.jsonl") as b:
+                monkeypatch.setattr(scoring.hashlib, "sha256", recording)
+                for cache in (a, b):
+                    for candidates in batch:
+                        cache.key("overlap v0", candidates)
+                monkeypatch.undo()
+            # one long hash per list per cache, then one short text per mention
+            listed = len(json.dumps(list(batch[0].surfaces)))
+            short = [len(_key_text("overlap v0", c)) for c in batch]
+            assert lengths == ([listed] + short) * 2
+            assert listed > 10 * size and max(short) < 400
+        assert hashed[10][1:5] == hashed[2000][1:5]
+
+    def test_a_record_keyed_by_the_whole_list_text_is_loaded_but_never_served(self, tmp_path):
+        labels = [_label(f"l{i}", f"word{i}") for i in range(6)]
+        candidates = type_candidates(mk_instance(right=("word1", "word4", ".")), labels,
+                                     TemplateKind.TAXONOMIC)
+        tag = OverlapScorer().cache_tag
+        # earlier versions hashed the surface list's whole JSON text into every key
+        text = json.dumps([tag, candidates.premise, candidates.head, candidates.tail,
+                           list(candidates.surfaces)])
+        old_key = hashlib.sha256(text.encode("ascii")).hexdigest()
+        stale = [0.125] * len(labels)
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps({"k": old_key, "s": stale}) + "\n", encoding="utf-8")
+        old = path.read_bytes()
+        uncached = OverlapScorer().score_candidates(candidates)
+        for run in ("cold", "warm"):
+            inner = RecordingOverlap()
+            with ScoreCache(path) as cache:
+                # the old record is loaded, and checked as it loads
+                assert cache.get(old_key, len(labels)) == stale
+                served = CachedScorer(inner, cache).score_candidates(candidates)
+            assert served == list(uncached) != stale
+            assert len(inner.calls) == (run == "cold")
+            # re-scored and appended once, under the new key
+            assert path.read_bytes() == old + _grouped_text(
+                [(_expected_key(tag, candidates), uncached)]).encode()
+        path.write_text(json.dumps({"k": old_key, "s": [7.0] * 6}) + "\n", encoding="utf-8")
+        with pytest.raises(CacheError, match=r"cache\.jsonl:1: bad cache record: score 7\.0"):
+            ScoreCache(path)
 
     def test_each_cache_encodes_a_surface_list_once_while_mentions_repeat_it(
             self, tmp_path, monkeypatch):
         rng = random.Random(76)
         vocabs = [LabelVocabulary(_fuzz_labels(rng, 20, prefix=f"v{n}-")) for n in range(2)]
         instances = [_fuzz_instance(rng) for _ in range(3)]
-        encoded = []
+        encoded, keyed = [], []
         dumps = json.dumps
 
         def recording(obj, *args, **kwargs):
-            if len(obj) > 4:  # a surface list, not the tag, premise and frame
+            if obj[0] == "overlap v0":  # the tag, premise, frame and list digest
+                keyed.append(obj)
+            else:  # a surface list
                 encoded.append(len(obj))
             return dumps(obj, *args, **kwargs)
 
@@ -1769,6 +1882,11 @@ class TestCachedCandidates:
                         candidates, surfaces=list(candidates.surfaces)))
         # one encoding per cache: neither saw another list between its mentions
         assert encoded == [20, 20]
+        # and one short text per key, spelling the list by its digest
+        assert len(keyed) == 18
+        assert {text[4] for text in keyed} == {
+            _list_digest(type_candidates(instances[0], vocab, TemplateKind.TAXONOMIC).surfaces)
+            for vocab in vocabs}
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -1933,9 +2051,12 @@ class TestCheckedOnce:
         def counting(name, real):
             def check(scores, *args):
                 calls.append((name, type(scores).__name__))
+                if name == "pass":
+                    passed.append(sorted(scores))
                 return real(scores, *args)
             return check
 
+        passed = []
         monkeypatch.setattr(scoring, "unit_score", reading)
         monkeypatch.setattr(scoring, "_unit_floats", counting("pass", scoring._unit_floats))
         monkeypatch.setattr(inference, "check_scores",
@@ -1947,9 +2068,14 @@ class TestCheckedOnce:
                                           vocab, scorer, TemplateKind.TAXONOMIC)
         finally:
             scorer.close()
-        # one check per score, as its reply is read; ranking takes the list as it is
-        assert len(read) == 3 and sorted(read) == sorted(ranking.scores)
-        assert calls == [("rank", "CheckedScores")]
+        # each score is checked once as its reply is read: a per-mention reply of floats
+        # in [0, 1] in one pass, pair replies one by one; ranking takes the list as it is
+        if mode == "ok":
+            assert read == [] and passed == [sorted(ranking.scores)]
+            assert calls == [("pass", "list"), ("rank", "CheckedScores")]
+        else:
+            assert len(read) == 3 and sorted(read) == sorted(ranking.scores)
+            assert passed == [] and calls == [("rank", "CheckedScores")]
 
     def test_a_stored_checked_list_is_not_checked_again(self, tmp_path):
         checked = scoring.check_scores([0.5, 1, 0.0], 3, str)
@@ -2244,6 +2370,24 @@ class TestSparseRecords:
         with ScoreCache(path) as cache:
             assert [_hex(cache.get(key, 501)) for key, _ in records] == [
                 _hex(groups) for _, groups in records]
+
+    @pytest.mark.parametrize("group_of", [
+        b"", bytes([0]), bytes(range(10)) * 3, bytes([10, 0, 9]), bytes(range(256)),
+        array.array("L", [1, 0, 1]), memoryview(array.array("L", [2, 0, 1])).toreadonly(),
+        array.array("L", [300, *range(300)]), (0, 11, 3)],
+        ids=["empty", "one", "digits", "ten", "bytes", "L-digits", "L-view", "L-wide", "tuple"])
+    def test_group_line_equals_json_dumps(self, tmp_path, group_of):
+        count = max(group_of, default=-1) + 1
+        members = [[i for i, g in enumerate(group_of) if g == n] for n in range(count)]
+        groups = ScoreGroups([0.5] * count, group_of, members, {0: 1.0} if count else {})
+        path = tmp_path / "cache.jsonl"
+        with ScoreCache(path) as cache:
+            cache.put(KEY_A, groups)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0] == json.dumps({"g": 0, "of": list(group_of)}) + "\n"
+        assert "".join(lines) == _grouped_text([(KEY_A, groups)])
+        with ScoreCache(path) as cache:
+            assert _hex(cache.get(KEY_A, len(group_of))) == _hex(groups)
 
     def test_dense_lines_of_earlier_versions_are_served_before_grouped_ones(self, tmp_path):
         labels = [_label(f"l{i}", f"word{i}") for i in range(8)]
